@@ -4,7 +4,9 @@ Claims measured (ISSUE 6 acceptance criteria):
 
 * a warm daemon answers a compile request >= 5x faster than a cold CLI
   invocation of the same workload (the daemon amortizes interpreter boot,
-  imports, and cache population across requests),
+  imports, and cache population across requests); the cold time is also
+  split into interpreter start, the import of what ``batch`` loads, and
+  the rest, and the speedup is restated net of the first two,
 * shipping a 50-program fuzz corpus to the daemon (``compile_batch(...,
   server=...)``) is no slower than a ``jobs=1`` local batch on a
   single-core host, and records multi-core scaling where available.
@@ -102,16 +104,24 @@ class TestWarmDaemonVsColdCli:
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(_REPO_ROOT, "src"))
 
-        # Cold: a fresh interpreter per compile -- what every CLI user
-        # pays without the daemon (boot + imports + compile).
-        cold_seconds = []
-        for path in _EXAMPLES:
+        def fresh_process(*argv: str) -> float:
             started = time.perf_counter()
             proc = subprocess.run(
-                [sys.executable, "-m", "repro", "batch", path],
-                env=env, cwd=_REPO_ROOT, capture_output=True, text=True)
-            cold_seconds.append(time.perf_counter() - started)
+                [sys.executable, *argv], env=env, cwd=_REPO_ROOT,
+                capture_output=True, text=True)
             assert proc.returncode == 0, proc.stdout + proc.stderr
+            return time.perf_counter() - started
+
+        # Cold: a fresh interpreter per compile -- what every CLI user
+        # pays without the daemon (boot + imports + compile).  Interleaved
+        # with it, the two prefixes of that cost: a bare interpreter, and
+        # one that imports exactly what `batch` loads before compiling.
+        cold_seconds, start_seconds, import_seconds = [], [], []
+        for path in _EXAMPLES:
+            start_seconds.append(fresh_process("-c", "pass"))
+            import_seconds.append(fresh_process(
+                "-c", "import repro.__main__, repro.batch, repro.compiler"))
+            cold_seconds.append(fresh_process("-m", "repro", "batch", path))
 
         with _DaemonHandle(socket_path=sock, cache_dir=store,
                            jobs=1) as daemon:
@@ -130,14 +140,24 @@ class TestWarmDaemonVsColdCli:
                 assert response["defined"]
             assert daemon.server.metrics.cache_hit_ratio() > 0.0
 
-        cold_avg = sum(cold_seconds) / len(cold_seconds)
-        warm_avg = sum(warm_seconds) / len(warm_seconds)
-        speedup = cold_avg / max(warm_avg, 1e-9)
+        def mean(values):
+            return sum(values) / len(values)
+
+        cold_avg = mean(cold_seconds)
+        warm_avg = max(mean(warm_seconds), 1e-9)
+        start_avg = mean(start_seconds)
+        import_avg = max(mean(import_seconds) - start_avg, 0.0)
+        rest_avg = max(cold_avg - start_avg - import_avg, 0.0)
+        speedup = cold_avg / warm_avg
         table(f"P11a: examples workload, {len(_EXAMPLES)} files",
-              ["configuration", "avg seconds/file", "speedup"],
-              [["cold CLI (fresh process)", f"{cold_avg:.3f}", "1.0x"],
-               ["warm daemon request", f"{warm_avg:.4f}",
-                f"{speedup:.0f}x"]])
+              ["configuration", "avg seconds/file", "warm daemon speedup"],
+              [["cold CLI (fresh process)", f"{cold_avg:.3f}",
+                f"{speedup:.0f}x"],
+               ["  interpreter start", f"{start_avg:.3f}", ""],
+               ["  import of the batch pipeline", f"{import_avg:.3f}", ""],
+               ["  the rest (compile, report)", f"{rest_avg:.3f}",
+                f"{rest_avg / warm_avg:.1f}x"],
+               ["warm daemon request", f"{warm_avg:.4f}", "1.0x"]])
         _merge_results("warm_daemon_vs_cold_cli", {
             "files": [os.path.basename(p) for p in _EXAMPLES],
             "cold_seconds": cold_seconds,
@@ -145,6 +165,10 @@ class TestWarmDaemonVsColdCli:
             "cold_avg_seconds": cold_avg,
             "warm_avg_seconds": warm_avg,
             "speedup": speedup,
+            "cold_split_avg_seconds": {"interpreter_start": start_avg,
+                                       "import": import_avg,
+                                       "rest": rest_avg},
+            "speedup_net_of_start_and_import": rest_avg / warm_avg,
         })
         assert speedup >= 5.0, (
             f"warm daemon only {speedup:.1f}x faster than cold CLI")

@@ -47,109 +47,56 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
-from .api import API_VERSION, ApiError, CompilerService, ServiceResult, connect
-from .batch import (
-    BatchFileResult,
-    BatchResult,
-    compile_batch,
-    process_pool_viable,
-)
-from .cache import (
-    CachedFunction,
-    CompilationCache,
-    cache_key,
-    canonical_source,
-    options_fingerprint,
-)
-from .client import ServiceClient, ServiceError, ServiceUnavailable
-from .compiler import (
-    CompilationResult,
-    CompiledFunction,
-    Compiler,
-    compile_and_run,
-)
-from .diagnostics import Diagnostics, SourceLocation
-from .errors import VerificationError
-from .fuzz import FuzzFailure, FuzzReport, run_fuzz
-from .interp import Interpreter, evaluate
-from .options import (
-    CompilerOptions,
-    DEFAULT_OPTIONS,
-    NON_SEMANTIC_OPTION_FIELDS,
-    SEMANTIC_OPTION_FIELDS,
-    naive_options,
-)
-from .reader import read, read_all, write_to_string
-from .serve import ReproServer
-from .target import MachineDescription, get_target
-from .telemetry import MachineTelemetry
-from .verify import PipelineVerifier, Violation
-from .trace import (
-    build_chrome_trace,
-    build_machine_trace,
-    build_request_trace,
-    parse_prometheus_text,
-    prometheus_metrics,
-    write_chrome_trace,
-    write_flamegraph,
-    write_machine_trace,
-    write_metrics,
+from ._lazy import lazy_attributes
+
+#: Public name -> the submodule that defines it.  Nothing here is imported
+#: by ``import repro``: each name loads its module on first use (PEP 562),
+#: so a cold ``python -m repro batch`` imports the Table 1 pipeline and
+#: not the daemon, client, fuzzer, exporters or machine.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (".api", ("API_VERSION", "ApiError", "CompilerService",
+                  "ServiceResult", "connect")),
+        (".batch", ("BatchFileResult", "BatchResult", "compile_batch",
+                    "process_pool_viable")),
+        (".cache", ("CachedFunction", "CompilationCache", "cache_key",
+                    "canonical_source", "options_fingerprint")),
+        (".client", ("ServiceClient", "ServiceError", "ServiceUnavailable")),
+        (".compiler", ("CompilationResult", "CompiledFunction", "Compiler",
+                       "compile_and_run")),
+        (".diagnostics", ("Diagnostics", "SourceLocation")),
+        (".errors", ("VerificationError",)),
+        (".fuzz", ("FuzzFailure", "FuzzReport", "run_fuzz")),
+        (".interp", ("Interpreter", "evaluate")),
+        (".options", ("CompilerOptions", "DEFAULT_OPTIONS",
+                      "NON_SEMANTIC_OPTION_FIELDS", "SEMANTIC_OPTION_FIELDS",
+                      "naive_options")),
+        (".reader", ("read", "read_all", "write_to_string")),
+        (".serve", ("ReproServer",)),
+        (".target", ("MachineDescription", "get_target")),
+        (".telemetry", ("MachineTelemetry",)),
+        (".verify", ("PipelineVerifier", "Violation")),
+        (".trace", ("build_chrome_trace", "build_machine_trace",
+                    "build_request_trace", "parse_prometheus_text",
+                    "prometheus_metrics", "write_chrome_trace",
+                    "write_flamegraph", "write_machine_trace",
+                    "write_metrics")),
+    )
+    for name in names
+}
+
+#: Submodules reachable as attributes (``repro.serve``) after a bare
+#: ``import repro``.
+_SUBMODULES = (
+    "analysis", "annotate", "api", "baseline", "batch", "cache", "client",
+    "codegen", "compiler", "datum", "diagnostics", "errors", "fuzz",
+    "interp", "ir", "machine", "optimizer", "options", "primitives",
+    "reader", "serve", "target", "telemetry", "tnbind", "trace", "verify",
 )
 
-__all__ = [
-    "API_VERSION",
-    "ApiError",
-    "BatchFileResult",
-    "BatchResult",
-    "CachedFunction",
-    "CompilationCache",
-    "CompilationResult",
-    "CompiledFunction",
-    "Compiler",
-    "CompilerOptions",
-    "CompilerService",
-    "DEFAULT_OPTIONS",
-    "Diagnostics",
-    "FuzzFailure",
-    "FuzzReport",
-    "Interpreter",
-    "MachineDescription",
-    "MachineTelemetry",
-    "NON_SEMANTIC_OPTION_FIELDS",
-    "PipelineVerifier",
-    "ReproServer",
-    "SEMANTIC_OPTION_FIELDS",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceResult",
-    "ServiceUnavailable",
-    "SourceLocation",
-    "VerificationError",
-    "Violation",
-    "build_chrome_trace",
-    "build_machine_trace",
-    "build_request_trace",
-    "cache_key",
-    "canonical_source",
-    "compile_and_run",
-    "compile_batch",
-    "connect",
-    "evaluate",
-    "get_target",
-    "naive_options",
-    "options_fingerprint",
-    "parse_prometheus_text",
-    "process_pool_viable",
-    "prometheus_metrics",
-    "read",
-    "read_all",
-    "run_fuzz",
-    "write_chrome_trace",
-    "write_flamegraph",
-    "write_machine_trace",
-    "write_metrics",
-    "write_to_string",
-    "__version__",
-]
+__getattr__, __dir__ = lazy_attributes(globals(), _EXPORTS, _SUBMODULES)
+
+__all__ = sorted(_EXPORTS) + ["__version__"]

@@ -58,16 +58,18 @@ differential check::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .api import CompilerService
 from .datum import Cons, sym
 from .errors import ReproError
-from .machine import Machine, TIERS, TIMINGS
-from .options import OPTIMIZER_BACKENDS, CompilerOptions
+from .machine.timing import TIMINGS
+from .options import OPTIMIZER_BACKENDS, TIERS, CompilerOptions
 from .reader import read_all, write_to_string
+
+if TYPE_CHECKING:
+    from .machine.cpu import Machine
 
 #: Subcommand names; anything else routes to the REPL (the historical
 #: default invocation).
@@ -330,6 +332,8 @@ class Repl:
         return True
 
     def dump_diagnostics(self, path: str) -> None:
+        import json
+
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"session": self.diagnostics_log}, handle, indent=2)
 
@@ -403,6 +407,8 @@ def batch_main(argv) -> int:
         want_diagnostics=bool(args.trace or args.metrics or args.json))
     print(result.report())
     if args.json:
+        import json
+
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.to_json(), handle, indent=2)
     if args.trace:
@@ -502,6 +508,8 @@ def fuzz_main(argv) -> int:
         bench_path = os.path.join("benchmarks", "BENCH_egraph.json")
         os.makedirs("benchmarks", exist_ok=True)
     if bench_path is not None and len(backends) > 1:
+        import json
+
         with open(bench_path, "w", encoding="utf-8") as handle:
             json.dump(report.bench_json(), handle, indent=2)
         print(f"backend A/B report: {bench_path}")

@@ -44,11 +44,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from . import __version__ as _VERSION
 from .cache import CompilationCache, as_cache, cache_key, canonical_source
-from .compiler import Compiler
 from .errors import ReproError
 from .options import (
     NON_SEMANTIC_OPTION_FIELDS,
@@ -85,6 +85,9 @@ STABILITY_TIERS: Dict[str, str] = {
     "request_fingerprint": "provisional",
     "STABILITY_TIERS": "provisional",
 }
+
+if TYPE_CHECKING:
+    from .compiler import Compiler
 
 __all__ = list(STABILITY_TIERS)
 
@@ -273,7 +276,11 @@ class CompilerService:
         return replace(options, cache=self.cache)
 
     def compiler(self, options: Optional[CompilerOptions] = None) -> Compiler:
-        """A fresh compiler bound to the service cache (one per request)."""
+        """A fresh compiler bound to the service cache (one per request).
+        The pipeline is imported here, not with the module, so a client or
+        a ``batch --server`` run never loads it."""
+        from .compiler import Compiler
+
         return Compiler(self._options_with_cache(options or self.options))
 
     def session(self) -> Compiler:

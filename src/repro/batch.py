@@ -20,7 +20,6 @@ The CLI lives in ``python -m repro batch``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -285,6 +284,8 @@ def compile_batch(items: Sequence[BatchItem], *,
             raw[index] = _compile_one(spec, cache_dir, label, source,
                                       load_prelude, want_diagnostics)
     else:
+        import concurrent.futures
+
         executor_kind, pool = _make_pool(jobs)
         with pool:
             futures = {
@@ -349,6 +350,8 @@ def _make_pool(jobs: int):
     cheap :func:`process_pool_viable` probe runs first, skipping straight
     to threads on hosts that cannot spawn; the probe task then surfaces
     platforms where pool creation succeeds but the first spawn fails."""
+    import concurrent.futures
+
     if not process_pool_viable():
         return "thread", concurrent.futures.ThreadPoolExecutor(
             max_workers=jobs)

@@ -29,16 +29,13 @@ trees, no transcripts).  Symbol identity across processes is preserved by
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from .machine import CodeObject
+from .machine.isa import CodeObject
 
 # NON_SEMANTIC_OPTION_FIELDS: the declaration lives on the option fields
 # themselves (``repro.options.non_semantic``); re-exported here for callers
@@ -95,6 +92,8 @@ def cache_key(canonical: str, options: Any,
     *extra* carries compiler-instance state that affects conversion (the
     sorted proclaimed-specials snapshot, the wrapper name of an expression
     compile)."""
+    import hashlib
+
     hasher = hashlib.sha256()
     hasher.update(f"version:{CACHE_FORMAT_VERSION}\n".encode("utf-8"))
     hasher.update(f"target:{options.target}\n".encode("utf-8"))
@@ -159,7 +158,15 @@ class CacheStats:
         }
 
 
+# hashlib, pickle and tempfile are imported where a key is hashed or an
+# entry crosses the disk: a compile that runs without a cache (the default,
+# and every cold ``python -m repro batch`` without --cache-dir) never
+# loads them.
+
+
 def _encode(value: CachedFunction) -> bytes:
+    import pickle
+
     return pickle.dumps((_MAGIC, CACHE_FORMAT_VERSION, value),
                         protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -167,6 +174,8 @@ def _encode(value: CachedFunction) -> bytes:
 def _decode(data: bytes) -> CachedFunction:
     """Unpickle one envelope; raises on anything suspect (the callers turn
     every failure into a miss)."""
+    import pickle
+
     payload = pickle.loads(data)
     if not (isinstance(payload, tuple) and len(payload) == 3):
         raise ValueError("malformed cache envelope")
@@ -261,6 +270,9 @@ class DiskCache:
         return value
 
     def put(self, key: str, value: CachedFunction) -> None:
+        import pickle
+        import tempfile
+
         path = self._path(key)
         try:
             os.makedirs(self.directory, exist_ok=True)

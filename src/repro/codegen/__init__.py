@@ -1,6 +1,17 @@
 """Code generation: annotated tree -> parenthesized assembly (CodeObject)."""
 
-from .generator import FrameInfo, FunctionCodegen
-from .peephole import PeepholeStats, optimize_code
+from .._lazy import lazy_attributes
 
-__all__ = ["FrameInfo", "FunctionCodegen", "PeepholeStats", "optimize_code"]
+#: Resolved on first use (PEP 562): the optional peephole pass is not
+#: imported unless ``enable_peephole`` asks for it.
+_EXPORTS = {
+    "FrameInfo": ".generator",
+    "FunctionCodegen": ".generator",
+    "PeepholeStats": ".peephole",
+    "optimize_code": ".peephole",
+}
+
+__getattr__, __dir__ = lazy_attributes(globals(), _EXPORTS,
+                                       ("generator", "peephole"))
+
+__all__ = sorted(_EXPORTS)

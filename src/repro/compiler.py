@@ -24,25 +24,24 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import analyze
 from .annotate import annotate
 from .cache import CachedFunction, as_cache, cache_key, canonical_source
-from .codegen import FunctionCodegen
+from .codegen.generator import FunctionCodegen
 from .datum import NIL, Cons, to_list
 from .datum.symbols import Symbol, sym
 from .diagnostics import Diagnostics, count_nodes
 from .errors import ConversionError, ReaderError
 from .ir import Converter, LambdaNode, back_translate_to_string
-from .machine import CodeObject, Machine, Program
-from .optimizer import (
-    SourceOptimizer,
-    Transcript,
-    eliminate_common_subexpressions,
-)
+from .machine.isa import CodeObject, Program
+from .optimizer import Transcript, make_optimizer
 from .options import CompilerOptions, DEFAULT_OPTIONS
 from .reader import read_all
+
+if TYPE_CHECKING:
+    from .machine.cpu import Machine
 
 _PRELUDE_SOURCE: Optional[str] = None
 # The batch driver compiles on pool workers; memoization must be safe when
@@ -436,8 +435,6 @@ class Compiler:
                 snapshot = copy_tree(node)
                 analyze(snapshot)
                 registry[name] = snapshot
-            from .optimizer.egraph import make_optimizer
-
             optimizer = make_optimizer(self.options, transcript,
                                        global_functions=registry,
                                        diagnostics=diagnostics)
@@ -455,6 +452,8 @@ class Compiler:
                     node, "optimizer", self.converter.proclaimed_specials)
 
         if self.options.enable_cse:
+            from .optimizer.cse import eliminate_common_subexpressions
+
             timer = diagnostics.start_phase("cse", function=fname,
                                             nodes_before=count_nodes(node))
             node = eliminate_common_subexpressions(
@@ -544,6 +543,7 @@ class Compiler:
     # -- running ------------------------------------------------------------------------
 
     def machine(self, fuel: int = 50_000_000) -> Machine:
+        from .machine.cpu import Machine
         from .target.machines import get_target
 
         target = get_target(self.options.target)

@@ -7,42 +7,32 @@ certifications, special-variable search work, stack depth -- is measured
 exactly by :class:`Machine`.
 """
 
-from .cpu import FrameRecord, Machine, MachineProfile, UNBOUND
-from .multi import MultiMachine
-from .heap import Heap
-from .native import NativeBlock, NativeCode, TIERS, translate
-from .timing import DEFAULT_PIPELINE, PipelineDescription, TIMINGS
-from .isa import (
-    CYCLES,
-    CodeObject,
-    Instruction,
-    Program,
-    env_slot,
-    frame_arg,
-    global_ref,
-    imm,
-    label_ref,
-    name_ref,
-    reg,
-    temp,
-)
-from .values import (
-    Cell,
-    Closure,
-    HeapNumber,
-    PdlNumber,
-    PrimitiveFn,
-    is_pointer_value,
-    is_raw_number,
-    pointer_to_lisp,
-)
+from .._lazy import lazy_attributes
 
-__all__ = [
-    "CYCLES", "Cell", "Closure", "CodeObject", "DEFAULT_PIPELINE",
-    "FrameRecord", "Heap", "HeapNumber", "Instruction", "Machine",
-    "MachineProfile", "MultiMachine", "NativeBlock", "NativeCode",
-    "PdlNumber", "PipelineDescription", "PrimitiveFn",
-    "Program", "TIERS", "TIMINGS", "UNBOUND", "env_slot", "frame_arg",
-    "global_ref", "imm", "is_pointer_value", "is_raw_number", "label_ref",
-    "name_ref", "pointer_to_lisp", "reg", "temp", "translate",
-]
+#: Public name -> defining submodule, resolved on first use (PEP 562).  The
+#: compiler only needs the ISA (``repro.machine.isa``); importing it must
+#: not drag in the CPU, the native translator and their runtime.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (".cpu", ("FrameRecord", "Machine", "MachineProfile", "UNBOUND")),
+        (".multi", ("MultiMachine",)),
+        (".heap", ("Heap",)),
+        (".native", ("NativeBlock", "NativeCode", "translate")),
+        ("..options", ("TIERS",)),
+        (".timing", ("DEFAULT_PIPELINE", "PipelineDescription", "TIMINGS")),
+        (".isa", ("CYCLES", "CodeObject", "Instruction", "Program",
+                  "env_slot", "frame_arg", "global_ref", "imm", "label_ref",
+                  "name_ref", "reg", "temp")),
+        (".values", ("Cell", "Closure", "HeapNumber", "PdlNumber",
+                     "PrimitiveFn", "is_pointer_value", "is_raw_number",
+                     "pointer_to_lisp")),
+    )
+    for name in names
+}
+
+__getattr__, __dir__ = lazy_attributes(
+    globals(), _EXPORTS,
+    ("asm", "cpu", "heap", "isa", "multi", "native", "timing", "values"))
+
+__all__ = sorted(_EXPORTS)

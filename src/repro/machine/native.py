@@ -54,9 +54,6 @@ from .isa import (
 from .timing import PipelineDescription, analyze as analyze_timing
 from .values import HeapNumber, PdlNumber, is_raw_number, pointer_to_lisp
 
-#: The execution tiers a Machine can run ("simulate" is the reference).
-TIERS = ("simulate", "native")
-
 #: Opcodes that end a basic block because control may leave it.
 _BRANCHES = {"JMP", "JUMPNIL", "JUMPNNIL", "CMPBR", "EQLBR", "ARGDISPATCH"}
 _CALLS = {"CALL", "KCALL", "CALLF", "TAILCALL", "TAILCALLF", "APPLYF"}

@@ -13,7 +13,7 @@ Layout:
   cheapest program for the selected target.
 """
 
-from .backend import EGraphOptimizer, add_term, build_term, make_optimizer
+from .backend import EGraphOptimizer, add_term, build_term
 from .core import EClass, EGraph, ENode, extract_costs
 from .cost import CycleCostModel
 from .term import Term, TermContext, term_to_tree, tree_to_term
@@ -29,7 +29,6 @@ __all__ = [
     "add_term",
     "build_term",
     "extract_costs",
-    "make_optimizer",
     "term_to_tree",
     "tree_to_term",
 ]

@@ -308,17 +308,3 @@ class EGraphOptimizer:
     def _bump(self, counter: str) -> None:
         if self.diagnostics is not None:
             self.diagnostics.bump(counter)
-
-
-def make_optimizer(options, transcript, global_functions=None,
-                   diagnostics=None):
-    """Factory used by the compiler: pick the optimizer implementation for
-    ``options.optimizer_backend``."""
-    backend = getattr(options, "optimizer_backend", "ordered")
-    if backend == "egraph":
-        return EGraphOptimizer(options, transcript,
-                               global_functions=global_functions,
-                               diagnostics=diagnostics)
-    return SourceOptimizer(options, transcript,
-                           global_functions=global_functions,
-                           diagnostics=diagnostics)

@@ -22,7 +22,6 @@ into Chrome trace instant events.
 
 from __future__ import annotations
 
-import difflib
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
@@ -70,6 +69,8 @@ class TranscriptEntry:
         Equivalence entries never diff whole-function snapshots: the
         e-graph firing mutated nothing, so there is no "after" image --
         the local forms themselves are the event."""
+        import difflib
+
         if self.kind == "equivalence":
             before, after = self.before, self.after
             lines = difflib.unified_diff(

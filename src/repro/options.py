@@ -133,8 +133,6 @@ class CompilerOptions:
         from .target.machines import get_target
 
         get_target(self.target)
-        from .machine.native import TIERS
-
         if self.tier not in TIERS:
             raise ValueError(
                 f"unknown execution tier {self.tier!r}"
@@ -153,6 +151,11 @@ class CompilerOptions:
 
 #: The optimizer backend vocabulary (``CompilerOptions.optimizer_backend``).
 OPTIMIZER_BACKENDS = ("ordered", "egraph")
+
+#: The execution tiers a Machine can run (``CompilerOptions.tier``;
+#: "simulate" is the reference).  Declared here rather than next to the
+#: native translator so validating options never imports the machine.
+TIERS = ("simulate", "native")
 
 
 def _field_is_semantic(f) -> bool:

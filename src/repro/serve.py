@@ -706,6 +706,11 @@ class ReproServer:
     async def start(self) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
+        # A daemon exists to be warm: load the Table 1 pipeline (which the
+        # lazy package surface defers to the first compile) before the
+        # first connection, so no request pays for the import.
+        from . import compiler  # noqa: F401
+
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._executor = ThreadPoolExecutor(
