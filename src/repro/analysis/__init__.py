@@ -2,12 +2,16 @@
 
 The driver :func:`analyze` runs the four analyses in the paper's order:
 environment, side-effects, complexity, tail-recursion -- plus the
-(paper-optional) data-type analysis.  The source-level optimizer re-runs it
-after transformations; the ``needs_reanalysis`` flags on nodes exist so the
-co-routining scheme of Section 4.2 can skip clean subtrees, but analyses
-are cheap enough here that the driver simply recomputes (the flags still
-gate the optimizer's worklist).
+(paper-optional) data-type analysis.  The source-level optimizer re-runs
+:func:`analyze` at the start of each pass and :func:`analyze_light` after
+every rewrite.  The ``needs_reanalysis`` flags implement Section 4.2's
+co-routining scheme: tree surgery dirties the spliced node and its
+ancestors, the three bottom-up analyses recompute only dirty nodes and
+reuse every clean subtree's cached result, and both functions clear the
+flags when they finish.  Tail positions and types are recomputed whole.
 """
+
+from typing import Optional, Sequence
 
 from .complexity import analyze_complexity
 from .effects import (
@@ -25,27 +29,31 @@ from .typeinfo import analyze_types, literal_type
 from ..ir.nodes import Node
 
 
-def analyze(root: Node) -> None:
-    """Run all source-program analyses over the tree."""
+def analyze(root: Node, nodes: Optional[Sequence[Node]] = None) -> None:
+    """Run all source-program analyses over the tree.  *nodes*, when
+    given, is ``list(root.walk())`` already taken by the caller."""
     analyze_environment(root)
     analyze_effects(root)
     analyze_complexity(root)
     analyze_tailrec(root)
     analyze_types(root)
-    for node in root.walk():
-        node.needs_reanalysis = False
+    _clear_flags(root, nodes)
 
 
-def analyze_light(root: Node) -> None:
+def analyze_light(root: Node, nodes: Optional[Sequence[Node]] = None) -> None:
     """The incremental subset the optimizer re-runs after each
     transformation (Section 4.2's flag-driven re-analysis): the bottom-up
     analyses, which cache per-subtree results under the dirty flags.
     Tail positions and types are refreshed once per optimizer pass by the
-    full :func:`analyze`."""
+    full :func:`analyze`.  *nodes* is as for :func:`analyze`."""
     analyze_environment(root)
     analyze_effects(root)
     analyze_complexity(root)
-    for node in root.walk():
+    _clear_flags(root, nodes)
+
+
+def _clear_flags(root: Node, nodes: Optional[Sequence[Node]]) -> None:
+    for node in root.walk() if nodes is None else nodes:
         node.needs_reanalysis = False
 
 

@@ -69,9 +69,16 @@ def analyze_types(root: Node) -> None:
     setq values fail to deliver that type (under the current assumptions)
     until stable.  At the fixpoint every kept assumption is witnessed by
     every assignment, so downstream specialization is sound.
+
+    A pass's decoration depends only on the tree and its assumptions, so
+    the analysis stops at the first pass run under the final ones: the
+    seeding pass when no assigned variable is a candidate (its assumptions
+    are the empty set), else the pass that confirms the fixpoint.
     """
     state = _PassState({}, {})
     _run_pass(root, state)
+    if not state.candidates:
+        return
     assumptions = dict(state.candidates)
     for _ in range(4):
         state = _PassState(assumptions, {})
@@ -82,9 +89,10 @@ def analyze_types(root: Node) -> None:
             if all(t == assumed for t in observed):
                 kept[variable] = assumed
         if kept == assumptions:
-            break
+            return
         assumptions = kept
-    # Final decoration pass under the stable assumptions.
+    # The bound ran out before the assumptions settled: decorate under the
+    # last ones.
     state = _PassState(assumptions, {})
     _run_pass(root, state)
 

@@ -250,9 +250,11 @@ class Compiler:
                     timer = diagnostics.start_phase("ir conversion",
                                                     function=name)
                     node = self.converter.convert_lambda(lambda_form)
-                    timer.finish(nodes_after=count_nodes(node))
+                    size = count_nodes(node)
+                    timer.finish(nodes_after=size)
                     compiled = self.compile_lambda(sym(name), node,
-                                                   diagnostics=diagnostics)
+                                                   diagnostics=diagnostics,
+                                                   size=size)
                     if key is not None:
                         self._cache_store(key, compiled, diagnostics)
                 result.defined.append(compiled.name)
@@ -347,9 +349,10 @@ class Compiler:
             timer = diagnostics.start_phase("ir conversion")
             name, node = self.converter.convert_defun(form)
             timer.record.function = str(name)
-            timer.finish(nodes_after=count_nodes(node))
+            size = count_nodes(node)
+            timer.finish(nodes_after=size)
             compiled = self.compile_lambda(name, node,
-                                           diagnostics=diagnostics)
+                                           diagnostics=diagnostics, size=size)
             result.functions[name] = compiled
             if key is not None:
                 self._cache_store(key, compiled, diagnostics)
@@ -398,8 +401,10 @@ class Compiler:
     # -- the pipeline ---------------------------------------------------------------
 
     def compile_lambda(self, name: Symbol, node: LambdaNode,
-                       diagnostics: Optional[Diagnostics] = None
-                       ) -> CompiledFunction:
+                       diagnostics: Optional[Diagnostics] = None,
+                       size: Optional[int] = None) -> CompiledFunction:
+        """Run the pipeline after conversion on one lambda.  *size* is
+        ``count_nodes(node)`` when the caller has already counted it."""
         if diagnostics is None:
             diagnostics = Diagnostics()
             self.last_diagnostics = diagnostics
@@ -416,10 +421,14 @@ class Compiler:
                                 if self.options.transcript else None,
                                 trace_rewrites=self.options.trace_rewrites)
 
+        # Only the optimizer and CSE change the tree's size: it is counted
+        # after each of them and the count reused at the other boundaries.
+        if size is None:
+            size = count_nodes(node)
         timer = diagnostics.start_phase("analysis", function=fname,
-                                        nodes_before=count_nodes(node))
+                                        nodes_before=size)
         analyze(node)
-        timer.finish(nodes_after=count_nodes(node))
+        timer.finish(nodes_after=size)
         trace.record("source-program analysis")
         if verifier is not None:
             verifier.check_tree(node, "analysis")
@@ -439,9 +448,10 @@ class Compiler:
                                        global_functions=registry,
                                        diagnostics=diagnostics)
             timer = diagnostics.start_phase("optimizer", function=fname,
-                                            nodes_before=count_nodes(node))
+                                            nodes_before=size)
             node = optimizer.optimize(node)
-            timer.finish(nodes_after=count_nodes(node))
+            size = count_nodes(node)
+            timer.finish(nodes_after=size)
             if not isinstance(node, LambdaNode):
                 raise ConversionError(
                     f"{name}: optimization did not preserve the lambda")
@@ -455,10 +465,11 @@ class Compiler:
             from .optimizer.cse import eliminate_common_subexpressions
 
             timer = diagnostics.start_phase("cse", function=fname,
-                                            nodes_before=count_nodes(node))
+                                            nodes_before=size)
             node = eliminate_common_subexpressions(
                 node, self.options, transcript)
-            timer.finish(nodes_after=count_nodes(node))
+            size = count_nodes(node)
+            timer.finish(nodes_after=size)
             if not isinstance(node, LambdaNode):
                 raise ConversionError(f"{name}: CSE did not preserve lambda")
             trace.record("common subexpression elimination")
@@ -468,10 +479,10 @@ class Compiler:
                     node, "cse", self.converter.proclaimed_specials)
 
         timer = diagnostics.start_phase("annotate", function=fname,
-                                        nodes_before=count_nodes(node))
+                                        nodes_before=size)
         analyze(node)
         plans = annotate(node, self.options)
-        timer.finish(nodes_after=count_nodes(node))
+        timer.finish(nodes_after=size)
         trace.record("binding annotation")
         trace.record("special variable lookups")
         trace.record("representation annotation")
@@ -492,7 +503,7 @@ class Compiler:
             started_s=generator.tnbind_started or None)
         diagnostics.record_phase(
             "codegen", codegen_seconds - generator.tnbind_seconds,
-            function=fname, nodes_before=count_nodes(node),
+            function=fname, nodes_before=size,
             nodes_after=len(code.instructions),
             started_s=codegen_start)
         trace.record("target annotation (TNBIND/PACK)")

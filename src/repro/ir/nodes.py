@@ -133,10 +133,20 @@ class Node:
                 child.parent = self
 
     def walk(self) -> Iterator["Node"]:
-        """Preorder traversal of the subtree rooted here."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Preorder traversal of the subtree rooted here.
+
+        Iterative: a stack of ``children()`` iterators, each opened just
+        after its node is yielded (as a recursive generator would), so a
+        walk costs O(nodes) rather than O(nodes x depth) and a deep tree
+        cannot exhaust the interpreter's recursion limit."""
+        stack = [iter((self,))]
+        while stack:
+            for node in stack[-1]:
+                yield node
+                stack.append(node.children())
+                break
+            else:
+                stack.pop()
 
     def mark_dirty(self) -> None:
         """Flag this node and its ancestors for incremental re-analysis."""

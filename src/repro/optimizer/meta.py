@@ -23,7 +23,7 @@ META-...``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis import analyze, analyze_light, may_be_duplicated, may_be_eliminated
 from ..datum import NIL, T, gensym, lisp_equal, sym
@@ -80,6 +80,9 @@ _TYPE_SPECIALIZATIONS = {
 }
 
 
+Rule = Callable[[Node], Optional[Node]]
+
+
 class SourceOptimizer:
     """Fixpoint-driven source-to-source transformer."""
 
@@ -99,7 +102,16 @@ class SourceOptimizer:
         self.hit_pass_limit = False
         self._integration_counts: dict = {}
         self._fired = 0
-        self._rules: List[Tuple[str, Callable[[Node], Optional[Node]], str]] = []
+        from ..target.machines import get_target
+
+        #: META-SIN-TO-SINC's precondition: the target's sine takes cycles.
+        self._sin_in_cycles = get_target(self.options.target).sin_in_cycles
+        #: The whole table as ``(name, rule, gate)``, gates unapplied (the
+        #: e-graph backend offers every enabled rule to each term).
+        self._rules: List[Tuple[str, Rule, str]] = []
+        #: The engine's resolved table: node class -> the enabled rules
+        #: that match it, in table order.
+        self._rules_by_class: Dict[type, List[Rule]] = {}
         self._build_rule_table()
 
     # -- public entry ---------------------------------------------------------
@@ -115,10 +127,11 @@ class SourceOptimizer:
         self.hit_pass_limit = False
         changed = False
         for _pass in range(self.options.max_passes):
-            refresh_variable_links(holder.child)
+            nodes = list(holder.child.walk())
+            refresh_variable_links(holder.child, nodes)
             fix_parents(holder.child)
-            analyze(holder.child)
-            changed = self._run_pass(holder)
+            analyze(holder.child, nodes)
+            changed = self._run_pass(holder, nodes)
             if not changed:
                 break
             if self._fuel <= 0:
@@ -144,49 +157,47 @@ class SourceOptimizer:
 
     # -- engine ---------------------------------------------------------------
 
-    def _run_pass(self, holder: RootHolder) -> bool:
+    def _run_pass(self, holder: RootHolder, nodes: List[Node]) -> bool:
+        """Fire rules until a whole scan finds nothing or fuel runs out.
+
+        The firing discipline is the specification: scan the tree in
+        preorder from the root, fire the first enabled rule (in table
+        order) at the first node where one matches, and after every firing
+        restart the scan from the root.  *nodes* is the tree's preorder
+        list; one is taken after each firing and shared by the link
+        refresh, the dirty-flag reset and the next scan."""
         changed_any = False
-        progress = True
-        while progress and self._fuel > 0:
-            progress = False
-            for node in list(holder.child.walk()):
-                if not self._attached(node, holder):
-                    continue
-                replacement = self._try_rules(node)
-                if replacement is not None:
-                    self._fuel -= 1
-                    if replacement is not node:
-                        node.parent.replace_child(node, replacement)
-                        fix_parents(replacement)
-                    else:
-                        fix_parents(node)
-                    refresh_variable_links(holder.child)
-                    analyze_light(holder.child)
-                    if self.transcript.trace_rewrites:
-                        # The tree has settled: stamp the whole-function
-                        # snapshot onto the entry _fire just recorded.
-                        self.transcript.attach_root(render_node(holder.child))
-                    progress = True
-                    changed_any = True
-                    break
+        while self._fuel > 0:
+            found = self._scan(nodes)
+            if found is None:
+                return changed_any
+            node, replacement = found
+            self._fuel -= 1
+            if replacement is not node:
+                node.parent.replace_child(node, replacement)
+                fix_parents(replacement)
+            else:
+                fix_parents(node)
+            nodes = list(holder.child.walk())
+            refresh_variable_links(holder.child, nodes)
+            analyze_light(holder.child, nodes)
+            if self.transcript.trace_rewrites:
+                # The tree has settled: stamp the whole-function snapshot
+                # onto the entry _fire just recorded.
+                self.transcript.attach_root(render_node(holder.child))
+            changed_any = True
         return changed_any
 
-    @staticmethod
-    def _attached(node: Node, holder: RootHolder) -> bool:
-        current: Optional[Node] = node
-        while current is not None:
-            if current is holder:
-                return True
-            current = current.parent
-        return False
-
-    def _try_rules(self, node: Node) -> Optional[Node]:
-        for name, rule, gate in self._rules:
-            if gate and not getattr(self.options, gate):
-                continue
-            result = rule(node)
-            if result is not None:
-                return result
+    def _scan(self, nodes: List[Node]) -> Optional[Tuple[Node, Node]]:
+        """``(node, replacement)`` for the first node, in *nodes* order,
+        where an enabled rule fires (the first such rule in table order);
+        None when no rule fires anywhere."""
+        by_class = self._rules_by_class
+        for node in nodes:
+            for rule in by_class.get(type(node), ()):
+                replacement = rule(node)
+                if replacement is not None:
+                    return node, replacement
         return None
 
     def _fire(self, rule: str, before: str, after: Node) -> Node:
@@ -196,32 +207,50 @@ class SourceOptimizer:
 
     def _build_rule_table(self) -> None:
         # Order matters: cheap structural simplifications first, the
-        # expensive substitution machinery last.
-        self._rules = [
-            ("META-IF-CONSTANT", self._rule_if_constant, "enable_dead_code"),
-            ("META-PROGN-SIMPLIFY", self._rule_progn_simplify, "enable_dead_code"),
-            ("META-DEAD-CASEQ", self._rule_dead_caseq, "enable_dead_code"),
+        # expensive substitution machinery last.  The last column is the
+        # node class each rule matches (its first test is that isinstance
+        # check).
+        table = [
+            ("META-IF-CONSTANT", self._rule_if_constant, "enable_dead_code",
+             IfNode),
+            ("META-PROGN-SIMPLIFY", self._rule_progn_simplify,
+             "enable_dead_code", PrognNode),
+            ("META-DEAD-CASEQ", self._rule_dead_caseq, "enable_dead_code",
+             CaseqNode),
             ("META-PROGBODY-SIMPLIFY", self._rule_progbody_simplify,
-             "enable_dead_code"),
+             "enable_dead_code", ProgbodyNode),
             ("META-EVALUATE-CONSTANT-CALL", self._rule_constant_fold,
-             "enable_constant_folding"),
+             "enable_constant_folding", CallNode),
             ("META-EVALUATE-ASSOC-COMMUT-CALL", self._rule_assoc_commut,
-             "enable_assoc_commut"),
+             "enable_assoc_commut", CallNode),
             ("CONSIDER-REVERSING-ARGUMENTS", self._rule_reverse_arguments,
-             "enable_argument_reversal"),
-            ("META-SIN-TO-SINC", self._rule_sin_to_sinc, "enable_sin_to_sinc"),
+             "enable_argument_reversal", CallNode),
+            ("META-SIN-TO-SINC", self._rule_sin_to_sinc, "enable_sin_to_sinc",
+             CallNode),
             ("META-TYPE-SPECIALIZE", self._rule_type_specialize,
-             "enable_type_specialization"),
-            ("META-IF-SAME-TEST", self._rule_if_same_test, "enable_dead_code"),
-            ("META-IF-PROGN-TEST", self._rule_if_progn_test, "enable_beta"),
-            ("META-IF-LET-TEST", self._rule_if_let_test, "enable_beta"),
-            ("META-IF-IF", self._rule_if_if, "enable_if_distribution"),
+             "enable_type_specialization", CallNode),
+            ("META-IF-SAME-TEST", self._rule_if_same_test, "enable_dead_code",
+             IfNode),
+            ("META-IF-PROGN-TEST", self._rule_if_progn_test, "enable_beta",
+             IfNode),
+            ("META-IF-LET-TEST", self._rule_if_let_test, "enable_beta", IfNode),
+            ("META-IF-IF", self._rule_if_if, "enable_if_distribution", IfNode),
             ("META-INTEGRATE-GLOBAL", self._rule_integrate_global,
-             "enable_global_integration"),
-            ("META-CALL-LAMBDA", self._rule_call_lambda, "enable_beta"),
-            ("META-DROP-UNUSED-ARGUMENT", self._rule_drop_unused, "enable_beta"),
-            ("META-SUBSTITUTE", self._rule_substitute, "enable_beta"),
+             "enable_global_integration", CallNode),
+            ("META-CALL-LAMBDA", self._rule_call_lambda, "enable_beta",
+             CallNode),
+            ("META-DROP-UNUSED-ARGUMENT", self._rule_drop_unused,
+             "enable_beta", CallNode),
+            ("META-SUBSTITUTE", self._rule_substitute, "enable_beta", CallNode),
         ]
+        self._rules = [(name, rule, gate) for name, rule, gate, _ in table]
+        # Gates are read once: options do not change during a compilation.
+        # The index is by exact class, which is sound because no node class
+        # of repro.ir.nodes subclasses another.
+        self._rules_by_class = {}
+        for _, rule, gate, node_class in table:
+            if getattr(self.options, gate):
+                self._rules_by_class.setdefault(node_class, []).append(rule)
 
     # -- simple conditional rules ----------------------------------------------
 
@@ -422,9 +451,7 @@ class SourceOptimizer:
         to 1/2pi".  On targets whose sine takes radians the rewrite is
         "benign but useless", so it is switched off (Section 4.4's remark
         about transformations slanted toward the S-1)."""
-        from ..target.machines import get_target
-
-        if not get_target(self.options.target).sin_in_cycles:
+        if not self._sin_in_cycles:
             return None
         if not isinstance(node, CallNode) or len(node.args) != 1:
             return None

@@ -3,7 +3,7 @@ equality, and variable substitution."""
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Sequence, Set
 
 from ..datum import lisp_equal
 from ..ir.nodes import (
@@ -27,15 +27,20 @@ from ..ir.nodes import (
 )
 
 
-def refresh_variable_links(root: Node) -> None:
+def refresh_variable_links(root: Node,
+                           nodes: Optional[Sequence[Node]] = None) -> None:
     """Recompute every Variable's refs/setqs lists from the live tree.
 
     Tree surgery (substitution, argument dropping) leaves stale entries in
-    the per-variable back-pointer lists; the optimizer refreshes them at the
-    start of each pass so reference counts are trustworthy.
+    the per-variable back-pointer lists; the optimizer refreshes them after
+    every rewrite so reference counts are trustworthy.  *nodes*, when
+    given, is ``list(root.walk())`` already taken by the caller; refs and
+    setqs come out in that (preorder) order either way.
     """
+    if nodes is None:
+        nodes = list(root.walk())
     variables: Set[Variable] = set()
-    for node in root.walk():
+    for node in nodes:
         if isinstance(node, VarRefNode):
             variables.add(node.variable)
         elif isinstance(node, SetqNode):
@@ -45,7 +50,7 @@ def refresh_variable_links(root: Node) -> None:
     for variable in variables:
         variable.refs = []
         variable.setqs = []
-    for node in root.walk():
+    for node in nodes:
         if isinstance(node, VarRefNode):
             node.variable.refs.append(node)
         elif isinstance(node, SetqNode):

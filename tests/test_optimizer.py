@@ -346,3 +346,83 @@ class TestOptimizerPreservesStructure:
         text = optimizer.transcript.render()
         assert ";**** Optimizing this form:" in text
         assert "courtesy of META-EVALUATE-ASSOC-COMMUT-CALL" in text
+
+
+
+
+class TestRuleTable:
+    """The engine offers a node only the enabled rules indexed under its
+    class.  SAMPLE has, for every rule, a node where it fires."""
+
+    OPTIONS = CompilerOptions(enable_type_specialization=True,
+                              enable_global_integration=True)
+    SAMPLE = """
+        (lambda (x &optional (y (+ x 1)))
+          (catch 'k
+            (caseq 2
+              ((1) (prog (i) (setq i 0) l (if (> i 2) (return i)) (go l) (f i)))
+              (t (progn 1
+                        (prog () (f x))
+                        ((lambda () (f x)))
+                        ((lambda (a b) (g a)) x (+ x 0))
+                        (if nil 1 2)
+                        (if x (if x 1 2) 3)
+                        (if (progn (f) x) 1 2)
+                        (if ((lambda (a) a) x) 1 2)
+                        (if (if x y 2) 3 (sin$f y))
+                        (* x 2)
+                        (+ 1 2)
+                        (h 1))))))
+    """
+
+    def sample(self):
+        from repro.analysis import analyze
+
+        tree = convert_source(self.SAMPLE)
+        analyze(tree)
+        optimizer = SourceOptimizer(
+            self.OPTIONS, global_functions={sym("h"): convert_source(
+                "(lambda (n) n)")})
+        return tree, optimizer
+
+    def test_index_holds_each_enabled_rule_once_in_table_order(self):
+        _, optimizer = self.sample()
+        assert len(optimizer._rules) == 17  # the e-graph offers them all
+        position = {rule: i for i, (_, rule, _) in enumerate(optimizer._rules)}
+        indexed = []
+        for node_class, rules in optimizer._rules_by_class.items():
+            # The engine indexes by type(node): sound only while no class
+            # in the index has a subclass.
+            assert not node_class.__subclasses__(), node_class
+            order = [position[rule] for rule in rules]
+            assert order == sorted(order)
+            indexed += rules
+        assert sorted(map(position.get, indexed)) == list(range(17))
+
+    def test_gates_are_applied_when_the_index_is_built(self):
+        optimizer = SourceOptimizer(CompilerOptions(enable_beta=False))
+        indexed = [rule for rules in optimizer._rules_by_class.values()
+                   for rule in rules]
+        assert optimizer._rule_call_lambda not in indexed
+        assert optimizer._rule_type_specialize not in indexed
+        assert optimizer._rule_if_constant in indexed
+
+    def test_each_rule_fires_on_its_own_class_in_the_sample(self):
+        _, optimizer = self.sample()
+        for node_class, rules in optimizer._rules_by_class.items():
+            for rule in rules:
+                tree, fresh = self.sample()
+                rule = getattr(fresh, rule.__name__)
+                assert any(rule(node) is not None
+                           for node in list(tree.walk())
+                           if type(node) is node_class), rule.__name__
+
+    def test_index_hides_no_rule_that_could_fire(self):
+        """An enabled rule left out of a node class's entry declines every
+        node of that class."""
+        tree, optimizer = self.sample()
+        for node in tree.walk():
+            indexed = optimizer._rules_by_class.get(type(node), [])
+            for name, rule, _ in optimizer._rules:
+                if rule not in indexed:
+                    assert rule(node) is None, (name, node.KIND)
