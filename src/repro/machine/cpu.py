@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..datum import NIL, T, from_list
+from ..datum import NIL, T
 from ..datum.symbols import Symbol, sym
 from ..errors import LispError, MachineError, WrongNumberOfArgumentsError
 from ..interp.environment import DeepBindingStack
@@ -989,8 +989,9 @@ class Machine:
         base = self.fp - record.nargs
         args = self.stack[base:self.fp]
         rest_items = [self.machine_to_lisp(w) for w in args[fixed[1]:]]
-        rest = from_list(rest_items)
-        self.heap.note_allocation("cons", len(rest_items))
+        rest = NIL
+        for item in reversed(rest_items):
+            rest = self.heap.allocate_cons(item, rest)
         new_args = args[:fixed[1]] + [rest]
         del self.stack[base:self.fp + 1]
         self.stack.extend(new_args)

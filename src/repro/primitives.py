@@ -257,7 +257,13 @@ define_primitive("abs", lambda x: abs(_need_number("abs", x)), 1, 1,
                  pdl_result=True)
 
 
+# Two fixnums (exactly ``int``: bools and every other type take the
+# Fraction path) divide with ``//``, which gives the same integer as the
+# exact quotient rounded, without building two Fractions a call; ``rem``
+# and ``mod`` go through here too.
 def _prim_floor(x: Any, divisor: Any = 1) -> Any:
+    if type(x) is int and type(divisor) is int:
+        return x // divisor
     _need_real("floor", x)
     _need_real("floor", divisor)
     return math.floor(Fraction(x) / Fraction(divisor)) if not (
@@ -266,6 +272,8 @@ def _prim_floor(x: Any, divisor: Any = 1) -> Any:
 
 
 def _prim_ceiling(x: Any, divisor: Any = 1) -> Any:
+    if type(x) is int and type(divisor) is int:
+        return -(-x // divisor)
     _need_real("ceiling", x)
     _need_real("ceiling", divisor)
     if isinstance(x, float) or isinstance(divisor, float):
@@ -274,6 +282,11 @@ def _prim_ceiling(x: Any, divisor: Any = 1) -> Any:
 
 
 def _prim_truncate(x: Any, divisor: Any = 1) -> Any:
+    if type(x) is int and type(divisor) is int:
+        quotient = x // divisor
+        if quotient < 0 and quotient * divisor != x:
+            quotient += 1  # inexact and negative: floor went one lower
+        return quotient
     _need_real("truncate", x)
     _need_real("truncate", divisor)
     quotient = x / divisor if isinstance(x, float) or isinstance(divisor, float) \

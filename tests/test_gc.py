@@ -199,9 +199,10 @@ class TestMarkLoopTraversal:
         assert id(leaf) in heap.objects
 
     def test_unregistered_cycle_terminates_and_marks_through(self):
-        # RESTCOLLECT-style structure is note_allocation'd, never
-        # registered: the mark loop must still walk it (a registered cons
-        # can hide behind it) and must terminate on cycles through it.
+        # Untracked structure (a quoted constant, a vector built outside
+        # the heap) is never registered: the mark loop must still walk it
+        # (a registered cons can hide behind it) and must terminate on
+        # cycles through it.
         from repro.datum import Cons
         from repro.machine import Heap
 

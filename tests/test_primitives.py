@@ -5,6 +5,8 @@ assumed by the constant folder, the effects analysis, the interpreter, and
 the machine's GENERIC handler alike.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,71 @@ class TestRoundingModes:
     def test_float_floor(self):
         assert call("floor", 2.7) == 2
         assert call("floor", -2.7) == -3
+
+
+class TestFixnumDivision:
+    """Two fixnums divide with ``//`` instead of through two Fractions;
+    every result must be the exact quotient's, rounded as before."""
+
+    ROUNDERS = {"floor": math.floor, "ceiling": math.ceil,
+                "truncate": math.trunc}
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(20)
+        small = [1, -1, 2, -2, 3, -3, 7, -7, 10, -10, 1000, -1000]
+        out = [(0, 5), (0, -5), (6, 3), (-6, 3), (6, -3), (-6, -3),
+               (1, 2), (-1, 2), (1, -2), (-1, -2), (7, 1), (-7, -1),
+               (10 ** 12, 10 ** 12), (-10 ** 12, 10 ** 12 - 1)]
+        for _ in range(4000):
+            x = rng.randint(-10 ** 12, 10 ** 12)
+            roll = rng.random()
+            if roll < 0.5:
+                divisor = rng.choice(small)
+            elif roll < 0.8:
+                divisor = rng.randint(-100, 100) or 1
+            else:
+                divisor = rng.randint(-10 ** 12, 10 ** 12) or 1
+            out.append((x, divisor))
+        return out
+
+    def test_matches_the_fraction_path(self):
+        for x, divisor in self.pairs():
+            exact = Fraction(x) / Fraction(divisor)
+            for name, rounder in self.ROUNDERS.items():
+                got = call(name, x, divisor)
+                assert type(got) is int and got == rounder(exact), \
+                    (name, x, divisor)
+            assert call("mod", x, divisor) == x - divisor * math.floor(exact)
+            assert call("rem", x, divisor) == x - divisor * math.trunc(exact)
+
+    def test_one_argument_and_non_fixnums_keep_their_results(self):
+        assert call("truncate", -7) == -7
+        assert call("ceiling", Fraction(-7, 2), 1) == -3
+        assert call("truncate", -7, 2.0) == -3
+        assert call("floor", 7.5, 2) == 3
+        with pytest.raises(WrongTypeError):
+            call("floor", True, 1)
+
+    @pytest.mark.parametrize("name", ["floor", "ceiling", "truncate", "mod",
+                                      "rem"])
+    def test_zero_divisor_raises_on_the_interpreter_and_both_tiers(self,
+                                                                   name):
+        from repro import Compiler, CompilerOptions
+        from repro.interp import Interpreter
+
+        source = f"(defun f (a b) ({name} a b))"
+        with pytest.raises(ZeroDivisionError):
+            call(name, 5, 0)
+        interp = Interpreter()
+        interp.eval_source(source)
+        with pytest.raises(ZeroDivisionError):
+            interp.apply_function(interp.global_functions[sym("f")], [5, 0])
+        for tier in ("simulate", "native"):
+            compiler = Compiler(CompilerOptions(tier=tier))
+            compiler.compile_source(source)
+            with pytest.raises(ZeroDivisionError):
+                compiler.machine().run(sym("f"), [5, 0])
 
 
 class TestArithmeticEdges:
