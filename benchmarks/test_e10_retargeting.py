@@ -14,7 +14,9 @@ We retarget the same source to three machine descriptions (S-1, a VAX-like
   certain other architectures" transformations are switched off, not run,
 * the RT staging discipline applies only to targets that have the
   2 1/2-address constraint,
-* the register pool honors each target's size.
+* the register pool honors each target's size,
+* the Table 4 TESTFN and its prog variant stay within a per-target cycle
+  budget on the simulated machine.
 """
 
 import pytest
@@ -122,4 +124,60 @@ def test_e10_differential_against_interpreter(benchmark):
     for target in TARGETS:
         got = compile_for(target).run("kernel", [0.3, 25])
         assert got == pytest.approx(expected, rel=1e-6)
+    benchmark(lambda: None)
+
+
+# Table 4's TESTFN (Section 7) and a prog/do variant of it that is heavier
+# on control flow: optional-argument defaulting, the float pipeline through
+# sin$f, and a call to an undistinguished FROTZ.
+TESTFN = """
+    (defun frotz (d e m) nil)
+    (defun testfn (a &optional (b 3.0) (c a))
+      (let ((d (+$f a b c)) (e (*$f a b c)))
+        (let ((q (sin$f e)))
+          (frotz d e (max$f d e))
+          q)))
+"""
+
+TESTFN_PROG = """
+    (defun frotz (d e m) nil)
+    (defun testfn (a &optional (b 3.0) (c a))
+      (prog (d (e 0.0))
+        (setq d (*$f 3.0 (sin$f (*$f a b))))
+        (cond ((>$f d e)
+               (setq e (max$f d (abs$f c)))))
+        (frotz d e 0.0)
+        (return (+$f d e))))
+"""
+
+#: (name, source, args, expected result or None, cycle budget per target).
+#: Each budget is the measured cycle count, so a change that makes
+#: TESTFN slower on any target fails here.
+TESTFN_WORKLOADS = [
+    ("testfn-table4", TESTFN, [0.25], 0.186403,
+     {"s1": 60, "vax": 67, "pdp10": 73}),
+    ("testfn-prog", TESTFN_PROG, [1.5, 0.25], None,
+     {"s1": 68, "vax": 75, "pdp10": 80}),
+]
+
+
+def test_e10_testfn_cycles_per_target(benchmark, table):
+    rows = []
+    for name, source, args, expected, budget in TESTFN_WORKLOADS:
+        for target in TARGETS:
+            compiler = Compiler(CompilerOptions(target=target,
+                                                verify_ir=True))
+            compiler.compile_source(source)
+            machine = compiler.machine()
+            result = machine.run(sym("testfn"), list(args))
+            if expected is not None:
+                assert result == pytest.approx(expected, rel=1e-4), (
+                    name, target, result)
+            rows.append((name, target, machine.cycles, budget[target]))
+            assert machine.cycles <= budget[target], (
+                f"{name}/{target}: {machine.cycles} cycles > "
+                f"{budget[target]}")
+    table("E10: Table 4 TESTFN cycles per target",
+          ["workload", "target", "cycles", "budget"], rows)
+
     benchmark(lambda: None)

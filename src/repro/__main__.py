@@ -21,7 +21,6 @@ Meta commands::
                       cycles, coldest inline-cache sites
     :tier [TIER]      show or switch the execution tier (simulate, native)
     :timing [MODEL]   show or switch the timing model (single, pipelined)
-    :backend [B]      show or switch the optimizer backend (ordered, egraph)
     :phases           the phase pipeline of the last compilation
     :diag             phase timings / rule fires / warnings (last compile)
     :prelude          load the bundled standard library
@@ -65,7 +64,7 @@ from .api import CompilerService
 from .datum import Cons, sym
 from .errors import ReproError
 from .machine.timing import TIMINGS
-from .options import OPTIMIZER_BACKENDS, TIERS, CompilerOptions
+from .options import TIERS, CompilerOptions
 from .reader import read_all, write_to_string
 
 if TYPE_CHECKING:
@@ -106,11 +105,6 @@ def common_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
                        help="execution tier: simulate, native "
                             "(repeatable for fuzz; last wins elsewhere; "
                             "default simulate)")
-    group.add_argument("--backend", action="append", default=None,
-                       metavar="B",
-                       help="optimizer backend: ordered, egraph "
-                            "(repeatable for fuzz A/B sweeps; last wins "
-                            "elsewhere; default ordered)")
     group.add_argument("--timing", action="append", default=None,
                        metavar="MODEL",
                        help="machine timing model: single, pipelined "
@@ -132,11 +126,6 @@ def _target_of(args: argparse.Namespace, default: str = "s1") -> str:
 def _tier_of(args: argparse.Namespace, default: str = "simulate") -> str:
     tiers = getattr(args, "tier", None)
     return tiers[-1] if tiers else default
-
-
-def _backend_of(args: argparse.Namespace, default: str = "ordered") -> str:
-    backends = getattr(args, "backend", None)
-    return backends[-1] if backends else default
 
 
 def _timing_of(args: argparse.Namespace, default: str = "single") -> str:
@@ -288,19 +277,6 @@ class Repl:
                 self._say(f"unknown timing model: {parts[1]} "
                           f"(choose from {', '.join(TIMINGS)})")
             return True
-        if command == ":backend":
-            if len(parts) == 1:
-                self._say("backend: "
-                          f"{self.compiler.options.optimizer_backend}")
-            elif parts[1] in OPTIMIZER_BACKENDS:
-                # Semantic option: only *future* compiles change; already
-                # compiled functions keep the code they have.
-                self.compiler.options.optimizer_backend = parts[1]
-                self._say(f"backend: {parts[1]}")
-            else:
-                self._say(f"unknown backend: {parts[1]} "
-                          f"(choose from {', '.join(OPTIMIZER_BACKENDS)})")
-            return True
         if command == ":phases":
             self._say(self.compiler.phase_report())
             return True
@@ -397,7 +373,6 @@ def batch_main(argv) -> int:
     options = CompilerOptions(target=_target_of(args),
                               tier=_tier_of(args),
                               timing=_timing_of(args),
-                              optimizer_backend=_backend_of(args),
                               trace_rewrites=args.trace_rewrites,
                               verify_ir=args.verify)
     service = CompilerService(options=options)
@@ -459,10 +434,6 @@ def fuzz_main(argv) -> int:
                         help="also enable common subexpression elimination")
     parser.add_argument("--peephole", action="store_true",
                         help="also enable the peephole optimizer")
-    parser.add_argument("--bench-json", default=None, metavar="PATH",
-                        help="where to write the backend A/B cycle-delta "
-                             "report (default benchmarks/BENCH_egraph.json "
-                             "when more than one --backend is given)")
     parser.add_argument("--telemetry", action="store_true",
                         help="run every machine with execution telemetry "
                              "on and assert cycle conservation per run "
@@ -479,11 +450,6 @@ def fuzz_main(argv) -> int:
     if unknown:
         parser.error(f"unknown tier(s): {', '.join(unknown)} "
                      f"(choose from {', '.join(TIERS)})")
-    backends = tuple(args.backend or ("ordered",))
-    unknown = [b for b in backends if b not in OPTIMIZER_BACKENDS]
-    if unknown:
-        parser.error(f"unknown backend(s): {', '.join(unknown)} "
-                     f"(choose from {', '.join(OPTIMIZER_BACKENDS)})")
     timings = tuple(args.timing or ("single",))
     unknown = [m for m in timings if m not in TIMINGS]
     if unknown:
@@ -496,23 +462,9 @@ def fuzz_main(argv) -> int:
     report = run_fuzz(base_seed=args.seed, count=args.count,
                       targets=targets, tiers=tiers,
                       verify=not args.no_verify, options=options,
-                      max_depth=args.max_depth, backends=backends,
-                      timings=timings, telemetry=want_telemetry)
+                      max_depth=args.max_depth, timings=timings,
+                      telemetry=want_telemetry)
     print(report.render())
-    bench_path = args.bench_json
-    if bench_path is None and len(backends) > 1:
-        import os
-
-        # The canonical home for bench artifacts is benchmarks/ -- a bare
-        # BENCH_*.json at the repo root is a stray (and .gitignored).
-        bench_path = os.path.join("benchmarks", "BENCH_egraph.json")
-        os.makedirs("benchmarks", exist_ok=True)
-    if bench_path is not None and len(backends) > 1:
-        import json
-
-        with open(bench_path, "w", encoding="utf-8") as handle:
-            json.dump(report.bench_json(), handle, indent=2)
-        print(f"backend A/B report: {bench_path}")
     if args.machine_trace and report.telemetry is not None:
         from .trace import write_machine_trace
 
@@ -570,7 +522,6 @@ def serve_main(argv) -> int:
     options = CompilerOptions(target=_target_of(args),
                               tier=_tier_of(args),
                               timing=_timing_of(args),
-                              optimizer_backend=_backend_of(args),
                               verify_ir=args.verify)
     extra = {}
     if args.max_request_bytes is not None:
@@ -606,7 +557,6 @@ def repl_main(argv) -> int:
                                 target=_target_of(args),
                                 tier=_tier_of(args),
                                 timing=_timing_of(args),
-                                optimizer_backend=_backend_of(args),
                                 cache=args.cache_dir))
     try:
         while True:

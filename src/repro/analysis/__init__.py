@@ -19,6 +19,7 @@ from .effects import (
     is_effect_free,
     may_be_duplicated,
     may_be_eliminated,
+    may_exit_nonlocally,
     reads_mutable_state,
     writes_mutable_state,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "literal_type",
     "may_be_duplicated",
     "may_be_eliminated",
+    "may_exit_nonlocally",
     "reads_mutable_state",
     "value_producers",
     "variables_closed_over",

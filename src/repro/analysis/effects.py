@@ -180,6 +180,14 @@ def may_be_duplicated(node: Node) -> bool:
     return node.effects == NO_EFFECTS
 
 
+def may_exit_nonlocally(node: Node) -> bool:
+    """May leave other than by returning a value: go, return, throw, or an
+    unknown function that might do any of them."""
+    if node.effects is None:
+        _visit(node)
+    return "control" in node.effects or "any" in node.effects
+
+
 def reads_mutable_state(node: Node) -> bool:
     if node.effects is None:
         _visit(node)

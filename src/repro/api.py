@@ -191,8 +191,7 @@ def options_from_wire(base: CompilerOptions,
     try:
         return replace(base, **dict(overrides))
     except (ReproError, ValueError) as err:
-        # e.g. UnknownTargetError or an unknown optimizer_backend /
-        # execution tier (plain ValueError) from __post_init__.
+        # __post_init__ rejected a value, e.g. UnknownTargetError.
         raise ApiError("bad-options", str(err))
 
 

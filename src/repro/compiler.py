@@ -36,7 +36,7 @@ from .diagnostics import Diagnostics, count_nodes
 from .errors import ConversionError, ReaderError
 from .ir import Converter, LambdaNode, back_translate_to_string
 from .machine.isa import CodeObject, Program
-from .optimizer import Transcript, make_optimizer
+from .optimizer import SourceOptimizer, Transcript
 from .options import CompilerOptions, DEFAULT_OPTIONS
 from .reader import read_all
 
@@ -444,9 +444,9 @@ class Compiler:
                 snapshot = copy_tree(node)
                 analyze(snapshot)
                 registry[name] = snapshot
-            optimizer = make_optimizer(self.options, transcript,
-                                       global_functions=registry,
-                                       diagnostics=diagnostics)
+            optimizer = SourceOptimizer(self.options, transcript,
+                                        global_functions=registry,
+                                        diagnostics=diagnostics)
             timer = diagnostics.start_phase("optimizer", function=fname,
                                             nodes_before=size)
             node = optimizer.optimize(node)

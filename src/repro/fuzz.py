@@ -15,12 +15,7 @@ generated program on any target.
 :func:`run_fuzz` drives that corpus through the full pipeline with the
 phase-boundary sanitizer enabled (``CompilerOptions.verify_ir``) and
 differentially checks each compiled result against the reference
-interpreter, per target.  With more than one *backend* it becomes the
-optimizer A/B harness: every program compiles under each optimizer
-backend, the parity oracle runs for each, and the report carries
-per-program/per-target cycle counts plus per-rule deltas
-(:meth:`FuzzReport.bench_json`, written to ``BENCH_egraph.json`` by the
-CLI).
+interpreter, per target.
 
 With more than one *timing* model the sweep additionally asserts that the
 timing axis is strictly non-semantic: same results, same instruction and
@@ -30,7 +25,6 @@ under single-cycle timing.  CLI::
 
     python -m repro fuzz --seed 0 --count 100
     python -m repro fuzz --seed 7 --count 50 --target vax --no-verify
-    python -m repro fuzz --seed 0 --count 50 --backend ordered --backend egraph
     python -m repro fuzz --seed 0 --count 50 --timing single --timing pipelined
 """
 
@@ -144,12 +138,11 @@ class FuzzFailure:
     message: str
     source: str
     tier: str = "simulate"   # execution tier for run/differential failures
-    backend: str = "ordered"  # optimizer backend that produced the code
     timing: str = "single"   # timing model active for the failing run
 
     def render(self) -> str:
         return (f"seed {self.seed} [{self.target}/{self.tier}"
-                f"/{self.backend}/{self.timing}] "
+                f"/{self.timing}] "
                 f"{self.stage}: {self.message}\n    {self.source}")
 
 
@@ -162,14 +155,9 @@ class FuzzReport:
     targets: Tuple[str, ...]
     verify: bool
     tiers: Tuple[str, ...] = ("simulate",)
-    backends: Tuple[str, ...] = ("ordered",)
     timings: Tuple[str, ...] = ("single",)
     compilations: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
-    #: One record per (seed, target) when more than one backend ran:
-    #: simulator cycle counts per backend, the ordered-minus-egraph delta,
-    #: and the equivalence rules the e-graph compile fired.
-    cycle_records: List[Dict[str, Any]] = field(default_factory=list)
     #: With ``telemetry=True``: per-tier merged telemetry dumps plus an
     #: overall merge ({"tiers": {tier: to_json()}, "merged": to_json()});
     #: the sweep has already asserted cycle conservation per run.
@@ -184,7 +172,6 @@ class FuzzReport:
             f"fuzz: {self.count} program(s) from seed {self.base_seed}, "
             f"targets {'/'.join(self.targets)}, "
             f"tiers {'/'.join(self.tiers)}, "
-            f"backends {'/'.join(self.backends)}, "
             f"timings {'/'.join(self.timings)}, "
             f"verify_ir={'on' if self.verify else 'off'}: "
             f"{self.compilations} compilation(s), "
@@ -199,65 +186,9 @@ class FuzzReport:
                 lines.append(
                     f"  telemetry [{tier}]: {attributed} cycles attributed "
                     f"(conserved), fast-path share {share:.1%}")
-        if self.cycle_records:
-            summary = self.backend_summary()
-            lines.append(
-                f"  backend A/B: {summary['wins']} win(s), "
-                f"{summary['ties']} tie(s), "
-                f"{summary['regressions']} regression(s) -- e-graph "
-                f"matches or beats ordered on "
-                f"{summary['match_or_beat_pct']:.1f}% of runs")
         for failure in self.failures:
             lines.append("  " + failure.render())
         return "\n".join(lines)
-
-    def backend_summary(self) -> Dict[str, Any]:
-        """Win/tie/regression totals for the two-backend A/B sweep
-        (cycle deltas are ordered minus e-graph: positive is a win)."""
-        wins = sum(1 for r in self.cycle_records if r["delta"] > 0)
-        ties = sum(1 for r in self.cycle_records if r["delta"] == 0)
-        regressions = sum(1 for r in self.cycle_records if r["delta"] < 0)
-        total = len(self.cycle_records)
-        return {
-            "wins": wins,
-            "ties": ties,
-            "regressions": regressions,
-            "total": total,
-            "match_or_beat_pct":
-                100.0 * (wins + ties) / total if total else 100.0,
-        }
-
-    def per_rule_deltas(self) -> Dict[str, Dict[str, Any]]:
-        """Cycle deltas attributed to the equivalence rules that fired:
-        for each rule, how many A/B runs it fired in and the summed
-        ordered-minus-egraph delta of those runs.  (A run's delta counts
-        toward every rule that fired in it -- attribution is per-run, not
-        a per-rule decomposition.)"""
-        per_rule: Dict[str, Dict[str, Any]] = {}
-        for record in self.cycle_records:
-            for rule, fires in record["equivalence_rules"].items():
-                entry = per_rule.setdefault(
-                    rule, {"fires": 0, "runs": 0, "total_delta": 0})
-                entry["fires"] += fires
-                entry["runs"] += 1
-                entry["total_delta"] += record["delta"]
-        return per_rule
-
-    def bench_json(self) -> Dict[str, Any]:
-        """The ``BENCH_egraph.json`` payload: per-program cycle counts per
-        backend and per-target, per-rule deltas, and the summary the
-        acceptance gate reads."""
-        return {
-            "bench": "egraph-backend-differential",
-            "base_seed": self.base_seed,
-            "count": self.count,
-            "targets": list(self.targets),
-            "backends": list(self.backends),
-            "failures": len(self.failures),
-            "programs": self.cycle_records,
-            "per_rule": self.per_rule_deltas(),
-            "summary": self.backend_summary(),
-        }
 
 
 def _interpret(source: str, fn: str, args: Sequence[int]):
@@ -267,20 +198,6 @@ def _interpret(source: str, fn: str, args: Sequence[int]):
     interp = Interpreter()
     interp.eval_source(source)
     return interp.apply_function(interp.global_functions[sym(fn)], args)
-
-
-def _equivalence_rule_counts(compiler) -> Dict[str, int]:
-    """Fire counts of equivalence-kind transcript entries across every
-    function the compiler produced (the e-graph backend's firings)."""
-    counts: Dict[str, int] = {}
-    for compiled in compiler.functions.values():
-        transcript = getattr(compiled, "transcript", None)
-        if transcript is None:
-            continue
-        for entry in transcript.entries:
-            if getattr(entry, "kind", "rewrite") == "equivalence":
-                counts[entry.rule] = counts.get(entry.rule, 0) + 1
-    return counts
 
 
 def _timing_parity_failures(grid: Dict[Tuple[str, str], Dict[str, Any]],
@@ -333,7 +250,6 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
              options=None, max_depth: int = 4,
              stop_after: Optional[int] = None,
              tiers: Sequence[str] = ("simulate", "native"),
-             backends: Sequence[str] = ("ordered",),
              timings: Sequence[str] = ("single",),
              telemetry: bool = False) -> FuzzReport:
     """Generate *count* programs from *base_seed* and, per target, compile
@@ -350,16 +266,9 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
     base_cycles == single cycles``, and zero stalls under single-cycle
     timing (stage ``timing`` failures).
 
-    With more than one optimizer *backend*, every program compiles under
-    each backend and the oracle runs for each -- plus, when both
-    ``ordered`` and ``egraph`` ran cleanly on a (seed, target), the report
-    records their simulator cycle counts, the delta, and the equivalence
-    rules the e-graph compile fired (:attr:`FuzzReport.cycle_records`).
-
-    *options* is an optional :class:`CompilerOptions` template; target,
-    verify_ir, and optimizer_backend are overridden per run.  *stop_after*
-    bounds the number of recorded failures (None: check the whole corpus
-    regardless).
+    *options* is an optional :class:`CompilerOptions` template; target
+    and verify_ir are overridden per run.  *stop_after* bounds the number
+    of recorded failures (None: check the whole corpus regardless).
 
     With ``telemetry=True`` every machine runs with execution telemetry
     on, the harness asserts cycle conservation (``fast + fallback ==
@@ -374,12 +283,10 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
     from .telemetry import MachineTelemetry
 
     template = options or CompilerOptions()
-    measure_ab = len(backends) > 1
     merged_telemetry: Dict[str, MachineTelemetry] = {}
     report = FuzzReport(base_seed=base_seed, count=count,
                         targets=tuple(targets), verify=verify,
-                        tiers=tuple(tiers), backends=tuple(backends),
-                        timings=tuple(timings))
+                        tiers=tuple(tiers), timings=tuple(timings))
     for index in range(count):
         seed = base_seed + index
         source, fn, args = generate_program(seed, max_depth=max_depth)
@@ -388,100 +295,66 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
         except ReproError as err:
             report.failures.append(FuzzFailure(
                 seed, "-", "interpret", f"{type(err).__name__}: {err}",
-                source, tier="-", backend="-"))
+                source, tier="-"))
             continue
         for target in targets:
-            #: backend -> (simulate-tier cycles, equivalence rule counts)
-            measured: Dict[str, Any] = {}
-            for backend in backends:
-                run_options = dataclasses.replace(
-                    template, target=target, verify_ir=verify,
-                    optimizer_backend=backend,
-                    transcript=measure_ab or template.transcript)
-                try:
-                    compiler = Compiler(run_options)
-                    compiler.compile_source(source)
-                    report.compilations += 1
-                except ReproError as err:
-                    report.failures.append(FuzzFailure(
-                        seed, target, "compile",
-                        f"{type(err).__name__}: {err}", source, tier="-",
-                        backend=backend))
-                    continue
-                # One compilation, one run per (timing, tier) cell: every
-                # cell executes the same CodeObjects, so any disagreement
-                # is an execution or timing-model bug, not a compilation
-                # difference.
-                clean = True
-                grid: Dict[Tuple[str, str], Dict[str, Any]] = {}
-                for timing in timings:
-                    for tier in tiers:
-                        machine = compiler.machine()
-                        machine.tier = tier
-                        if machine.timing != timing:
-                            machine.set_timing(timing)
-                        if telemetry:
-                            machine.enable_telemetry()
-                        try:
-                            got = machine.run(sym(fn), list(args))
-                        except ReproError as err:
-                            report.failures.append(FuzzFailure(
-                                seed, target, "run",
-                                f"{type(err).__name__}: {err}", source,
-                                tier=tier, backend=backend,
-                                timing=timing))
-                            clean = False
-                            continue
-                        if telemetry:
-                            attributed = \
-                                machine.telemetry.attributed_cycles()
-                            if attributed != machine.cycles:
-                                report.failures.append(FuzzFailure(
-                                    seed, target, "telemetry",
-                                    f"cycle conservation violated: "
-                                    f"{attributed} attributed != "
-                                    f"{machine.cycles} executed",
-                                    source, tier=tier, backend=backend,
-                                    timing=timing))
-                                clean = False
-                            merged_telemetry.setdefault(
-                                tier, MachineTelemetry()).merge(
-                                    machine.telemetry)
-                        if not lisp_equal(got, expected):
-                            report.failures.append(FuzzFailure(
-                                seed, target, "differential",
-                                f"compiled {write_to_string(got)} != "
-                                f"interpreted "
-                                f"{write_to_string(expected)} "
-                                f"(args {args})",
-                                source, tier=tier, backend=backend,
-                                timing=timing))
-                            clean = False
-                            continue
-                        grid[(timing, tier)] = machine.stats()
-                        if measure_ab and clean \
-                                and backend not in measured \
-                                and tier == "simulate" \
-                                and timing == timings[0]:
-                            measured[backend] = (
-                                machine.stats()["cycles"],
-                                _equivalence_rule_counts(compiler))
-                if grid:
-                    for problem in _timing_parity_failures(grid):
+            run_options = dataclasses.replace(
+                template, target=target, verify_ir=verify)
+            try:
+                compiler = Compiler(run_options)
+                compiler.compile_source(source)
+                report.compilations += 1
+            except ReproError as err:
+                report.failures.append(FuzzFailure(
+                    seed, target, "compile",
+                    f"{type(err).__name__}: {err}", source, tier="-"))
+                continue
+            # One compilation, one run per (timing, tier) cell: every cell
+            # executes the same CodeObjects, so any disagreement is an
+            # execution or timing-model bug, not a compilation difference.
+            grid: Dict[Tuple[str, str], Dict[str, Any]] = {}
+            for timing in timings:
+                for tier in tiers:
+                    machine = compiler.machine()
+                    machine.tier = tier
+                    if machine.timing != timing:
+                        machine.set_timing(timing)
+                    if telemetry:
+                        machine.enable_telemetry()
+                    try:
+                        got = machine.run(sym(fn), list(args))
+                    except ReproError as err:
                         report.failures.append(FuzzFailure(
-                            seed, target, "timing", problem, source,
-                            tier="*", backend=backend, timing="*"))
-            if measure_ab and "ordered" in measured and "egraph" in measured:
-                ordered_cycles = measured["ordered"][0]
-                egraph_cycles, rules = measured["egraph"]
-                report.cycle_records.append({
-                    "seed": seed,
-                    "target": target,
-                    "cycles": {"ordered": ordered_cycles,
-                               "egraph": egraph_cycles},
-                    "delta": ordered_cycles - egraph_cycles,
-                    "equivalence_rules": rules,
-                })
+                            seed, target, "run",
+                            f"{type(err).__name__}: {err}", source,
+                            tier=tier, timing=timing))
+                        continue
+                    if telemetry:
+                        attributed = machine.telemetry.attributed_cycles()
+                        if attributed != machine.cycles:
+                            report.failures.append(FuzzFailure(
+                                seed, target, "telemetry",
+                                f"cycle conservation violated: "
+                                f"{attributed} attributed != "
+                                f"{machine.cycles} executed",
+                                source, tier=tier, timing=timing))
+                        merged_telemetry.setdefault(
+                            tier, MachineTelemetry()).merge(
+                                machine.telemetry)
+                    if not lisp_equal(got, expected):
+                        report.failures.append(FuzzFailure(
+                            seed, target, "differential",
+                            f"compiled {write_to_string(got)} != "
+                            f"interpreted {write_to_string(expected)} "
+                            f"(args {args})",
+                            source, tier=tier, timing=timing))
+                        continue
+                    grid[(timing, tier)] = machine.stats()
+            if grid:
+                for problem in _timing_parity_failures(grid):
+                    report.failures.append(FuzzFailure(
+                        seed, target, "timing", problem, source,
+                        tier="*", timing="*"))
         if stop_after is not None and len(report.failures) >= stop_after:
             break
     if telemetry:

@@ -14,14 +14,20 @@ lambda-binding wrapped around the smallest common ancestor.
 
 Only pure, allocation-free expressions are eligible (duplicated evaluation
 of those is what CSE removes; anything with effects must keep its
-evaluation points).
+evaluation points).  Pure is not total: ``(car b)`` traps when ``b`` is not
+a list.  The binding evaluates the expression before anything else in the
+form it wraps, so a group is hoisted only when that form evaluates one of
+its occurrences on every path and nothing evaluated ahead of that
+occurrence can exit non-locally (:func:`_evaluated_on_every_path`).
+Otherwise a trap that only an untaken arm, or a form after a ``throw``,
+could raise would be raised unconditionally.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import analyze, may_be_duplicated
+from ..analysis import analyze, may_be_duplicated, may_exit_nonlocally
 from ..datum import gensym
 from ..ir.nodes import (
     CallNode,
@@ -30,6 +36,7 @@ from ..ir.nodes import (
     LambdaNode,
     LiteralNode,
     Node,
+    PrognNode,
     Variable,
     VarRefNode,
 )
@@ -69,17 +76,8 @@ def _hoist_one(holder: RootHolder, options: CompilerOptions,
     ancestor = _common_ancestor(occurrences)
     if ancestor is None or ancestor.parent is None:
         return False
-    # A conditional should not force evaluation of an expression that only
-    # some arms use: hoisting above an `if` would evaluate it eagerly.  We
-    # only hoist when every occurrence is on every execution path -- the
-    # simple conservative test: the ancestor is not an IfNode whose arms
-    # split the occurrences.
-    if isinstance(ancestor, IfNode):
-        in_then = [n for n in occurrences if _is_under(n, ancestor.then)]
-        in_else = [n for n in occurrences if _is_under(n, ancestor.else_)]
-        if in_then and in_else and not any(
-                _is_under(n, ancestor.test) for n in occurrences):
-            return False
+    if not any(_evaluated_on_every_path(n, ancestor) for n in occurrences):
+        return False
 
     before = render_node(ancestor)
     variable = Variable(gensym("cse"))
@@ -110,6 +108,10 @@ def _candidate_groups(root: Node, options: CompilerOptions
             continue
         if not may_be_duplicated(node):
             continue
+        # A variable it reads is assigned somewhere: two occurrences need
+        # not compute the same value.
+        if any(variable.is_assigned() for variable in node.reads):
+            continue
         key = render_node(node)
         buckets.setdefault(key, []).append(node)
     groups: List[Tuple[Node, List[Node]]] = []
@@ -127,6 +129,41 @@ def _candidate_groups(root: Node, options: CompilerOptions
             continue
         groups.append((disjoint[0], disjoint))
     return groups
+
+
+def _evaluated_on_every_path(node: Node, ancestor: Node) -> bool:
+    """True when every evaluation of *ancestor* reaches *node*: each step
+    up from *node* is a call's function or argument, an ``if`` test, a
+    ``progn`` form or the body of an immediately-applied lambda, and no
+    form evaluated before *node* may exit non-locally (``control`` or
+    ``any`` in its effects)."""
+    child = node
+    while child is not ancestor:
+        parent = child.parent
+        if isinstance(parent, CallNode):
+            if child is parent.fn:
+                # The arguments are evaluated before the function runs.
+                earlier = parent.args
+            else:
+                earlier = [parent.fn] + parent.args[:parent.args.index(child)]
+        elif isinstance(parent, IfNode):
+            if child is not parent.test:
+                return False
+            earlier = []
+        elif isinstance(parent, PrognNode):
+            earlier = parent.forms[:parent.forms.index(child)]
+        elif isinstance(parent, LambdaNode):
+            call = parent.parent
+            if child is not parent.body or not (
+                    isinstance(call, CallNode) and call.fn is parent):
+                return False
+            earlier = [optional.default for optional in parent.optionals]
+        else:
+            return False
+        if any(may_exit_nonlocally(form) for form in earlier):
+            return False
+        child = parent
+    return True
 
 
 def _is_under(node: Node, ancestor: Node) -> bool:

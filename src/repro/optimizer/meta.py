@@ -106,8 +106,8 @@ class SourceOptimizer:
 
         #: META-SIN-TO-SINC's precondition: the target's sine takes cycles.
         self._sin_in_cycles = get_target(self.options.target).sin_in_cycles
-        #: The whole table as ``(name, rule, gate)``, gates unapplied (the
-        #: e-graph backend offers every enabled rule to each term).
+        #: The whole table as ``(name, rule, gate)``, gates unapplied: the
+        #: rule inventory, enabled or not, for tests and tools to enumerate.
         self._rules: List[Tuple[str, Rule, str]] = []
         #: The engine's resolved table: node class -> the enabled rules
         #: that match it, in table order.

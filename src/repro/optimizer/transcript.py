@@ -39,12 +39,6 @@ class TranscriptEntry:
     seq: int = 0
     #: Which pipeline phase fired the rule ("optimizer" | "cse").
     phase: str = "optimizer"
-    #: How the firing changed the program: a destructive "rewrite"
-    #: (ordered backend: the tree mutated, before/after are real states)
-    #: or a non-destructive "equivalence" (e-graph backend: the firing
-    #: *added* an equal form, nothing was replaced -- there is no mutated
-    #: "after" image to diff).
-    kind: str = "rewrite"
     #: ``time.perf_counter()`` at record time (same clock as the
     #: diagnostics phase records, so the trace exporter can interleave).
     at_s: float = 0.0
@@ -54,30 +48,15 @@ class TranscriptEntry:
     after_source: Optional[str] = None
 
     def render(self) -> str:
-        if self.kind == "equivalence":
-            return (f";**** Noting this form: {self.before}\n"
-                    f";**** is equivalent to: {self.after}\n"
-                    f";**** courtesy of {self.rule}")
         return (f";**** Optimizing this form: {self.before}\n"
                 f";**** to be this form: {self.after}\n"
                 f";**** courtesy of {self.rule}")
 
     def diff(self) -> str:
         """Unified diff of the whole function around this rewrite (falls
-        back to the local form when full sources were not captured).
-
-        Equivalence entries never diff whole-function snapshots: the
-        e-graph firing mutated nothing, so there is no "after" image --
-        the local forms themselves are the event."""
+        back to the local form when full sources were not captured)."""
         import difflib
 
-        if self.kind == "equivalence":
-            before, after = self.before, self.after
-            lines = difflib.unified_diff(
-                before.splitlines(), after.splitlines(),
-                fromfile=f"form #{self.seq}",
-                tofile=f"equivalent #{self.seq}", lineterm="")
-            return "\n".join(lines)
         before = self.before_source if self.before_source is not None \
             else self.before
         after = self.after_source if self.after_source is not None \
@@ -93,7 +72,6 @@ class TranscriptEntry:
             "seq": self.seq,
             "rule": self.rule,
             "phase": self.phase,
-            "kind": self.kind,
             "at_s": self.at_s,
             "before": self.before,
             "after": self.after,
@@ -106,7 +84,6 @@ class TranscriptEntry:
         return cls(rule=data["rule"], before=data.get("before", ""),
                    after=data.get("after", ""), seq=data.get("seq", 0),
                    phase=data.get("phase", "optimizer"),
-                   kind=data.get("kind", "rewrite"),
                    at_s=data.get("at_s", 0.0),
                    before_source=data.get("before_source"),
                    after_source=data.get("after_source"))
@@ -136,17 +113,15 @@ class Transcript:
         self._root_source = source
 
     def record(self, rule: str, before: Any, after: Any,
-               phase: str = "optimizer", kind: str = "rewrite") -> None:
+               phase: str = "optimizer") -> None:
         """Record one transformation.  *before* is pre-rendered text (the
         tree is about to mutate, so the caller renders it first); *after*
-        may be a Node or pre-rendered text.  ``kind="equivalence"``
-        records a non-destructive e-graph firing: no whole-function
-        snapshot is attached (nothing mutated, so there is none)."""
+        may be a Node or pre-rendered text."""
         after_text = after if isinstance(after, str) else _render(after)
         entry = TranscriptEntry(rule=rule, before=before, after=after_text,
                                 seq=len(self.entries) + 1, phase=phase,
-                                at_s=time.perf_counter(), kind=kind)
-        if self.trace_rewrites and kind == "rewrite":
+                                at_s=time.perf_counter())
+        if self.trace_rewrites:
             entry.before_source = self._root_source
         self.entries.append(entry)
         if self.stream is not None:
@@ -170,7 +145,7 @@ class Transcript:
         """Every rewrite as a unified diff, in firing order."""
         sections = []
         for entry in self.entries:
-            sections.append(f";; {entry.kind} #{entry.seq} "
+            sections.append(f";; rewrite #{entry.seq} "
                             f"[{entry.phase}] {entry.rule}\n{entry.diff()}")
         return "\n\n".join(sections)
 

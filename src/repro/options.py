@@ -54,22 +54,6 @@ class CompilerOptions:
     substitution_size_limit: int = semantic(2)   # copied-code bound
     integration_size_limit: int = semantic(40)   # multi-use integration bound
 
-    # --- optimizer backend selection ---
-    # "ordered": the paper's destructive fixpoint of rewrite rules
-    # (meta.py; phase ordering decides what it finds).  "egraph": equality
-    # saturation over the same rule inventory -- rewrites add equivalences
-    # to an e-graph and the per-target cycle cost model extracts the
-    # winner (optimizer/egraph/).  Semantic: the two backends can emit
-    # different code for the same source.
-    optimizer_backend: str = semantic("ordered")
-    # E-graph growth bounds (on top of optimizer_fuel, which charges each
-    # equivalence-producing firing): saturation stops -- with a diagnostic
-    # warning, never an error -- when any bound is hit, and extraction
-    # proceeds from the graph as it stands.
-    egraph_max_classes: int = semantic(2000)
-    egraph_max_nodes: int = semantic(5000)
-    egraph_max_iterations: int = semantic(8)
-
     # --- global procedure integration (block compilation; the paper's
     #     loop-unrolling remark in Section 5) ---
     enable_global_integration: bool = semantic(False)  # inline known defuns
@@ -143,14 +127,7 @@ class CompilerOptions:
             raise ValueError(
                 f"unknown timing model {self.timing!r}"
                 f" (choose one of {', '.join(TIMINGS)})")
-        if self.optimizer_backend not in OPTIMIZER_BACKENDS:
-            raise ValueError(
-                f"unknown optimizer backend {self.optimizer_backend!r}"
-                f" (choose one of {', '.join(OPTIMIZER_BACKENDS)})")
 
-
-#: The optimizer backend vocabulary (``CompilerOptions.optimizer_backend``).
-OPTIMIZER_BACKENDS = ("ordered", "egraph")
 
 #: The execution tiers a Machine can run (``CompilerOptions.tier``;
 #: "simulate" is the reference).  Declared here rather than next to the

@@ -17,9 +17,10 @@ pool spawn).  Two transports speak the same versioned schema
 Compilation is CPU-bound, so requests execute on a thread pool of
 ``--jobs`` workers; each worker thread owns a
 :class:`repro.api.CompilerService` with its own memory LRU over the shared
-disk cache and a small response cache keyed by the client-supplied
-``cache_key`` (see :func:`repro.api.request_fingerprint`), so a repeated
-request is answered without touching the pipeline at all.  The asyncio
+disk cache.  The workers share one small response cache keyed by the
+client-supplied ``cache_key`` (see :func:`repro.api.request_fingerprint`),
+so a repeated request is answered without touching the pipeline at all,
+whichever worker thread takes it.  The asyncio
 side enforces **backpressure**: past ``--max-queue`` waiting requests a
 ``busy`` error is returned immediately (never a hang), monitoring ops
 (``ping``/``stats``) always answer inline, and every queued request
@@ -240,53 +241,14 @@ class ServerMetrics:
         return "\n".join(lines) + "\n" + compiler_dump
 
 
-class _WorkerState:
-    """Per-worker-thread warm state: a CompilerService whose memory LRU
-    sits over the shared disk store, plus a bounded response cache."""
-
-    def __init__(self, options: CompilerOptions, cache_dir: Optional[str],
-                 response_cache_size: int):
-        cache = CompilationCache(directory=cache_dir) if cache_dir \
-            else CompilationCache()
-        self.service = CompilerService(options=options, cache=cache)
-        self.responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self.response_cache_size = max(0, int(response_cache_size))
-
-    def cached_response(self, key: Optional[str], *,
-                        want_diagnostics: bool = False
-                        ) -> Optional[Dict[str, Any]]:
-        """Cached entries always carry diagnostics (the worker compiles
-        with them unconditionally); they are stripped per-request here, so
-        a requester asking for diagnostics never gets a cached response
-        without them.  A legacy entry lacking them forces a recompile."""
-        if key is None or key not in self.responses:
-            return None
-        response = dict(self.responses[key])
-        if want_diagnostics and "diagnostics" not in response:
-            return None
-        self.responses.move_to_end(key)
-        if not want_diagnostics:
-            response.pop("diagnostics", None)
-        counters = dict(response.get("counters", {}))
-        counters["response_cache_hits"] = \
-            counters.get("response_cache_hits", 0) + 1
-        response["counters"] = counters
-        response["served_from"] = "response-cache"
-        return response
-
-    def remember_response(self, key: Optional[str],
-                          response: Mapping[str, Any]) -> None:
-        if key is None or self.response_cache_size == 0:
-            return
-        self.responses[key] = dict(response)
-        while len(self.responses) > self.response_cache_size:
-            self.responses.popitem(last=False)
-
-
 class ReproServer:
     """One daemon instance.  Construct, then either ``run()`` (blocking,
     installs signal handlers) or drive ``start()``/``shutdown()`` from an
-    existing event loop (the tests do the latter)."""
+    existing event loop (the tests do the latter).
+
+    *response_cache_size* bounds the one response cache that every worker
+    thread shares (entries, least recently used evicted first; 0 turns it
+    off)."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,
                  *,
@@ -308,7 +270,7 @@ class ReproServer:
         self.jobs = max(1, int(jobs))
         self.max_queue = max(0, int(max_queue))
         self.request_timeout = request_timeout
-        self.response_cache_size = response_cache_size
+        self.response_cache_size = max(0, int(response_cache_size))
         self.max_request_bytes = max(1024, int(max_request_bytes))
         self.metrics = ServerMetrics()
         # One monitoring-only service for ping/stats (no compiles run on
@@ -317,6 +279,8 @@ class ReproServer:
 
         self._executor = None
         self._local = threading.local()
+        self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._responses_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._queued = 0
         self._in_flight = 0
@@ -329,13 +293,50 @@ class ReproServer:
 
     # -- worker side (threads) --------------------------------------------
 
-    def _worker(self) -> _WorkerState:
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = _WorkerState(self.options, self.cache_dir,
-                                 self.response_cache_size)
-            self._local.state = state
-        return state
+    def _worker(self) -> CompilerService:
+        """This worker thread's CompilerService: its memory LRU sits over
+        the shared disk store."""
+        service = getattr(self._local, "service", None)
+        if service is None:
+            cache = CompilationCache(directory=self.cache_dir) \
+                if self.cache_dir else CompilationCache()
+            service = CompilerService(options=self.options, cache=cache)
+            self._local.service = service
+        return service
+
+    def _cached_response(self, key: Optional[str], *,
+                         want_diagnostics: bool = False
+                         ) -> Optional[Dict[str, Any]]:
+        """Cached entries always carry diagnostics (the worker compiles
+        with them unconditionally); they are stripped per-request here, so
+        a requester asking for diagnostics never gets a cached response
+        without them.  A legacy entry lacking them forces a recompile."""
+        if key is None:
+            return None
+        with self._responses_lock:
+            cached = self._responses.get(key)
+            if cached is None or (want_diagnostics
+                                  and "diagnostics" not in cached):
+                return None
+            self._responses.move_to_end(key)
+        response = dict(cached)
+        if not want_diagnostics:
+            response.pop("diagnostics", None)
+        counters = dict(response.get("counters", {}))
+        counters["response_cache_hits"] = \
+            counters.get("response_cache_hits", 0) + 1
+        response["counters"] = counters
+        response["served_from"] = "response-cache"
+        return response
+
+    def _remember_response(self, key: Optional[str],
+                           response: Mapping[str, Any]) -> None:
+        if key is None or self.response_cache_size == 0:
+            return
+        with self._responses_lock:
+            self._responses[key] = dict(response)
+            while len(self._responses) > self.response_cache_size:
+                self._responses.popitem(last=False)
 
     def _execute(self, op: str, params: Mapping[str, Any],
                  accepted_at: Optional[float] = None) -> Dict[str, Any]:
@@ -363,14 +364,14 @@ class ReproServer:
 
     def _execute_op(self, op: str, params: Mapping[str, Any]
                     ) -> Dict[str, Any]:
-        worker = self._worker()
+        service = self._worker()
         request_key = params.get("cache_key")
         if not isinstance(request_key, str):
             request_key = None
         if op == "compile":
             want = bool(params.get("diagnostics", False))
-            cached = worker.cached_response(request_key,
-                                            want_diagnostics=want)
+            cached = self._cached_response(request_key,
+                                           want_diagnostics=want)
             if cached is not None:
                 return ok_response(op, cached)
             params = {k: v for k, v in params.items()
@@ -379,32 +380,32 @@ class ReproServer:
             # from them, and the response cache keeps them so a later
             # requester may ask; strip from the response unless asked.
             params = dict(params, diagnostics=True)
-            payload = worker.service.handle_op(op, params)
+            payload = service.handle_op(op, params)
             diagnostics = payload.get("diagnostics")
             if diagnostics is not None:
                 self.metrics.merge_diagnostics(diagnostics)
-            worker.remember_response(request_key, payload)
+            self._remember_response(request_key, payload)
             if not want:
                 payload = {k: v for k, v in payload.items()
                            if k != "diagnostics"}
             return ok_response(op, payload)
         if op == "batch":
-            return ok_response(op, self._execute_batch(worker, params))
-        payload = worker.service.handle_op(op, params)
+            return ok_response(op, self._execute_batch(service, params))
+        payload = service.handle_op(op, params)
         return ok_response(op, payload)
 
-    def _execute_batch(self, worker: _WorkerState,
+    def _execute_batch(self, service: CompilerService,
                        params: Mapping[str, Any]) -> Dict[str, Any]:
         """The daemon's batch op: like :meth:`CompilerService._handle_batch`
         but each unit may carry a ``cache_key``, answered from (and
-        remembered in) the worker's response cache -- this is what makes a
+        remembered in) the shared response cache -- this is what makes a
         repeated corpus nearly free."""
         units = params.get("units")
         if not isinstance(units, (list, tuple)) or not units:
             raise ApiError("bad-request",
                            'batch requires a non-empty "units" list of '
                            '{"label", "source"} objects')
-        options = options_from_wire(worker.service.options,
+        options = options_from_wire(service.options,
                                     params.get("options"))
         prelude = bool(params.get("prelude", False))
         files: List[Dict[str, Any]] = []
@@ -417,12 +418,12 @@ class ReproServer:
             key = unit.get("cache_key")
             if not isinstance(key, str):
                 key = None
-            cached = worker.cached_response(key)
+            cached = self._cached_response(key)
             if cached is not None:
                 files.append({"path": label, "status": "ok", **cached})
                 continue
             try:
-                result = worker.service.compile(
+                result = service.compile(
                     unit["source"], options=options, load_prelude=prelude,
                     want_diagnostics=True)
             except ReproError as err:
@@ -436,7 +437,7 @@ class ReproServer:
             # Remember the full payload (diagnostics included) so a later
             # compile op on the same key can ask for them; batch entries
             # themselves never carry per-unit diagnostics.
-            worker.remember_response(key, payload)
+            self._remember_response(key, payload)
             slim = {k: v for k, v in payload.items()
                     if k != "diagnostics"}
             files.append({"path": label, "status": "ok", **slim})

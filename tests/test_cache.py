@@ -101,8 +101,6 @@ class TestCacheKey:
                 changed = value + 1
             elif f.name == "target":
                 changed = "vax"
-            elif f.name == "optimizer_backend":
-                changed = "egraph"
             else:  # pragma: no cover - no such fields today
                 pytest.fail(f"unhandled option field type: {f.name}")
             variant = dataclasses.replace(base, **{f.name: changed})

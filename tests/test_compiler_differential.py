@@ -292,55 +292,24 @@ class TestGeneratedDifferentialSweep:
         assert again == self.SWEEP
 
 
-TESTFN = """
-    (defun frotz (d e m) nil)
-    (defun testfn (a &optional (b 3.0) (c a))
-      (let ((d (+$f a b c)) (e (*$f a b c)))
-        (let ((q (sin$f e)))
-          (frotz d e (max$f d e))
-          q)))
-"""
-
-
-class TestTwoBackendDifferentialSweep:
-    """The optimizer-backend A/B sweep: for a seeded random corpus, the
-    reference interpreter and both optimizer backends (the ordered rewrite
-    pipeline and the e-graph equality-saturation backend) must agree -- on
-    every registered target, with the phase-boundary sanitizer on.  The
-    e-graph backend's seeded extraction must also never cost more cycles
-    than the ordered backend on the paper's Table 4 TESTFN workload."""
+class TestSanitizedDifferentialSweep:
+    """A seeded random corpus compiled with the phase-boundary sanitizer
+    on must compute what the reference interpreter computes, on every
+    registered target."""
 
     SWEEP = corpus(50, base_seed=0)
 
     @pytest.mark.parametrize("target", ["s1", "vax", "pdp10"])
-    def test_interpreter_vs_both_backends(self, target):
+    def test_interpreter_vs_compiled(self, target):
         for index, (source, fn, args) in enumerate(self.SWEEP):
             expected = interp_result(source, fn, args)
-            for backend in ("ordered", "egraph"):
-                options = CompilerOptions(target=target,
-                                          optimizer_backend=backend,
-                                          verify_ir=True)
-                compiler = Compiler(options)
-                compiler.compile_source(source)
-                got = compiler.run(fn, args)
-                assert lisp_equal(expected, got), (
-                    f"[{target} #{index} {backend}] "
-                    f"interpreter={expected!r} compiled={got!r}\n{source}")
-
-    @pytest.mark.parametrize("target", ["s1", "vax", "pdp10"])
-    def test_egraph_never_exceeds_ordered_on_testfn(self, target):
-        cycles = {}
-        for backend in ("ordered", "egraph"):
-            options = CompilerOptions(target=target,
-                                      optimizer_backend=backend,
-                                      verify_ir=True)
-            compiler = Compiler(options)
-            compiler.compile_source(TESTFN)
-            machine = compiler.machine()
-            result = machine.run(sym("testfn"), [0.25])
-            assert result == pytest.approx(0.186403, rel=1e-4)
-            cycles[backend] = machine.cycles
-        assert cycles["egraph"] <= cycles["ordered"], (target, cycles)
+            compiler = Compiler(CompilerOptions(target=target,
+                                                verify_ir=True))
+            compiler.compile_source(source)
+            got = compiler.run(fn, args)
+            assert lisp_equal(expected, got), (
+                f"[{target} #{index}] "
+                f"interpreter={expected!r} compiled={got!r}\n{source}")
 
 
 class TestTailCallBehavior:

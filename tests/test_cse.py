@@ -4,6 +4,10 @@ The paper designed (but did not implement) this as a separate, optional
 phase whose output is expressible as a source-level let.
 """
 
+import pytest
+
+from repro import Compiler, Interpreter
+from repro.datum import T, lisp_equal, sym
 from repro.ir import back_translate_to_string, convert_source
 from repro.options import CompilerOptions
 from repro.optimizer import Transcript, eliminate_common_subexpressions
@@ -84,3 +88,39 @@ class TestCse:
         interp = Interpreter()
         closure = LispClosure(tree, LexicalEnvironment())
         assert interp.apply_function(closure, [5]) == 50
+
+
+class TestCseKeepsProgramMeaning:
+    """CSE must not change what a program computes: a trap that appears
+    only after optimization is a bug.  Each program below computes a value
+    with CSE off and must compute the same one with it on, on every target
+    and tier."""
+
+    PROGRAMS = [
+        # (1+ (car b)) sits only in the untaken else arms.
+        ("(defun f (a b)"
+         " (cons (if a 0 (1+ (car b))) (if a 1 (1+ (car b)))))",
+         "f", [T, 5]),
+        # The throw leaves before either (1+ (car b)) is evaluated.
+        ("(defun g (b)"
+         " (catch 'k (list (throw 'k 1) (1+ (car b)) (1+ (car b)))))",
+         "g", [5]),
+        # The setq changes x between the occurrences of (* x x).
+        ("(defun h (x) (list (* x x) (setq x 5) (* x x)))", "h", [2]),
+    ]
+
+    @pytest.mark.parametrize("tier", ["simulate", "native"])
+    @pytest.mark.parametrize("target", ["s1", "vax", "pdp10"])
+    @pytest.mark.parametrize("source,fn,args", PROGRAMS,
+                             ids=["untaken-arm", "after-throw",
+                                  "across-setq"])
+    def test_same_result_as_the_interpreter(self, source, fn, args, target,
+                                            tier):
+        interp = Interpreter()
+        interp.eval_source(source)
+        expected = interp.apply_function(interp.global_functions[sym(fn)],
+                                         args)
+        compiler = Compiler(CompilerOptions(enable_cse=True, target=target,
+                                            tier=tier))
+        compiler.compile_source(source)
+        assert lisp_equal(compiler.run(fn, args), expected)

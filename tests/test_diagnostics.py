@@ -204,6 +204,20 @@ class TestOptimizerTermination:
         assert total_fires <= options.optimizer_fuel + len(
             diagnostics.rule_fires)
 
+    def test_fuel_exhaustion_still_compiles_correct_code(self):
+        """Fuel running out mid-integration leaves a valid tree: it passes
+        the phase-boundary sanitizer and computes the right answer."""
+        options = CompilerOptions(optimizer_fuel=1,
+                                  enable_global_integration=True,
+                                  self_unroll_depth=3,
+                                  verify_ir=True)
+        compiler = Compiler(options)
+        compiler.compile_source(
+            "(defun f (n acc) (if (zerop n) acc (f (- n 1) (+ acc n))))")
+        assert any("fixpoint" in m.message
+                   for m in compiler.last_diagnostics.warnings)
+        assert compiler.run("f", [5, 0]) == 15
+
     def test_max_passes_exhaustion_warns(self):
         options = CompilerOptions(max_passes=1)
         compiler = Compiler(options)

@@ -25,8 +25,8 @@ PIPELINE = ("repro.reader", "repro.ir.convert", "repro.analysis",
 NOT_COMPILING = ("repro.serve", "repro.client", "repro.fuzz", "repro.trace",
                  "repro.telemetry", "repro.interp", "repro.verify",
                  "repro.machine.cpu", "repro.machine.native",
-                 "repro.machine.heap", "repro.optimizer.egraph",
-                 "repro.optimizer.cse", "repro.codegen.peephole")
+                 "repro.machine.heap", "repro.optimizer.cse",
+                 "repro.codegen.peephole")
 
 #: Standard-library machinery only the daemon, the client or a worker
 #: pool needs.
@@ -99,15 +99,6 @@ class TestEntryPoints:
         assert "repro.client" in loaded
         for name in PIPELINE[1:]:
             assert name not in loaded
-
-    def test_egraph_backend_loads_only_when_selected(self):
-        compile_with = ("from repro import Compiler, CompilerOptions\n"
-                        "Compiler(CompilerOptions(optimizer_backend={!r}))"
-                        ".compile_source('(defun f (x) (+ x 1))')")
-        assert "repro.optimizer.egraph" not in \
-            modules_after(compile_with.format("ordered"))
-        assert "repro.optimizer.egraph" in \
-            modules_after(compile_with.format("egraph"))
 
 
 class TestExportTable:

@@ -387,7 +387,7 @@ class TestRuleTable:
 
     def test_index_holds_each_enabled_rule_once_in_table_order(self):
         _, optimizer = self.sample()
-        assert len(optimizer._rules) == 17  # the e-graph offers them all
+        assert len(optimizer._rules) == 17  # every rule, gated on or off
         position = {rule: i for i, (_, rule, _) in enumerate(optimizer._rules)}
         indexed = []
         for node_class, rules in optimizer._rules_by_class.items():

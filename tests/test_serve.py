@@ -9,8 +9,10 @@ trip that yields one Perfetto trace per request."""
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -376,6 +378,69 @@ class TestSharedDiskCache:
         totals = second.server.metrics.diagnostics_totals["counters"]
         assert totals.get("cache_hits", 0) >= 1
         assert totals.get("cache_misses", 0) == 0
+
+
+class TestSharedResponseCache:
+    """The daemon's worker threads share one response cache."""
+
+    @staticmethod
+    def on_fresh_thread(call):
+        """Run *call* on a thread that has never served a request."""
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(call).result(timeout=30)
+
+    def test_unit_compiled_on_one_thread_is_served_on_another(self,
+                                                              tmp_path):
+        server = ReproServer(CompilerOptions(),
+                             socket_path=str(tmp_path / "unused.sock"),
+                             jobs=2)
+        source = "(defun inc (x) (+ x 1))"
+        unit = {"label": "inc.lisp", "source": source,
+                "cache_key": request_fingerprint(source, server.options)}
+
+        def batch():
+            return server._execute_op("batch", {"units": [unit]})
+
+        first = self.on_fresh_thread(batch)["files"][0]
+        second = self.on_fresh_thread(batch)["files"][0]
+        assert "served_from" not in first
+        assert second["served_from"] == "response-cache"
+        assert second["counters"]["response_cache_hits"] == 1
+        assert second["defined"] == first["defined"] == ["inc"]
+
+    def test_concurrent_stores_and_probes_keep_the_bound(self, tmp_path):
+        server = ReproServer(CompilerOptions(),
+                             socket_path=str(tmp_path / "unused.sock"),
+                             response_cache_size=4)
+        keys = [f"key{index}" for index in range(16)]
+        errors = []
+
+        def hammer(worker):
+            try:
+                for step in range(300):
+                    stored = keys[(worker + step) % len(keys)]
+                    server._remember_response(stored, {"key": stored})
+                    probed = keys[(worker * 7 + step) % len(keys)]
+                    hit = server._cached_response(probed)
+                    if hit is not None and hit["key"] != probed:
+                        errors.append((probed, hit["key"]))
+            except Exception as err:  # noqa: BLE001
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(server._responses) <= 4
 
 
 class TestSocketOwnership:
