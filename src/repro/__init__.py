@@ -28,12 +28,12 @@ Public API highlights:
 * :func:`repro.connect` / :class:`repro.ServiceClient` /
   ``python -m repro client`` -- talk to a running daemon
 * :mod:`repro.trace` -- Chrome trace-event / Prometheus exporters over the
-  diagnostics layer (``build_chrome_trace``, ``prometheus_metrics``); the
-  machine's exact profiler lives at ``Machine.enable_profiling()``
+  diagnostics layer (``build_chrome_trace``, ``prometheus_metrics``)
 * :class:`repro.MachineTelemetry` / ``Machine.enable_telemetry()`` --
-  machine execution telemetry: fast-path/fallback cycle attribution per
-  opcode, inline-cache hit rates per call site, GC events, heap occupancy,
-  run spans; exported as Chrome execution tracks
+  the machine's one observer: a per-instruction cycle ledger (profile
+  tables, ``fast + fallback + stalls == Machine.cycles``), inline-cache
+  hit rates, GC events, heap occupancy, run spans; exported as Chrome
+  execution tracks
   (``repro.trace.write_machine_trace``), ``repro_machine_*`` Prometheus
   families, collapsed-stack flamegraphs (``write_flamegraph``), and
   end-to-end request traces over the daemon wire
@@ -47,7 +47,7 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 from ._lazy import lazy_attributes
 

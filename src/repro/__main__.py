@@ -155,10 +155,8 @@ class Repl:
         new definitions only swap in the updated program."""
         if self.machine is None:
             self.machine = self.compiler.machine()
-            # Exact profiling is on for the whole session so :profile can
-            # answer at any point (simulator-side cost only); telemetry
-            # likewise, so :hot and --machine-trace always have data.
-            self.machine.enable_profiling()
+            # The observer is on for the whole session so :profile, :hot
+            # and --machine-trace can answer at any point.
             self.machine.enable_telemetry()
         else:
             self.machine.program = self.compiler.program
@@ -242,7 +240,7 @@ class Repl:
             if self.machine is None:
                 self._say("(nothing run yet)")
             else:
-                self._say(self.machine.profile_report())
+                self._say(self.machine.telemetry.profile_report())
             return True
         if command == ":hot":
             if self.machine is None or self.machine.telemetry is None:
@@ -327,13 +325,10 @@ class Repl:
     def dump_metrics(self, path: str) -> None:
         from .trace import write_metrics
 
-        profile = self.machine.profile_data() \
-            if self.machine is not None else None
         telemetry = self.machine.telemetry_data() \
             if self.machine is not None else None
         write_metrics(path, [record["diagnostics"]
-                             for record in self.diagnostics_log], profile,
-                      telemetry)
+                             for record in self.diagnostics_log], telemetry)
 
     def dump_machine_trace(self, path: str) -> None:
         from .telemetry import MachineTelemetry

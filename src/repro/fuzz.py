@@ -271,8 +271,9 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
     of recorded failures (None: check the whole corpus regardless).
 
     With ``telemetry=True`` every machine runs with execution telemetry
-    on, the harness asserts cycle conservation (``fast + fallback ==
-    cycles``; a mismatch is a recorded failure, stage ``telemetry``), and
+    on, the harness asserts cycle conservation (``fast + fallback + stalls
+    == cycles``) and one per-instruction ledger across every (timing, tier)
+    cell (a mismatch is a failure, stage ``telemetry``), and
     :attr:`FuzzReport.telemetry` carries per-tier merged dumps.
     """
     from .compiler import Compiler
@@ -313,6 +314,7 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
             # executes the same CodeObjects, so any disagreement is an
             # execution or timing-model bug, not a compilation difference.
             grid: Dict[Tuple[str, str], Dict[str, Any]] = {}
+            ledgers: Dict[Tuple[str, str], Any] = {}
             for timing in timings:
                 for tier in tiers:
                     machine = compiler.machine()
@@ -341,6 +343,8 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
                         merged_telemetry.setdefault(
                             tier, MachineTelemetry()).merge(
                                 machine.telemetry)
+                        ledgers[(timing, tier)] = \
+                            machine.telemetry.instruction_ledger()
                     if not lisp_equal(got, expected):
                         report.failures.append(FuzzFailure(
                             seed, target, "differential",
@@ -354,6 +358,16 @@ def run_fuzz(base_seed: int = 0, count: int = 50,
                 for problem in _timing_parity_failures(grid):
                     report.failures.append(FuzzFailure(
                         seed, target, "timing", problem, source,
+                        tier="*", timing="*"))
+            # One ledger for every cell: the same executions and base
+            # cycles per instruction on each tier and timing model.
+            cells = sorted(ledgers)
+            for cell in cells[1:]:
+                if ledgers[cell] != ledgers[cells[0]]:
+                    report.failures.append(FuzzFailure(
+                        seed, target, "telemetry",
+                        f"per-instruction ledger differs between "
+                        f"{cells[0]} and {cell}", source,
                         tier="*", timing="*"))
         if stop_after is not None and len(report.failures) >= stop_after:
             break

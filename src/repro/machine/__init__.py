@@ -15,7 +15,7 @@ from .._lazy import lazy_attributes
 _EXPORTS = {
     name: module
     for module, names in (
-        (".cpu", ("FrameRecord", "Machine", "MachineProfile", "UNBOUND")),
+        (".cpu", ("FrameRecord", "Machine", "UNBOUND")),
         (".multi", ("MultiMachine",)),
         (".heap", ("Heap",)),
         (".native", ("NativeBlock", "NativeCode", "translate")),

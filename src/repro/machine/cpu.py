@@ -88,87 +88,6 @@ class CatchRecord:
     frame_serials: frozenset
 
 
-class MachineProfile:
-    """Sampling-free exact execution profile.
-
-    Attribution happens at instruction granularity in
-    :meth:`Machine.step_instruction`: every executed instruction's full
-    cycle cost -- the static table cost *plus* whatever the handler added
-    dynamically (GENERIC primitive costs, vector length/4 costs) -- is
-    charged to its opcode, its containing function, and (via the
-    ``CodeObject.line_map`` the code generator emits) its source line.
-    The paper's cycle model (Table 4 discussion) is thus measurable
-    per-line, not just in aggregate.
-    """
-
-    def __init__(self) -> None:
-        self.opcode_cycles: Counter = Counter()
-        self.opcode_counts: Counter = Counter()
-        self.function_cycles: Counter = Counter()
-        self.function_instructions: Counter = Counter()
-        #: (file, line) -> cycles / instruction counts.
-        self.line_cycles: Counter = Counter()
-        self.line_instructions: Counter = Counter()
-        self.total_instructions = 0
-        self.total_cycles = 0
-
-    def attribute(self, code: CodeObject, index: int, opcode: str,
-                  cycles: int) -> None:
-        self.total_instructions += 1
-        self.total_cycles += cycles
-        self.opcode_counts[opcode] += 1
-        self.opcode_cycles[opcode] += cycles
-        self.function_instructions[code.name] += 1
-        self.function_cycles[code.name] += cycles
-        line = code.line_map.get(index)
-        if line is not None:
-            key = (code.source_file or "<input>", line)
-            self.line_instructions[key] += 1
-            self.line_cycles[key] += cycles
-
-    def report(self, top: int = 20) -> str:
-        """Human-readable tables: opcodes, functions, source lines."""
-        if not self.total_instructions:
-            return "(no instructions profiled)"
-        lines = [f"Profile: {self.total_instructions} instructions, "
-                 f"{self.total_cycles} cycles"]
-        lines.append("Per-opcode cycles:")
-        lines.append("   cycles    count  opcode")
-        for opcode, cycles in self.opcode_cycles.most_common(top):
-            lines.append(f"  {cycles:7d}  {self.opcode_counts[opcode]:7d}"
-                         f"  {opcode}")
-        lines.append("Per-function cycles:")
-        lines.append("   cycles   instrs  function")
-        for name, cycles in self.function_cycles.most_common(top):
-            lines.append(f"  {cycles:7d}  {self.function_instructions[name]:7d}"
-                         f"  {name}")
-        if self.line_cycles:
-            lines.append("Per-source-line cycles:")
-            lines.append("   cycles   instrs  location")
-            for key, cycles in self.line_cycles.most_common(top):
-                file, line = key
-                lines.append(f"  {cycles:7d}  {self.line_instructions[key]:7d}"
-                             f"  {file}:{line}")
-        return "\n".join(lines)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "total_instructions": self.total_instructions,
-            "total_cycles": self.total_cycles,
-            "opcodes": {opcode: {"cycles": cycles,
-                                 "count": self.opcode_counts[opcode]}
-                        for opcode, cycles in self.opcode_cycles.items()},
-            "functions": {name: {"cycles": cycles,
-                                 "instructions":
-                                     self.function_instructions[name]}
-                          for name, cycles in self.function_cycles.items()},
-            "lines": [{"file": file, "line": line, "cycles": cycles,
-                       "instructions": self.line_instructions[(file, line)]}
-                      for (file, line), cycles in sorted(
-                          self.line_cycles.items())],
-        }
-
-
 class Machine:
     """One simulated processor plus its runtime state."""
 
@@ -252,7 +171,6 @@ class Machine:
         # identity, plus a per-run block-execution counter that stats()
         # lazily folds into opcode_counts.
         self._native_cache: Dict[int, Tuple[CodeObject, Any]] = {}
-        self._native_last: Optional[Tuple[CodeObject, Any]] = None
         self._native_counts: Counter = Counter()
         # statistics
         self.instructions = 0
@@ -260,12 +178,9 @@ class Machine:
         self.opcode_counts: Counter = Counter()
         self.call_count = 0
         self.max_stack = 0
-        #: Exact execution profile; None (the default) keeps the hot loop
-        #: branch-cheap.  See enable_profiling().
-        self.profile: Optional[MachineProfile] = None
-        #: Execution telemetry (fast-path/fallback attribution, IC/GC/heap
-        #: events); None by default for the same reason.  See
-        #: enable_telemetry().
+        #: The machine's one observer: the exact per-instruction cycle
+        #: ledger plus IC/GC/heap events.  None (the default) keeps each
+        #: hot loop to one load and one test.  See enable_telemetry().
         self.telemetry: Optional[MachineTelemetry] = None
 
     # -- public API -----------------------------------------------------------
@@ -295,8 +210,8 @@ class Machine:
         self._halted = False
         self._pipe_code = None  # the pipeline starts a run empty
         telemetry = self.telemetry
-        span = None if telemetry is None \
-            else telemetry.begin_run(str(function), self)
+        if telemetry is not None:
+            telemetry.begin_run(str(function), self)
         try:
             self._execute()
         except Exception:
@@ -308,8 +223,8 @@ class Machine:
         finally:
             self._flush_native_counts()
             self.fuel = saved_fuel
-            if span is not None:
-                telemetry.end_run(span, self)
+            if telemetry is not None:
+                telemetry.end_run(self)
         return self.machine_to_lisp(self.result)
 
     def _abort_run(self) -> None:
@@ -324,6 +239,11 @@ class Machine:
             self.specials.pop_to(spec_depth)
         self._halted = True
         self._poisoned = True
+        self._end_span()
+
+    def _end_span(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.end_run(self)
 
     @property
     def poisoned(self) -> bool:
@@ -334,37 +254,16 @@ class Machine:
     def frame_alive(self, serial: int) -> bool:
         return serial in self._live_serials
 
-    # -- profiling -----------------------------------------------------------
-
-    def enable_profiling(self) -> MachineProfile:
-        """Switch on exact per-instruction attribution (fresh profile)."""
-        self.profile = MachineProfile()
-        return self.profile
-
-    def disable_profiling(self) -> Optional[MachineProfile]:
-        """Stop profiling; returns the collected profile (if any)."""
-        profile, self.profile = self.profile, None
-        return profile
-
-    def profile_report(self, top: int = 20) -> str:
-        if self.profile is None:
-            return "(profiling is not enabled)"
-        return self.profile.report(top)
-
-    def profile_data(self) -> Optional[Dict[str, Any]]:
-        return None if self.profile is None else self.profile.to_json()
-
     # -- telemetry -----------------------------------------------------------
 
     def enable_telemetry(self) -> MachineTelemetry:
-        """Switch on execution telemetry (fresh counters).  The native
+        """Switch on the machine's observer (a fresh ledger).  The native
         cache is dropped: translations made with telemetry on carry
-        instrumented inline-cache and fallback sites, so the two modes
-        never share generated code."""
+        per-instruction records and instrumented inline-cache and
+        fallback sites, so the two modes never share generated code."""
         self._flush_native_counts()
         self.telemetry = MachineTelemetry(processor_id=self.processor_id)
         self._native_cache.clear()
-        self._native_last = None
         return self.telemetry
 
     def disable_telemetry(self) -> Optional[MachineTelemetry]:
@@ -372,7 +271,6 @@ class Machine:
         telemetry, self.telemetry = self.telemetry, None
         if telemetry is not None:
             self._native_cache.clear()
-            self._native_last = None
         return telemetry
 
     def telemetry_report(self, top: int = 20) -> str:
@@ -406,7 +304,6 @@ class Machine:
             self._pipeline = None
         self._timing_cache.clear()
         self._native_cache.clear()
-        self._native_last = None
         self._pipe_code = None
         self._pipe_pc = -1
 
@@ -528,28 +425,36 @@ class Machine:
     def step_instruction(self) -> None:
         """Execute exactly one instruction (the multiprocessor scheduler
         interleaves processors at this granularity)."""
-        if self.pc >= len(self.code.instructions):
+        index = self.pc
+        if index >= len(self.code.instructions):
             raise MachineError(
-                f"fell off the end of {self.code.name} at pc={self.pc}")
-        instruction = self.code.instructions[self.pc]
-        profile = self.profile
-        telemetry = self.telemetry
-        if profile is not None or telemetry is not None:
-            # Snapshot before the base cost: handlers add dynamic cycles
-            # (GENERIC primitive costs, vector length costs) and the delta
-            # across the whole step must include them.
-            profiled_code = self.code
-            profiled_index = self.pc
-            cycles_before = self.cycles
-            if telemetry is not None:
-                # The stack walk must happen before the handler runs --
-                # a RET pops the very frame records it reads.
-                telemetry_stack = telemetry.stack_key(self)
-        self.pc += 1
+                f"fell off the end of {self.code.name} at pc={index}")
+        instruction = self.code.instructions[index]
+        self.pc = index + 1
         self.instructions += 1
         if self.instructions > self.fuel:
             raise MachineError("instruction budget exhausted")
         self.opcode_counts[instruction.opcode] += 1
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.observe_instruction(self, index, instruction)
+        elif self._pipeline is None:
+            # _issue() inlined: the unobserved single-cycle hot path.
+            self.cycles += self.cycle_costs.get(instruction.opcode, 1)
+            handler = _DISPATCH.get(instruction.opcode)
+            if handler is None:
+                raise MachineError(f"bad opcode {instruction.opcode}")
+            handler(self, instruction)
+        else:
+            self._issue(instruction)
+        if len(self.stack) > self.max_stack:
+            self.max_stack = len(self.stack)
+        if self.gc_threshold is not None:
+            self._maybe_auto_collect()
+
+    def _issue(self, instruction: Instruction) -> None:
+        """Charge and execute the fetched *instruction* (pc is already
+        past it), hazard stalls included."""
         self.cycles += self.cycle_costs.get(instruction.opcode, 1)
         handler = _DISPATCH.get(instruction.opcode)
         if handler is None:
@@ -557,56 +462,35 @@ class Machine:
         pipeline = self._pipeline
         if pipeline is None:
             handler(self, instruction)
-            stall_delta = 0
+            return
+        # Pipelined model: charge this instruction's structural stall,
+        # its data-hazard stall if it issued back-to-back after its
+        # static predecessor, and a front-end flush if its handler
+        # transferred control (code changed or pc != index + 1).  The
+        # native tier charges the same three categories -- statically
+        # per block plus the identical transfer check at dynamic
+        # sites -- so cycles agree exactly between tiers.
+        code_before = self.code
+        index = self.pc - 1
+        timing_profile = self._timing_profile(code_before)
+        structural = timing_profile.structural[index]
+        data = timing_profile.pair[index] \
+            if (self._pipe_code is code_before
+                and self._pipe_pc == index) else 0
+        handler(self, instruction)
+        if self.code is code_before and self.pc == index + 1:
+            control = 0
+            self._pipe_code = code_before
+            self._pipe_pc = index + 1
         else:
-            # Pipelined model: charge this instruction's structural stall,
-            # its data-hazard stall if it issued back-to-back after its
-            # static predecessor, and a front-end flush if its handler
-            # transferred control (code changed or pc != index + 1).  The
-            # native tier charges the same three categories -- statically
-            # per block plus the identical transfer check at dynamic
-            # sites -- so cycles agree exactly between tiers.
-            code_before = self.code
-            index = self.pc - 1
-            timing_profile = self._timing_profile(code_before)
-            structural = timing_profile.structural[index]
-            data = timing_profile.pair[index] \
-                if (self._pipe_code is code_before
-                    and self._pipe_pc == index) else 0
-            handler(self, instruction)
-            if self.code is code_before and self.pc == index + 1:
-                control = 0
-                self._pipe_code = code_before
-                self._pipe_pc = index + 1
-            else:
-                control = pipeline.flush_cycles
-                self._pipe_code = None
-            stall_delta = structural + data + control
-            if stall_delta:
-                self.cycles += stall_delta
-                self.stall_data += data
-                self.stall_control += control
-                self.stall_structural += structural
-        if profile is not None:
-            profile.attribute(profiled_code, profiled_index,
-                              instruction.opcode,
-                              self.cycles - cycles_before)
-        if telemetry is not None:
-            # The simulate tier *is* the handler path: every base cycle is
-            # by definition fallback (fast paths only exist natively);
-            # hazard stalls are attributed to their own counters so
-            # fast + fallback + stalls == cycles stays exact.
-            telemetry.attribute_step(instruction.opcode,
-                                     self.cycles - cycles_before
-                                     - stall_delta,
-                                     telemetry_stack)
-            if stall_delta:
-                telemetry.note_stalls(data, control, structural)
-            telemetry.maybe_sample_heap(self.heap)
-        if len(self.stack) > self.max_stack:
-            self.max_stack = len(self.stack)
-        if self.gc_threshold is not None:
-            self._maybe_auto_collect()
+            control = pipeline.flush_cycles
+            self._pipe_code = None
+        stalls = structural + data + control
+        if stalls:
+            self.cycles += stalls
+            self.stall_data += data
+            self.stall_control += control
+            self.stall_structural += structural
 
     def _maybe_auto_collect(self) -> None:
         """Automatic collection, allocation-watermark keyed: the live-set
@@ -641,13 +525,7 @@ class Machine:
         progress: fuel, cycles, GC, and the stack high-water mark are
         all checked at block granularity)."""
         code = self.code
-        last = self._native_last
-        if last is not None and last[0] is code:
-            native = last[1]
-        else:
-            native = self._native_code_for(code)
-            self._native_last = (code, native)
-        block = native.blocks.get(self.pc)
+        block = self._native_code_for(code).blocks.get(self.pc)
         if block is None:
             if self.pc >= len(code.instructions):
                 raise MachineError(
@@ -655,45 +533,11 @@ class Machine:
             raise MachineError(  # pragma: no cover - translator invariant
                 f"native tier: pc={self.pc} is not a block leader in "
                 f"{code.name}")
-        profile = self.profile
         telemetry = self.telemetry
-        if profile is None and telemetry is None:
+        if telemetry is None:
             block.run(self)
         else:
-            if telemetry is not None:
-                telemetry_stack = telemetry.stack_key(self)
-                stalls_before = (self.stall_data, self.stall_control,
-                                 self.stall_structural)
-            cycles_before = self.cycles
-            block.run(self)
-            if profile is not None:
-                # Block-granular attribution: each instruction gets its
-                # static table cost; dynamic extras (GENERIC primitive
-                # cycles) are charged to the block's last instruction.
-                extra = self.cycles - cycles_before - block.cycles
-                for index, opcode, cycles in block.attributions[:-1]:
-                    profile.attribute(code, index, opcode, cycles)
-                index, opcode, cycles = block.attributions[-1]
-                profile.attribute(code, index, opcode, cycles + extra)
-            if telemetry is not None:
-                # Fast/fallback per-opcode splits are static per block;
-                # dynamic extras were already reported per opcode by the
-                # instrumented fallback sites inside block.run().  Stall
-                # charges land in the machine counters as the generated
-                # code runs; mirror this block's deltas into telemetry so
-                # conservation (fast + fallback + stalls == cycles) holds.
-                stall_data = self.stall_data - stalls_before[0]
-                stall_control = self.stall_control - stalls_before[1]
-                stall_structural = self.stall_structural - stalls_before[2]
-                stall_delta = stall_data + stall_control + stall_structural
-                if stall_delta:
-                    telemetry.note_stalls(stall_data, stall_control,
-                                          stall_structural)
-                telemetry.attribute_block(block,
-                                          self.cycles - cycles_before
-                                          - stall_delta,
-                                          telemetry_stack)
-                telemetry.maybe_sample_heap(self.heap)
+            telemetry.observe_block(self, block)
         self._native_counts[block] += 1
         if len(self.stack) > self.max_stack:
             self.max_stack = len(self.stack)
@@ -701,10 +545,9 @@ class Machine:
             self._maybe_auto_collect()
 
     def _execute_native(self) -> None:
-        if self.profile is not None or self.telemetry is not None:
-            # Profiling wants per-instruction attribution and telemetry
-            # wants per-block deltas: take the precise (slower) per-block
-            # path.  The chained hot loop below stays instrumentation-free.
+        if self.telemetry is not None:
+            # The observer books every block: take the per-block path.
+            # The chained hot loop below stays instrumentation-free.
             step_block = self.step_block
             while not self._halted:
                 step_block()
@@ -730,9 +573,8 @@ class Machine:
                     if self._halted:
                         break
                     code = self.code
-                    # Straight to the id-keyed cache: a call/return pair
-                    # alternates between two CodeObjects, which defeats
-                    # the single-entry _native_last used by step_block.
+                    # _native_code_for()'s id-keyed lookup, inlined: a
+                    # cached CodeObject costs the hot loop no call.
                     entry = cache.get(id(code))
                     if entry is not None and entry[0] is code:
                         native = entry[1]
@@ -780,8 +622,10 @@ class Machine:
         calls, and the stack high-water mark are reset here so two
         sequential start()/step() runs report independent counts (the
         same per-call-leak family multi.py's fuel budgeting works
-        around).  run() keeps cumulating across calls -- the REPL's
-        :stats is documented as session-cumulative."""
+        around).  The observer's counters restart with them (its event
+        lists stay), and its run span opens here and closes when step()
+        halts or aborts.  run() keeps cumulating across calls -- the
+        REPL's :stats is documented as session-cumulative."""
         code = self.program.get(function)
         self.instructions = 0
         self.cycles = 0
@@ -793,6 +637,9 @@ class Machine:
         self.stall_structural = 0
         self._pipe_code = None
         self._native_counts.clear()
+        if self.telemetry is not None:
+            self.telemetry.restart()
+            self.telemetry.begin_run(str(function), self)
         self._poisoned = False
         self._entry_state = (len(self.stack), self.fp, self.tp, self.cp,
                              len(self.catch_stack), self.specials.depth())
@@ -828,6 +675,7 @@ class Machine:
             raise
         if self._halted:
             self._flush_native_counts()
+            self._end_span()
         return self._halted
 
     # -- instruction implementations -----------------------------------------------------

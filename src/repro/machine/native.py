@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..datum import NIL, T
 from ..datum.numbers import lisp_eql
@@ -149,39 +149,23 @@ class NativeBlock:
     or ``None`` when the dispatch loop must resolve ``m.code``/``m.pc``
     itself (calls to other CodeObjects, returns, halts, fallbacks)."""
 
-    __slots__ = ("run", "start", "count", "cycles", "opcodes",
-                 "attributions", "label", "tel_fast", "tel_fast_counts",
-                 "tel_fallback", "tel_fallback_counts",
-                 "tel_fallback_total")
+    __slots__ = ("run", "start", "count", "cycles", "opcodes", "observed")
 
     def __init__(self, run: Callable[[Any], Optional["NativeBlock"]],
                  start: int, count: int,
                  cycles: int, opcodes: Dict[str, int],
-                 attributions: List[Any], label: str,
-                 tel_fast: Dict[str, int], tel_fast_counts: Dict[str, int],
-                 tel_fallback: Dict[str, int],
-                 tel_fallback_counts: Dict[str, int]):
+                 observed: Optional[Tuple[Tuple[int, int, bool], ...]]):
         self.run = run
         self.start = start          # leader pc
         self.count = count          # instructions in the block
         self.cycles = cycles        # static cycle cost of the block
         self.opcodes = opcodes      # opcode -> count within the block
-        #: (index, opcode, static cycles) per instruction, for the profiler.
-        self.attributions = attributions
-        #: "function:leader" hotness key for telemetry.
-        self.label = label
-        #: Telemetry's static fast/fallback split: per-execution cycles
-        #: and instruction counts by opcode.  "Fallback" here means the
-        #: instruction's *primary* emission is a simulator handler call;
-        #: tel_fast includes statically-known inline extras (a resolved
-        #: GENERIC's primitive cycles), so
-        #: ``sum(tel_fast) + sum(tel_fallback) == cycles + inline extras``
-        #: and dynamic handler extras arrive via instrumented sites.
-        self.tel_fast = tel_fast
-        self.tel_fast_counts = tel_fast_counts
-        self.tel_fallback = tel_fallback
-        self.tel_fallback_counts = tel_fallback_counts
-        self.tel_fallback_total = sum(tel_fallback.values())
+        #: Instrumented translations only (None in plain ones): the
+        #: observer's static record, (index, table cost, fallback) per
+        #: instruction, where fallback means the instruction's main
+        #: emission calls its simulator handler (guarded inline slow
+        #: helpers count as fast path).
+        self.observed = observed
 
 
 class NativeCode:
@@ -218,8 +202,9 @@ class _Translator:
                  pipeline: Optional[PipelineDescription] = None):
         self.code = code
         self.costs = CYCLES if cycle_costs is None else cycle_costs
-        #: Telemetry mode: fallback sites are wrapped to report dynamic
-        #: cycle extras and inline-cache probes bump hit/miss counters.
+        #: Telemetry mode: each block carries the observer's static
+        #: record, fallback sites and resolved GENERICs book their dynamic
+        #: cycle extras, and inline-cache probes bump hit/miss counters.
         #: Off (the default) generates exactly the uninstrumented code.
         self.telemetry = telemetry
         #: Pipelined timing model (timing="pipelined"): the block's static
@@ -261,12 +246,9 @@ class _Translator:
         self._tp_ok = False
         self._fb_ok = False
         self._tel_ok = False
-        # Telemetry classification, filled during emission: instruction
-        # indices whose *primary* emission is a simulator handler call,
-        # and statically-known inline cycle extras (resolved GENERICs).
+        # Filled during emission for the observer's record: instruction
+        # indices whose main emission is a simulator handler call.
         self._fallback_main: set = set()
-        self._inline_extra: Dict[int, int] = {}
-        self._block_start = 0
 
     # -- namespace helpers --------------------------------------------------
 
@@ -402,16 +384,15 @@ class _Translator:
             return f"raise MachineError('bad opcode {instruction.opcode}')"
         hname, iname = f"_h{index}", f"_i{index}"
         if self.telemetry:
-            # Wrap the handler to report its dynamic cycle extras (GENERIC
-            # primitive costs, vector length costs) per opcode: cycle
-            # conservation then holds exactly, static split + extras.
-            block_label = f"{self.code.name}:{self._block_start}"
-
-            def instrumented(m, _h=handler, _i=instruction,
-                             _op=instruction.opcode, _blk=block_label):
+            # Wrap the handler to book its dynamic cycle extras (GENERIC
+            # primitive costs, vector length costs) on this instruction,
+            # also when it traps: conservation then holds exactly.
+            def instrumented(m, _h=handler, _i=instruction, _k=index):
                 before = m.cycles
-                _h(m, _i)
-                m.telemetry.note_fallback(_op, _blk, m.cycles - before)
+                try:
+                    _h(m, _i)
+                finally:
+                    m.telemetry.note_extra(_k, m.cycles - before)
 
             self.ns[hname] = instrumented
             return f"{hname}(m)"
@@ -461,7 +442,6 @@ class _Translator:
             self._tp_ok = False
             self._fb_ok = False
             self._fallback_main.add(index)
-            self._inline_extra.pop(index, None)
             return [self._fallback_call(instruction, index)]
 
         if op == "MOV":
@@ -823,6 +803,9 @@ class _Translator:
                               f"    {a} = {a}.value"]
             if primitive.cycles:
                 lines.append(f"m.cycles += {primitive.cycles}")
+                if self.telemetry:
+                    lines.append(f"{self._tel_ref()}.note_extra("
+                                 f"{index}, {primitive.cycles}, False)")
             count = len(argnames)
             if (primitive.min_args <= count
                     and (primitive.max_args is None
@@ -862,11 +845,6 @@ class _Translator:
             if stmt is None:
                 return fallback()
             lines.append(stmt)
-            if primitive.cycles:
-                # The inline ``m.cycles += primitive.cycles`` is a
-                # statically-known per-execution extra: telemetry folds it
-                # into the block's fast-path split.
-                self._inline_extra[index] = primitive.cycles
             return lines
 
         if _is_terminator(instruction):
@@ -919,7 +897,6 @@ class _Translator:
             self._tp_ok = False
             self._fb_ok = False
             self._tel_ok = False
-            self._block_start = start
             core: List[str] = []
             for k in range(start, end):
                 core.extend(self.emit(k))
@@ -947,45 +924,18 @@ class _Translator:
             module.append("")
             opcodes = Counter(instructions[k].opcode
                               for k in range(start, end))
-            attributions = [(k, instructions[k].opcode,
-                             self.costs.get(instructions[k].opcode, 1)
-                             + (tprof.structural[k]
-                                + (tprof.pair[k] if k > start else 0)
-                                if tprof is not None else 0))
-                            for k in range(start, end)]
-            # Telemetry's static split, decided by how each instruction
-            # was just emitted: handler-call main paths are fallback,
-            # everything else (including guarded inline slow helpers) is
-            # fast path with any statically-known inline extras folded in.
-            tel_fast: Dict[str, int] = {}
-            tel_fast_counts: Dict[str, int] = {}
-            tel_fallback: Dict[str, int] = {}
-            tel_fallback_counts: Dict[str, int] = {}
-            for k in range(start, end):
-                opcode = instructions[k].opcode
-                cost = self.costs.get(opcode, 1)
-                if k in self._fallback_main:
-                    tel_fallback[opcode] = tel_fallback.get(opcode, 0) + cost
-                    tel_fallback_counts[opcode] = \
-                        tel_fallback_counts.get(opcode, 0) + 1
-                else:
-                    tel_fast[opcode] = tel_fast.get(opcode, 0) + cost \
-                        + self._inline_extra.get(k, 0)
-                    tel_fast_counts[opcode] = \
-                        tel_fast_counts.get(opcode, 0) + 1
+            observed = tuple(
+                (k, self.costs.get(instructions[k].opcode, 1),
+                 k in self._fallback_main)
+                for k in range(start, end)) if self.telemetry else None
             info.append((fname, start, count, static, dict(opcodes),
-                         attributions, tel_fast, tel_fast_counts,
-                         tel_fallback, tel_fallback_counts))
+                         observed))
         source = "\n".join(module)
         exec(compile(source, f"<native:{self.code.name}>", "exec"), self.ns)
         blocks = {start: NativeBlock(self.ns[fname], start, count, static,
-                                     opcodes, attributions,
-                                     f"{self.code.name}:{start}",
-                                     tel_fast, tel_fast_counts,
-                                     tel_fallback, tel_fallback_counts)
-                  for fname, start, count, static, opcodes, attributions,
-                  tel_fast, tel_fast_counts, tel_fallback,
-                  tel_fallback_counts in info}
+                                     opcodes, observed)
+                  for fname, start, count, static, opcodes, observed
+                  in info}
         # Static chaining: ``return B<leader>`` in generated code resolves
         # to the target NativeBlock through the module namespace.
         for start, block in blocks.items():
@@ -1000,9 +950,10 @@ def translate(code: CodeObject,
     """Translate *code* into native blocks under *cycle_costs* (default:
     the S-1 table).  Pure: the CodeObject is never mutated, so one
     translation serves every machine with the same cost table.  With
-    *telemetry* the generated code carries inline-cache probes and
-    fallback-site cycle reporting (reading ``m.telemetry`` at run time),
-    so instrumented and plain translations must not share a cache --
+    *telemetry* each block carries the observer's per-instruction record
+    and the generated code carries inline-cache probes and per-site cycle
+    booking (reading ``m.telemetry`` at run time), so instrumented and
+    plain translations must not share a cache --
     ``Machine.enable_telemetry`` drops its native cache for this reason.
     A *pipeline* bakes that timing model's hazard-stall charges into the
     generated blocks (``Machine.set_timing`` drops the cache likewise).

@@ -392,24 +392,32 @@ def merge_diagnostics_totals(totals: Dict[str, Any],
 
 
 def prometheus_metrics(diagnostics_list: Sequence[Any],
-                       profile: Optional[Mapping[str, Any]] = None,
                        telemetry: Any = None) -> str:
     """Render phase seconds, rule firings, counters (summed over the given
-    compilations), plus optional machine-profile gauges and
-    ``repro_machine_*`` telemetry families, in the Prometheus text
-    exposition format."""
+    compilations), plus the optional ``repro_machine_*`` telemetry
+    families, in the Prometheus text exposition format."""
     totals = new_metric_totals()
     for diagnostics in diagnostics_list:
         merge_diagnostics_totals(totals, diagnostics)
-    return prometheus_from_totals(totals, profile, telemetry)
+    return prometheus_from_totals(totals, telemetry)
 
 
 def machine_metric_lines(telemetry: Any) -> List[str]:
-    """The ``repro_machine_*`` families for one telemetry dump: cycles
-    attributed by execution path and opcode, inline-cache events by call
-    site, GC totals, heap occupancy, and per-block execution counts."""
+    """The ``repro_machine_*`` families for one telemetry dump: cycles by
+    opcode and by execution path, inline-cache events by call site, GC
+    totals, heap occupancy, and per-block execution counts."""
     data = _telemetry_json(telemetry)
-    lines = [
+    lines = []
+    opcodes = data.get("profile", {}).get("opcodes")
+    if opcodes is not None:
+        lines.append("# HELP repro_machine_cycles_total Simulated cycles "
+                     "by opcode (exact profile).")
+        lines.append("# TYPE repro_machine_cycles_total counter")
+        for opcode in sorted(opcodes):
+            lines.append(f'repro_machine_cycles_total{{opcode="'
+                         f'{_escape_label(opcode)}"}} '
+                         f'{opcodes[opcode]["cycles"]}')
+    lines += [
         "# HELP repro_machine_path_cycles_total Simulated cycles by "
         "execution path (fast_path = inline generated code, fallback = "
         "simulator handlers) and opcode.",
@@ -478,7 +486,6 @@ def machine_metric_lines(telemetry: Any) -> List[str]:
 
 
 def prometheus_from_totals(totals: Mapping[str, Any],
-                           profile: Optional[Mapping[str, Any]] = None,
                            telemetry: Any = None) -> str:
     """Render an already-aggregated totals accumulator (see
     :func:`new_metric_totals`) in the Prometheus text format."""
@@ -508,25 +515,15 @@ def prometheus_from_totals(totals: Mapping[str, Any],
     for counter in sorted(counters):
         lines.append(f'repro_events_total{{counter="'
                      f'{_escape_label(counter)}"}} {counters[counter]}')
-    if profile:
-        lines.append("# HELP repro_machine_cycles_total Simulated cycles "
-                     "by opcode (exact profile).")
-        lines.append("# TYPE repro_machine_cycles_total counter")
-        for opcode in sorted(profile.get("opcodes", {})):
-            stats = profile["opcodes"][opcode]
-            lines.append(f'repro_machine_cycles_total{{opcode="'
-                         f'{_escape_label(opcode)}"}} {stats["cycles"]}')
     if telemetry is not None:
         lines.extend(machine_metric_lines(telemetry))
     return "\n".join(lines) + "\n"
 
 
 def write_metrics(path: str, diagnostics_list: Sequence[Any],
-                  profile: Optional[Mapping[str, Any]] = None,
                   telemetry: Any = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_metrics(diagnostics_list, profile,
-                                        telemetry))
+        handle.write(prometheus_metrics(diagnostics_list, telemetry))
 
 
 # ---------------------------------------------------------------------------

@@ -302,20 +302,20 @@ class TestNativeProfile:
             " (+ (fib (- n 1)) (fib (- n 2)))))")
         machine = compiler.machine()
         machine.tier = "native"
-        machine.enable_profiling()
+        machine.enable_telemetry()
         machine.run(sym("fib"), [12])
-        profile = machine.profile
-        assert profile.total_instructions == machine.instructions
-        assert profile.total_cycles == machine.cycles
+        profile = machine.telemetry.to_json()["profile"]
+        assert profile["total_instructions"] == machine.instructions
+        assert profile["total_cycles"] == machine.cycles
 
     def test_profile_attribution_is_block_granular_but_complete(self):
         compiler = Compiler()
         compiler.compile_source("(defun sq (x) (* x x))")
         machine = compiler.machine()
         machine.tier = "native"
-        machine.enable_profiling()
+        machine.enable_telemetry()
         machine.run(sym("sq"), [9])
-        report = machine.profile_report()
+        report = machine.telemetry.profile_report()
         assert "sq" in report
 
 

@@ -1,14 +1,17 @@
 """Tests for machine execution telemetry (repro.telemetry).
 
-Pins down the PR 9 tentpole contracts:
+Pins down the observer's contracts:
 
-* **Cycle conservation** -- ``fast_path + fallback == Machine.cycles``
-  holds *exactly*, on both execution tiers, on all three targets, and
-  across the fuzz sweep's three-way differential corpus.
+* **Cycle conservation** -- ``fast_path + fallback + stalls ==
+  Machine.cycles`` holds *exactly*, on both execution tiers, on all
+  three targets, across the fuzz sweep's three-way differential corpus,
+  after traps, and from every ``start()``.
+* **One ledger** -- both tiers book the same executions and base cycles
+  per instruction, so the profile tables (per opcode, function and
+  source line) are identical across tiers.
 * Tier attribution semantics: the simulate tier is 100% fallback (the
   simulator *is* the handler path); the native tier splits cycles
-  between inline fast paths and instrumented handler fallbacks, and its
-  per-opcode totals agree with the exact profiler.
+  between inline fast paths and instrumented handler fallbacks.
 * Inline-cache accounting per call site: hits on monomorphic re-calls,
   misses on first resolution, invalidations when a callee is redefined
   under a live call site.
@@ -22,14 +25,22 @@ Pins down the PR 9 tentpole contracts:
 """
 
 import json
+import os
 
 import pytest
 
 from repro import Compiler, CompilerOptions, MachineTelemetry, run_fuzz
 from repro.datum import sym
+from repro.errors import (
+    LispError,
+    MachineError,
+    WrongNumberOfArgumentsError,
+    WrongTypeError,
+)
 from repro.machine import Machine, MultiMachine
 from repro.telemetry import HEAP_SAMPLE_STRIDE
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIERS = ("simulate", "native")
 TARGETS = ("s1", "vax", "pdp10")
 
@@ -103,18 +114,20 @@ class TestCycleConservation:
         assert telemetry.attributed_cycles() == machine.cycles
 
     def test_native_matches_profiler_totals(self):
-        # Telemetry and the exact profiler, run separately over the same
-        # workload, must agree on the total cycles attributed.
+        # The profile tables are views over one ledger: on both tiers
+        # they total the machine's counters and agree with each other.
         compiler = Compiler()
         compiler.compile_source(WORK)
-        prof = Machine(compiler.program, tier="native")
-        profile = prof.enable_profiling()
-        prof.run(sym("spin"), [40])
-        tel = Machine(compiler.program, tier="native")
-        tel.enable_telemetry()
-        tel.run(sym("spin"), [40])
-        assert prof.cycles == tel.cycles
-        assert profile.total_cycles == tel.telemetry.attributed_cycles()
+        tables = []
+        for tier in TIERS:
+            machine = Machine(compiler.program, tier=tier)
+            machine.enable_telemetry()
+            machine.run(sym("spin"), [40])
+            profile = machine.telemetry.to_json()["profile"]
+            assert profile["total_cycles"] == machine.cycles
+            assert profile["total_instructions"] == machine.instructions
+            tables.append(profile)
+        assert tables[0] == tables[1]
 
     def test_fuzz_sweep_conserves(self):
         # The acceptance sweep: both tiers, all three targets, the
@@ -129,6 +142,99 @@ class TestCycleConservation:
         assert merged["attributed_cycles"] == (
             merged["fast_path_cycles"] + merged["fallback_cycles"])
         assert merged["attributed_cycles"] > 0
+
+
+# ---------------------------------------------------------------------------
+# one ledger on both tiers
+
+
+def _read_example(name):
+    with open(os.path.join(ROOT, "examples", name), "r",
+              encoding="utf-8") as handle:
+        return handle.read()
+
+
+#: examples/iterative.lisp driven as CI drives it, and spin.
+LEDGER_RUNS = {
+    "iterative": (_read_example("iterative.lisp"),
+                  (("triangle", (500,)), ("fib", (15,)),
+                   ("gcd&", (1071, 462)))),
+    "spin": (WORK, (("spin", (40,)),)),
+}
+
+
+def _profile_tables(run, tier, target):
+    source, calls = LEDGER_RUNS[run]
+    compiler = Compiler(CompilerOptions(target=target))
+    compiler.compile_source(source)
+    machine = compiler.machine()
+    machine.tier = tier
+    machine.enable_telemetry()
+    for fn, args in calls:
+        machine.run(sym(fn), list(args))
+    profile = machine.telemetry.to_json()["profile"]
+    return profile["opcodes"], profile["functions"], profile["lines"]
+
+
+class TestOneLedger:
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("run", sorted(LEDGER_RUNS))
+    def test_tiers_book_identical_profile_tables(self, run, target):
+        # Dynamic cycles land on the instruction that spent them on the
+        # native tier too, not on the block's closing JMP, JUMPNIL or RET.
+        assert _profile_tables(run, "native", target) \
+            == _profile_tables(run, "simulate", target)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_pipelined_profile_keeps_stalls_out_of_the_rows(self, tier):
+        compiler = Compiler()
+        compiler.compile_source(WORK)
+        machine = compiler.machine()
+        machine.tier = tier
+        machine.set_timing("pipelined")
+        machine.enable_telemetry()
+        machine.run(sym("spin"), [20])
+        telemetry = machine.telemetry
+        profile = telemetry.to_json()["profile"]
+        stalls = sum(telemetry.stall_cycles.values())
+        assert stalls > 0
+        rows = sum(entry["cycles"] for entry in profile["opcodes"].values())
+        assert rows + stalls == profile["total_cycles"] == machine.cycles
+        assert "Pipeline stalls:" in telemetry.profile_report()
+
+
+# ---------------------------------------------------------------------------
+# traps
+
+TRAPS = WORK + """
+    (defun car-of (x) (car x))
+    (defun quotient-of (a b) (/ a b))
+"""
+
+
+class TestTrapsConserve:
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("fn, args, error", [
+        ("car-of", [5], WrongTypeError),
+        ("quotient-of", [1, 0], LispError),
+    ])
+    def test_trap_then_run_conserves(self, tier, fn, args, error):
+        machine, _ = telemetry_machine(TRAPS, tier=tier)
+        with pytest.raises(error):
+            machine.run(sym(fn), args)
+        assert machine.cycles > 0
+        assert machine.telemetry.attributed_cycles() == machine.cycles
+        machine.run(sym("spin"), [5])
+        assert machine.telemetry.attributed_cycles() == machine.cycles
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_fuel_exhaustion_conserves(self, tier):
+        machine, _ = telemetry_machine(tier=tier)
+        with pytest.raises(MachineError, match="budget"):
+            machine.run(sym("spin"), [1000], fuel=200)
+        assert machine.telemetry.attributed_cycles() == machine.cycles
+        machine.run(sym("spin"), [5])
+        assert machine.telemetry.attributed_cycles() == machine.cycles
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +400,30 @@ class TestMultiMachine:
         # Recorded exactly once per collection, not once per processor.
         assert len(events) == mm.heap.gc_runs
 
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_one_span_per_task_and_conservation_per_run(self, tier):
+        mm = self._multi(tier=tier)
+        mm.enable_telemetry()
+        for round_ in (1, 2):
+            mm.run_tasks([(sym("spin"), [30]), (sym("churn"), [30])])
+            for cpu, name in zip(mm.processors, ("spin", "churn")):
+                spans = cpu.telemetry.run_spans
+                assert [span["name"] for span in spans] == [name] * round_
+                assert spans[-1]["cycles"] == cpu.cycles
+                assert spans[-1]["processor"] == cpu.processor_id
+                assert cpu.telemetry.attributed_cycles() == cpu.cycles > 0
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_start_step_restarts_the_ledger(self, tier):
+        machine, _ = telemetry_machine(tier=tier)
+        for _ in range(2):
+            machine.start(sym("spin"), [20])
+            while not machine.step(8):
+                pass
+            assert machine.telemetry.attributed_cycles() == machine.cycles
+        spans = machine.telemetry.run_spans
+        assert [span["cycles"] for span in spans] == [machine.cycles] * 2
+
     def test_report_renders_per_processor(self):
         mm = self._multi()
         mm.enable_telemetry()
@@ -366,11 +496,13 @@ class TestLifecycle:
 
     def test_fallback_entries_survive_to_json(self):
         # An opcode whose handler ran but added zero extra cycles still
-        # shows up in the dump (entries without cycles).
-        telemetry = MachineTelemetry()
-        telemetry.note_fallback("FROB", "f:0", 0)
-        dump = telemetry.to_json()
-        assert dump["fallback"]["FROB"] == {
+        # shows up in the dump (entries without cycles): the native
+        # ARGCHECK is inline until the arity check fails.
+        machine, _ = telemetry_machine(tier="native")
+        with pytest.raises(WrongNumberOfArgumentsError):
+            machine.run(sym("helper"), [])
+        dump = machine.telemetry.to_json()
+        assert dump["fallback"]["ARGCHECK"] == {
             "cycles": 0, "count": 0, "entries": 1}
 
     def test_reports_render(self):

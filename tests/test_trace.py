@@ -6,7 +6,7 @@
   round-trips ``json.dumps``/``json.loads``,
 * line-map accuracy on multi-defun sources (each function's instructions
   attribute only to its own defining lines),
-* the machine's exact profiler (per-opcode / per-function / per-line
+* the observer's profile view (per-opcode / per-function / per-line
   cycle attribution sums to the machine's cycle counter),
 * whole-function rewrite capture under ``trace_rewrites``,
 * batch counter merging for errored files,
@@ -188,36 +188,37 @@ class TestLineMap:
                 assert code.line_map[index] == instruction.line
 
 
-class TestMachineProfile:
+class TestProfileView:
     def _run_profiled(self):
         compiler = Compiler(CompilerOptions(**TRACING))
         compiler.compile(MULTI_DEFUN)
         machine = compiler.machine()
-        machine.enable_profiling()
+        machine.enable_telemetry()
         value = machine.run(sym("second-fn"), [3])
         return machine, value
 
     def test_profile_attributes_all_cycles(self):
         machine, value = self._run_profiled()
-        profile = machine.profile
-        assert profile.total_cycles == machine.cycles
-        assert profile.total_instructions == machine.instructions
-        assert sum(profile.opcode_cycles.values()) == machine.cycles
+        profile = machine.telemetry.to_json()["profile"]
+        assert profile["total_cycles"] == machine.cycles
+        assert profile["total_instructions"] == machine.instructions
+        assert sum(entry["cycles"] for entry in
+                   profile["opcodes"].values()) == machine.cycles
 
     def test_per_function_and_line_attribution(self):
         machine, _ = self._run_profiled()
-        profile = machine.profile
-        assert any("second-fn" in name for name in profile.function_cycles)
+        profile = machine.telemetry.to_json()["profile"]
+        assert any("second-fn" in name for name in profile["functions"])
         # second-fn's body spans source lines 4-7 of MULTI_DEFUN.
-        lines = {line for (_, line) in profile.line_cycles}
+        lines = {entry["line"] for entry in profile["lines"]}
         assert lines & {4, 5, 6, 7}
 
     def test_report_and_json(self):
         machine, _ = self._run_profiled()
-        report = machine.profile_report()
+        report = machine.telemetry.profile_report()
         assert "Per-opcode cycles" in report
         assert "Per-source-line cycles" in report
-        data = machine.profile_data()
+        data = machine.telemetry.to_json()["profile"]
         assert data["total_cycles"] == machine.cycles
         json.dumps(data)    # must be serializable
 
@@ -226,8 +227,8 @@ class TestMachineProfile:
         compiler.compile(MULTI_DEFUN)
         machine = compiler.machine()
         machine.run(sym("first-fn"), [1])
-        assert machine.profile is None
-        assert machine.profile_report() == "(profiling is not enabled)"
+        assert machine.telemetry is None
+        assert machine.telemetry_report() == "(telemetry is not enabled)"
 
 
 class TestRewriteCapture:
@@ -297,9 +298,9 @@ class TestPrometheusMetrics:
     def test_profile_gauges(self):
         compiler, diagnostics = _compile_diagnostics()
         machine = compiler.machine()
-        machine.enable_profiling()
+        machine.enable_telemetry()
         machine.run(sym("first-fn"), [1])
-        text = prometheus_metrics([diagnostics], machine.profile_data())
+        text = prometheus_metrics([diagnostics], telemetry=machine.telemetry)
         assert "repro_machine_cycles_total{opcode=" in text
 
 
