@@ -11,7 +11,7 @@ generated code quality (instruction counts, cycles, closures built).
 
 import pytest
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler
 from repro.datum import NIL, T, sym
 
 DERIVED = """
@@ -82,7 +82,7 @@ def test_e3_code_quality_matches_hand_coded(benchmark, compilers, table):
 def test_e3_transformation_chain(benchmark, table):
     """The rules that fire during the derivation, per Section 5."""
     def compile_with_transcript():
-        compiler = Compiler(CompilerOptions(transcript=True))
+        compiler = Compiler()
         compiler.compile_source(DERIVED)
         return compiler
 

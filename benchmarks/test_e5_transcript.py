@@ -16,7 +16,7 @@ transformations fire, in a consistent order, with the paper's rule names:
 
 import pytest
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler
 from repro.datum import sym
 
 SOURCE = """
@@ -32,7 +32,7 @@ SOURCE = """
 
 @pytest.fixture(scope="module")
 def compiled():
-    compiler = Compiler(CompilerOptions(transcript=True))
+    compiler = Compiler()
     compiler.compile_source(SOURCE)
     return compiler.functions[sym("testfn")]
 

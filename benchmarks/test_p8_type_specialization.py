@@ -74,8 +74,7 @@ def test_p8_rewrites_visible_in_source(benchmark, table):
     from repro import Compiler
     from repro.datum import sym
 
-    compiler = Compiler(CompilerOptions(enable_type_specialization=True,
-                                        transcript=True))
+    compiler = Compiler(CompilerOptions(enable_type_specialization=True))
     compiler.compile_source(
         "(defun f (x y) (declare (single-float x) (single-float y))"
         " (+ (* x y) 1.0))")

@@ -21,7 +21,7 @@ We then execute all three arities and check the observable counts.
 
 import pytest
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler
 from repro.datum import sym
 
 SOURCE = """
@@ -37,7 +37,7 @@ SOURCE = """
 
 @pytest.fixture(scope="module")
 def compiled():
-    compiler = Compiler(CompilerOptions(transcript=True))
+    compiler = Compiler()
     compiler.compile_source(SOURCE)
     return compiler
 

@@ -13,7 +13,7 @@ Reproduces, for the paper's ``testfn``:
 Run:  python examples/paper_walkthrough.py
 """
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler
 from repro.datum import sym
 
 TESTFN = """
@@ -28,7 +28,7 @@ TESTFN = """
 
 
 def main() -> None:
-    compiler = Compiler(CompilerOptions(transcript=True))
+    compiler = Compiler()
     compiler.compile_source(TESTFN)
     compiled = compiler.functions[sym("testfn")]
 

@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler
 from repro.datum import sym
 
 
@@ -17,7 +17,7 @@ def main() -> None:
                 (t (exptl (* x x) (floor (/ n 2)) a))))
     """
 
-    compiler = Compiler(CompilerOptions(transcript=True))
+    compiler = Compiler()
     compiler.compile_source(source)
 
     # 1. What the optimizer did (source-to-source, back-translatable):

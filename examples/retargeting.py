@@ -26,7 +26,7 @@ SOURCE = """
 def main() -> None:
     results = {}
     for target in ("s1", "vax", "pdp10"):
-        compiler = Compiler(CompilerOptions(target=target, transcript=True))
+        compiler = Compiler(CompilerOptions(target=target))
         compiler.compile_source(SOURCE)
         compiled = compiler.functions[sym("wave")]
         machine = compiler.machine()

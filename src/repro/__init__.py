@@ -47,7 +47,7 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 from ._lazy import lazy_attributes
 

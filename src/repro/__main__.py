@@ -137,11 +137,10 @@ class Repl:
     def __init__(self, options: Optional[CompilerOptions] = None,
                  out=sys.stdout,
                  service: Optional[CompilerService] = None):
-        # The REPL is interactive: full observability (transcript entries
-        # plus whole-function rewrite snapshots) is worth the cost.
+        # The REPL is interactive: full observability (whole-function
+        # rewrite snapshots on every transcript entry) is worth the cost.
         self.service = service or CompilerService(
-            options or CompilerOptions(transcript=True,
-                                       trace_rewrites=True))
+            options or CompilerOptions(trace_rewrites=True))
         self.compiler = self.service.session()
         self.machine: Optional[Machine] = None
         self.out = out
@@ -547,7 +546,7 @@ def repl_main(argv) -> int:
 
     print("repro: the S-1 Lisp compiler reproduction "
           "(:quit to leave, :prelude for the library)")
-    repl = Repl(CompilerOptions(transcript=True, trace_rewrites=True,
+    repl = Repl(CompilerOptions(trace_rewrites=True,
                                 verify_ir=args.verify,
                                 target=_target_of(args),
                                 tier=_tier_of(args),

@@ -10,7 +10,8 @@ exposes:
   hands out fresh per-request :class:`repro.Compiler` instances bound to
   that cache, keeps one persistent *session* compiler for REPL-style use,
   and answers the four wire operations (``compile`` / ``batch`` / ``ping``
-  / ``stats``) both as Python calls and as JSON request handlers.
+  / ``stats``) both as Python calls and as JSON request handlers.  Its
+  ``batch`` op carries the response cache, keyed by the service itself.
 * The **versioned wire schema** (:data:`API_VERSION`): every request is a
   JSON object ``{"api": 1, "op": ..., ...}``; :func:`check_request`
   validates the envelope and rejects unknown versions/ops with a
@@ -43,12 +44,13 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from . import __version__ as _VERSION
-from .cache import CompilationCache, as_cache, cache_key, canonical_source
+from .cache import CompilationCache, as_cache, options_fingerprint
 from .errors import ReproError
 from .options import (
     NON_SEMANTIC_OPTION_FIELDS,
@@ -82,7 +84,6 @@ STABILITY_TIERS: Dict[str, str] = {
     "options_to_wire": "stable",
     # shape may still move with the daemon's needs
     "INLINE_OPS": "provisional",
-    "request_fingerprint": "provisional",
     "STABILITY_TIERS": "provisional",
 }
 
@@ -171,7 +172,7 @@ def options_from_wire(base: CompilerOptions,
     """Apply a wire ``options`` object on top of *base*.
 
     Only declared-semantic fields may be overridden: a non-semantic field
-    (``verify_ir``, ``cache``, transcripts) is server policy, and an
+    (``verify_ir``, ``cache``, ``trace_rewrites``) is server policy, and an
     unknown field is a schema violation -- both raise :class:`ApiError`
     (code ``bad-options``)."""
     if overrides is None:
@@ -193,22 +194,6 @@ def options_from_wire(base: CompilerOptions,
     except (ReproError, ValueError) as err:
         # __post_init__ rejected a value, e.g. UnknownTargetError.
         raise ApiError("bad-options", str(err))
-
-
-def request_fingerprint(source: str, options: CompilerOptions, *,
-                        load_prelude: bool = False,
-                        name: Optional[str] = None) -> str:
-    """A content address for one whole compile *request* (canonical source
-    + semantic options + prelude flag + wrapper name).
-
-    Clients transmit it alongside the source so a warm daemon can answer a
-    repeated request from its response cache without re-canonicalizing, and
-    so batch transcripts can refer to requests by key instead of shipping
-    compiled objects around."""
-    extra = [f"request:prelude={bool(load_prelude)}"]
-    if name is not None:
-        extra.append(f"request:name={name}")
-    return cache_key(canonical_source(source), options, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +236,30 @@ class CompilerService:
     ``compile`` runs on a *fresh* compiler bound to the shared cache, so
     requests cannot leak proclaimed specials or globals into each other;
     :meth:`session` returns the one persistent compiler for REPL-style
-    accumulation.  Thread-safe: the daemon calls one instance from a
-    worker pool."""
+    accumulation.  Thread-safe: the daemon calls one instance from every
+    worker thread, and no lock is held across a compile.
+
+    The wire ``batch`` op answers a repeated unit from a response cache of
+    *response_cache_size* entries (least recently used evicted first; 0
+    turns it off).  The service keys each unit itself, from exactly the
+    inputs of its compile.  *on_diagnostics*, when given, receives every
+    successful compile's ``Diagnostics.to_json()`` (the daemon folds them
+    into ``/metrics``)."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,
-                 cache: Union[None, str, CompilationCache] = None):
+                 cache: Union[None, str, CompilationCache] = None, *,
+                 response_cache_size: int = 128,
+                 on_diagnostics: Optional[
+                     Callable[[Dict[str, Any]], None]] = None):
         self.options = options or CompilerOptions()
         spec = cache if cache is not None else self.options.cache
         self.cache: Optional[CompilationCache] = as_cache(spec)
+        self.response_cache_size = max(0, int(response_cache_size))
+        self._on_diagnostics = on_diagnostics
         self._session: Optional[Compiler] = None
         self._lock = threading.Lock()
+        self._responses: "OrderedDict[bytes, Tuple[str, ...]]" = \
+            OrderedDict()
         self._started = time.time()
         self._op_counts: Dict[str, int] = {}
         self._compile_seconds = 0.0
@@ -330,8 +329,13 @@ class CompilerService:
         if diagnostics is not None:
             result.counters = dict(diagnostics.counters)
             result.warnings = [m.render() for m in diagnostics.warnings]
-            if want_diagnostics:
-                result.diagnostics = diagnostics.to_json()
+            report = self._on_diagnostics
+            if want_diagnostics or report is not None:
+                data = diagnostics.to_json()
+                if report is not None:
+                    report(data)
+                if want_diagnostics:
+                    result.diagnostics = data
         if want_listing:
             result.listing = compiled.listing()
         return result
@@ -409,6 +413,10 @@ class CompilerService:
         return result.to_json()
 
     def _handle_batch(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        # Imported here, as in repro.cache: a cold CLI run loads this
+        # module but hashes nothing.
+        import hashlib
+
         units = params.get("units")
         if not isinstance(units, (list, tuple)) or not units:
             raise ApiError("bad-request",
@@ -424,18 +432,50 @@ class CompilerService:
                           unit["source"]))
         options = options_from_wire(self.options, params.get("options"))
         prelude = bool(params.get("prelude", False))
+        # A unit's compile is a function of exactly these inputs and its
+        # source text (a fresh compiler per unit), so they address it.
+        scope = f"{options_fingerprint(options)}\nprelude={prelude}\n"
         files = []
         for label, source in items:
+            started = time.perf_counter()
+            key = hashlib.sha256((scope + source).encode("utf-8")).digest()
+            defined = self._cached_response(key)
+            if defined is not None:
+                # Nothing compiled: report only this lookup's work.
+                files.append({"path": label, "status": "ok",
+                              "defined": defined,
+                              "seconds": time.perf_counter() - started,
+                              "counters": {"response_cache_hits": 1},
+                              "warnings": [],
+                              "served_from": "response-cache"})
+                continue
             try:
                 result = self.compile(source, options=options,
                                       load_prelude=prelude)
-                files.append({"path": label, "status": "ok",
-                              **result.to_json()})
             except ReproError as err:
                 files.append({"path": label, "status": "error",
                               "error": f"{type(err).__name__}: {err}"})
+                continue
+            self._remember_response(key, result.defined)
+            files.append({"path": label, "status": "ok", **result.to_json()})
         ok = sum(1 for f in files if f["status"] == "ok")
         return {"files": files, "ok": ok, "errors": len(files) - ok}
+
+    def _cached_response(self, key: bytes) -> Optional[List[str]]:
+        with self._lock:
+            defined = self._responses.get(key)
+            if defined is None:
+                return None
+            self._responses.move_to_end(key)
+        return list(defined)
+
+    def _remember_response(self, key: bytes, defined: List[str]) -> None:
+        if self.response_cache_size == 0:
+            return
+        with self._lock:
+            self._responses[key] = tuple(defined)
+            while len(self._responses) > self.response_cache_size:
+                self._responses.popitem(last=False)
 
 
 def _pid() -> int:

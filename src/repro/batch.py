@@ -32,12 +32,12 @@ from .options import CompilerOptions
 BatchItem = Union[str, "os.PathLike[str]", Tuple[str, str]]
 
 #: Option fields that cannot (or must not) cross a process boundary.
-_UNPICKLABLE_OPTION_FIELDS = ("cache", "transcript_stream")
+_UNPICKLABLE_OPTION_FIELDS = ("cache",)
 
 
 def _options_spec(options: CompilerOptions) -> Dict[str, Any]:
-    """CompilerOptions as a picklable field dict (cache and stream handles
-    are re-attached worker-side)."""
+    """CompilerOptions as a picklable field dict (the cache handle is
+    re-attached worker-side)."""
     return {f.name: getattr(options, f.name)
             for f in dataclass_fields(options)
             if f.name not in _UNPICKLABLE_OPTION_FIELDS}
@@ -240,9 +240,10 @@ def compile_batch(items: Sequence[BatchItem], *,
     *cache_dir* (or ``options.cache``) shares one content-addressed store
     across workers and across runs.  *server* (a daemon address: unix
     socket path or ``http://host:port``) skips local pools entirely and
-    ships ``(source, request fingerprint)`` to a warm ``repro serve``
-    daemon over *jobs* concurrent connections -- compiled artifacts stay
-    in the daemon's shared cache; only names and counters come back.
+    ships each unit's source to a warm ``repro serve`` daemon over *jobs*
+    concurrent connections -- compiled artifacts stay in the daemon's
+    shared cache, a repeated unit is answered from its response cache,
+    and only names and counters come back.
     *want_diagnostics=False* drops the per-file diagnostics JSON from the
     results (counters and warnings are always kept), keeping the
     cross-process payload lean when no trace/metrics export needs it."""

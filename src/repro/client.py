@@ -5,9 +5,9 @@
 versioned JSON schema of :mod:`repro.api` over either transport the
 daemon offers (unix-socket JSON lines or HTTP).  It is what the
 daemon-backed batch path uses: instead of pickling trees into a cold
-process pool, each unit ships ``(source, cache_key)`` to a warm server
-and only names/counters come back -- compiled artifacts stay in the
-shared content-addressed store.
+process pool, each unit ships its source to a warm server and only
+names/counters come back -- compiled artifacts stay in the shared
+content-addressed store.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import uuid
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .api import API_VERSION, options_to_wire
-from .cache import options_fingerprint
 from .errors import ReproError
 from .options import CompilerOptions
 
@@ -75,11 +74,12 @@ class ServiceClient:
 
     def _request_socket(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         payload = json.dumps(request).encode("utf-8") + b"\n"
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             conn.settimeout(self.timeout)
             conn.connect(self.address)
         except OSError as err:
+            conn.close()
             raise ServiceUnavailable(
                 f"cannot reach daemon at {self.address}: {err}")
         try:
@@ -161,7 +161,6 @@ class ServiceClient:
     def compile(self, source: str, *, name: str = "*toplevel*",
                 prelude: bool = False,
                 options: Optional[Mapping[str, Any]] = None,
-                cache_key: Optional[str] = None,
                 listing: bool = False,
                 diagnostics: bool = False,
                 trace_id: Optional[str] = None) -> Dict[str, Any]:
@@ -170,8 +169,6 @@ class ServiceClient:
             params["prelude"] = True
         if options:
             params["options"] = dict(options)
-        if cache_key is not None:
-            params["cache_key"] = cache_key
         if listing:
             params["listing"] = True
         if diagnostics:
@@ -243,32 +240,17 @@ def compile_units_via_server(
     input order.
 
     Units travel in chunks (batch wire ops, a handful of round trips
-    instead of one per file) over *jobs* concurrent connections, and every
-    unit carries a client-computed fingerprint -- exact source + semantic
-    options, cheap to hash -- so a warm daemon answers repeats straight
-    from its response cache.  Returns one ``BatchFileResult``-shaped dict
+    instead of one per file) over *jobs* concurrent connections; a warm
+    daemon answers repeats straight from the response cache of its batch
+    op, which it keys itself.  Returns one ``BatchFileResult``-shaped dict
     per unit."""
     options = options or CompilerOptions()
     client = ServiceClient(server, timeout=timeout)
-    # The response-cache key is opaque to the server, so the batch path
-    # hashes the raw text instead of paying api.request_fingerprint's
-    # canonicalizing parse per unit; the semantic-options part is computed
-    # once for the whole batch.
-    options_part = options_fingerprint(options)
     # The daemon compiles with ITS defaults unless the request pins the
     # semantic options, so ship the full declared-semantic set with every
     # chunk -- otherwise `--target vax` against an s1-defaulted daemon
     # would silently compile for the wrong machine.
     wire_options = options_to_wire(options)
-
-    def unit_key(source: str) -> str:
-        import hashlib
-
-        digest = hashlib.sha256()
-        digest.update(options_part.encode("utf-8"))
-        digest.update(f":prelude={bool(load_prelude)}:".encode("utf-8"))
-        digest.update(source.encode("utf-8"))
-        return "req-" + digest.hexdigest()
 
     def error_entry(label: str, err: Exception,
                     seconds: float = 0.0) -> Dict[str, Any]:
@@ -300,8 +282,7 @@ def compile_units_via_server(
               for at in range(0, len(ready), units_per_request)]
 
     def send_chunk(chunk: List[Tuple[int, str, str]]) -> None:
-        payload = [{"label": label, "source": source,
-                    "cache_key": unit_key(source)}
+        payload = [{"label": label, "source": source}
                    for _, label, source in chunk]
         started = time.perf_counter()
         try:

@@ -301,7 +301,7 @@ class Compiler:
             name=name,
             code=cached.code,
             optimized_source=cached.optimized_source,
-            transcript=Transcript(None),
+            transcript=Transcript(),
             lambda_node=None,
         )
         self.program.add(name, cached.code)
@@ -417,9 +417,7 @@ class Compiler:
 
             verifier = PipelineVerifier(fname, diagnostics=diagnostics)
             verifier.check_tree(node, "ir conversion")
-        transcript = Transcript(self.options.transcript_stream
-                                if self.options.transcript else None,
-                                trace_rewrites=self.options.trace_rewrites)
+        transcript = Transcript(trace_rewrites=self.options.trace_rewrites)
 
         # Only the optimizer and CSE change the tree's size: it is counted
         # after each of them and the count reused at the other boundaries.

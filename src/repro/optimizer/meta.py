@@ -92,7 +92,6 @@ class SourceOptimizer:
                  diagnostics: Optional["Diagnostics"] = None):
         self.options = options or DEFAULT_OPTIONS
         self.transcript = transcript if transcript is not None else Transcript(
-            self.options.transcript_stream if self.options.transcript else None,
             trace_rewrites=self.options.trace_rewrites)
         # Known defuns available for integration (block compilation).
         self.global_functions = global_functions or {}

@@ -90,10 +90,8 @@ class TranscriptEntry:
 
 
 class Transcript:
-    def __init__(self, stream: Optional[Any] = None,
-                 trace_rewrites: bool = False):
+    def __init__(self, trace_rewrites: bool = False):
         self.entries: List[TranscriptEntry] = []
-        self.stream = stream
         #: When True, callers snapshot the whole function around each
         #: firing (begin_root / attach_root) so entries carry full
         #: before/after source for diff rendering.
@@ -124,8 +122,6 @@ class Transcript:
         if self.trace_rewrites:
             entry.before_source = self._root_source
         self.entries.append(entry)
-        if self.stream is not None:
-            print(entry.render(), file=self.stream)
 
     def rules_fired(self) -> List[str]:
         return [entry.rule for entry in self.entries]

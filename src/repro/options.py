@@ -99,9 +99,6 @@ class CompilerOptions:
     verify_ir: bool = non_semantic(False)
 
     # --- diagnostics ---
-    transcript: bool = non_semantic(False)   # record optimizer transcript
-    transcript_stream: object = non_semantic(None)  # file-like; None keeps
-                                                    # entries only
     trace_rewrites: bool = non_semantic(False)  # whole-function before/after
                                                 # source per rewrite (costly)
 

@@ -1,7 +1,7 @@
 """The compile daemon: ``python -m repro serve``.
 
 A long-lived asyncio server that keeps the compiler warm -- memoized
-prelude, per-worker memory caches over one shared on-disk store -- so
+prelude, one memory cache over the shared on-disk store -- so
 clients pay per-request compile cost (or a cache probe) instead of
 per-invocation cold start (interpreter boot, imports, prelude compile,
 pool spawn).  Two transports speak the same versioned schema
@@ -15,12 +15,10 @@ pool spawn).  Two transports speak the same versioned schema
   per-op latency histograms, cache hit ratio), ``GET /healthz``.
 
 Compilation is CPU-bound, so requests execute on a thread pool of
-``--jobs`` workers; each worker thread owns a
-:class:`repro.api.CompilerService` with its own memory LRU over the shared
-disk cache.  The workers share one small response cache keyed by the
-client-supplied ``cache_key`` (see :func:`repro.api.request_fingerprint`),
-so a repeated request is answered without touching the pipeline at all,
-whichever worker thread takes it.  The asyncio
+``--jobs`` workers, all calling one :class:`repro.api.CompilerService`:
+one memory LRU over the ``--cache-dir`` store, one response cache on its
+``batch`` op, and the counters ``ping``/``stats`` report.  The daemon adds
+queueing, transport and metrics, nothing semantic.  The asyncio
 side enforces **backpressure**: past ``--max-queue`` waiting requests a
 ``busy`` error is returned immediately (never a hang), monitoring ops
 (``ping``/``stats``) always answer inline, and every queued request
@@ -36,7 +34,7 @@ import os
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .api import (
@@ -47,7 +45,6 @@ from .api import (
     check_request,
     error_response,
     ok_response,
-    options_from_wire,
 )
 from .cache import CompilationCache
 from .errors import ReproError
@@ -246,9 +243,9 @@ class ReproServer:
     installs signal handlers) or drive ``start()``/``shutdown()`` from an
     existing event loop (the tests do the latter).
 
-    *response_cache_size* bounds the one response cache that every worker
-    thread shares (entries, least recently used evicted first; 0 turns it
-    off)."""
+    *response_cache_size* bounds the response cache of the one
+    :class:`CompilerService` every worker thread calls (entries, least
+    recently used evicted first; 0 turns it off)."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,
                  *,
@@ -270,17 +267,14 @@ class ReproServer:
         self.jobs = max(1, int(jobs))
         self.max_queue = max(0, int(max_queue))
         self.request_timeout = request_timeout
-        self.response_cache_size = max(0, int(response_cache_size))
         self.max_request_bytes = max(1024, int(max_request_bytes))
         self.metrics = ServerMetrics()
-        # One monitoring-only service for ping/stats (no compiles run on
-        # it, so answering inline from the event loop is safe and cheap).
-        self._monitor = CompilerService(options=self.options)
+        self.service = CompilerService(
+            self.options, CompilationCache(directory=self.cache_dir),
+            response_cache_size=response_cache_size,
+            on_diagnostics=self.metrics.merge_diagnostics)
 
         self._executor = None
-        self._local = threading.local()
-        self._responses: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._responses_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._queued = 0
         self._in_flight = 0
@@ -292,51 +286,6 @@ class ReproServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- worker side (threads) --------------------------------------------
-
-    def _worker(self) -> CompilerService:
-        """This worker thread's CompilerService: its memory LRU sits over
-        the shared disk store."""
-        service = getattr(self._local, "service", None)
-        if service is None:
-            cache = CompilationCache(directory=self.cache_dir) \
-                if self.cache_dir else CompilationCache()
-            service = CompilerService(options=self.options, cache=cache)
-            self._local.service = service
-        return service
-
-    def _cached_response(self, key: Optional[str], *,
-                         want_diagnostics: bool = False
-                         ) -> Optional[Dict[str, Any]]:
-        """Cached entries always carry diagnostics (the worker compiles
-        with them unconditionally); they are stripped per-request here, so
-        a requester asking for diagnostics never gets a cached response
-        without them.  A legacy entry lacking them forces a recompile."""
-        if key is None:
-            return None
-        with self._responses_lock:
-            cached = self._responses.get(key)
-            if cached is None or (want_diagnostics
-                                  and "diagnostics" not in cached):
-                return None
-            self._responses.move_to_end(key)
-        response = dict(cached)
-        if not want_diagnostics:
-            response.pop("diagnostics", None)
-        counters = dict(response.get("counters", {}))
-        counters["response_cache_hits"] = \
-            counters.get("response_cache_hits", 0) + 1
-        response["counters"] = counters
-        response["served_from"] = "response-cache"
-        return response
-
-    def _remember_response(self, key: Optional[str],
-                           response: Mapping[str, Any]) -> None:
-        if key is None or self.response_cache_size == 0:
-            return
-        with self._responses_lock:
-            self._responses[key] = dict(response)
-            while len(self._responses) > self.response_cache_size:
-                self._responses.popitem(last=False)
 
     def _execute(self, op: str, params: Mapping[str, Any],
                  accepted_at: Optional[float] = None) -> Dict[str, Any]:
@@ -350,7 +299,7 @@ class ReproServer:
             self._in_flight += 1
         begun = time.perf_counter()
         try:
-            response = self._execute_op(op, params)
+            response = ok_response(op, self.service.handle_op(op, params))
             if isinstance(params.get("trace_id"), str):
                 response["server_timing"] = {
                     "queue_wait_s": max(begun - accepted_at, 0.0)
@@ -362,88 +311,6 @@ class ReproServer:
             with self._counter_lock:
                 self._in_flight -= 1
 
-    def _execute_op(self, op: str, params: Mapping[str, Any]
-                    ) -> Dict[str, Any]:
-        service = self._worker()
-        request_key = params.get("cache_key")
-        if not isinstance(request_key, str):
-            request_key = None
-        if op == "compile":
-            want = bool(params.get("diagnostics", False))
-            cached = self._cached_response(request_key,
-                                           want_diagnostics=want)
-            if cached is not None:
-                return ok_response(op, cached)
-            params = {k: v for k, v in params.items()
-                      if k != "cache_key"}
-            # Always collect diagnostics worker-side: /metrics is fed
-            # from them, and the response cache keeps them so a later
-            # requester may ask; strip from the response unless asked.
-            params = dict(params, diagnostics=True)
-            payload = service.handle_op(op, params)
-            diagnostics = payload.get("diagnostics")
-            if diagnostics is not None:
-                self.metrics.merge_diagnostics(diagnostics)
-            self._remember_response(request_key, payload)
-            if not want:
-                payload = {k: v for k, v in payload.items()
-                           if k != "diagnostics"}
-            return ok_response(op, payload)
-        if op == "batch":
-            return ok_response(op, self._execute_batch(service, params))
-        payload = service.handle_op(op, params)
-        return ok_response(op, payload)
-
-    def _execute_batch(self, service: CompilerService,
-                       params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The daemon's batch op: like :meth:`CompilerService._handle_batch`
-        but each unit may carry a ``cache_key``, answered from (and
-        remembered in) the shared response cache -- this is what makes a
-        repeated corpus nearly free."""
-        units = params.get("units")
-        if not isinstance(units, (list, tuple)) or not units:
-            raise ApiError("bad-request",
-                           'batch requires a non-empty "units" list of '
-                           '{"label", "source"} objects')
-        options = options_from_wire(service.options,
-                                    params.get("options"))
-        prelude = bool(params.get("prelude", False))
-        files: List[Dict[str, Any]] = []
-        for unit in units:
-            if not (isinstance(unit, Mapping)
-                    and isinstance(unit.get("source"), str)):
-                raise ApiError("bad-request",
-                               'each batch unit needs a string "source"')
-            label = str(unit.get("label", f"unit-{len(files)}"))
-            key = unit.get("cache_key")
-            if not isinstance(key, str):
-                key = None
-            cached = self._cached_response(key)
-            if cached is not None:
-                files.append({"path": label, "status": "ok", **cached})
-                continue
-            try:
-                result = service.compile(
-                    unit["source"], options=options, load_prelude=prelude,
-                    want_diagnostics=True)
-            except ReproError as err:
-                files.append({"path": label, "status": "error",
-                              "error": f"{type(err).__name__}: {err}"})
-                continue
-            payload = result.to_json()
-            diagnostics = payload.get("diagnostics")
-            if diagnostics is not None:
-                self.metrics.merge_diagnostics(diagnostics)
-            # Remember the full payload (diagnostics included) so a later
-            # compile op on the same key can ask for them; batch entries
-            # themselves never carry per-unit diagnostics.
-            self._remember_response(key, payload)
-            slim = {k: v for k, v in payload.items()
-                    if k != "diagnostics"}
-            files.append({"path": label, "status": "ok", **slim})
-        ok = sum(1 for entry in files if entry["status"] == "ok")
-        return {"files": files, "ok": ok, "errors": len(files) - ok}
-
     # -- asyncio side ------------------------------------------------------
 
     def _queue_depths(self) -> Tuple[int, int]:
@@ -451,7 +318,7 @@ class ReproServer:
             return self._queued, self._in_flight
 
     def _stats_payload(self) -> Dict[str, Any]:
-        data = self._monitor.stats()
+        data = self.service.stats()
         queued, in_flight = self._queue_depths()
         data.update({
             "queue_depth": queued,
@@ -500,7 +367,7 @@ class ReproServer:
                 # Monitoring probes bypass the queue entirely: they must
                 # answer even when the worker pool is saturated.
                 if op == "ping":
-                    return ok_response("ping", self._monitor.ping())
+                    return ok_response("ping", self.service.ping())
                 return ok_response("stats", self._stats_payload())
             if self._draining:
                 ok = False

@@ -15,7 +15,6 @@ from repro.api import (
     ok_response,
     options_from_wire,
     options_to_wire,
-    request_fingerprint,
 )
 from repro.cache import NON_SEMANTIC_OPTION_FIELDS as CACHE_NON_SEMANTIC
 from repro.cache import options_fingerprint
@@ -84,8 +83,7 @@ class TestOptionSplit:
         # tier selects how compiled code is executed and timing selects
         # how executed cycles are charged -- never what it compiles to,
         # so neither may perturb cache keys.
-        assert {"verify_ir", "transcript", "transcript_stream",
-                "trace_rewrites", "cache", "tier", "timing"} \
+        assert {"verify_ir", "trace_rewrites", "cache", "tier", "timing"} \
             == set(NON_SEMANTIC_OPTION_FIELDS)
 
     def test_cache_reexport_is_the_same_object(self):
@@ -96,8 +94,7 @@ class TestOptionSplit:
     def test_fingerprint_ignores_non_semantic_fields(self):
         base = CompilerOptions()
         assert options_fingerprint(base) == options_fingerprint(
-            CompilerOptions(verify_ir=True, transcript=True,
-                            trace_rewrites=True))
+            CompilerOptions(verify_ir=True, trace_rewrites=True))
 
     def test_fingerprint_sees_semantic_fields(self):
         assert options_fingerprint(CompilerOptions()) \
@@ -133,26 +130,6 @@ class TestOptionSplit:
     def test_override_none_is_identity(self):
         base = CompilerOptions()
         assert options_from_wire(base, None) is base
-
-
-class TestRequestFingerprint:
-    def test_stable(self):
-        options = CompilerOptions()
-        assert request_fingerprint("(+ 1 2)", options) \
-            == request_fingerprint("(+ 1  2)  ; comment\n", options)
-
-    def test_varies_with_prelude_and_name(self):
-        options = CompilerOptions()
-        plain = request_fingerprint("(+ 1 2)", options)
-        assert plain != request_fingerprint("(+ 1 2)", options,
-                                            load_prelude=True)
-        assert plain != request_fingerprint("(+ 1 2)", options,
-                                            name="other")
-
-    def test_varies_with_semantic_options(self):
-        assert request_fingerprint("(+ 1 2)", CompilerOptions()) \
-            != request_fingerprint("(+ 1 2)",
-                                   CompilerOptions(enable_cse=True))
 
 
 class TestCompilerService:
@@ -263,6 +240,35 @@ class TestWireDispatch:
         assert payload["ok"] == 1 and payload["errors"] == 1
         assert payload["files"][0]["status"] == "ok"
         assert payload["files"][1]["status"] == "error"
+
+    def test_handle_batch_keys_units_by_their_inputs(self):
+        # The response cache answers a unit only when the effective
+        # semantic options, the prelude flag and the exact source text
+        # all match an earlier one.
+        service = CompilerService()
+
+        def served(source="(defun g () 1)", **params):
+            units = [{"label": "a", "source": source}]
+            entry = service.handle_op("batch", {"units": units,
+                                                **params})["files"][0]
+            assert entry["defined"] == ["g"]
+            return entry.get("served_from") == "response-cache"
+
+        assert not served()
+        assert served()
+        assert not served(options={"enable_cse": True})
+        assert served(options={"enable_cse": True})
+        assert not served(prelude=True)
+        assert not served("(defun g ()  1)")
+        assert service.stats()["ops"]["compile"] == 4
+
+    def test_handle_batch_response_cache_off(self):
+        service = CompilerService(response_cache_size=0)
+        units = [{"label": "a", "source": "(defun g () 1)"}]
+        for _ in range(2):
+            entry = service.handle_op("batch", {"units": units})["files"][0]
+            assert "served_from" not in entry
+        assert service.stats()["ops"]["compile"] == 2
 
     def test_handle_batch_requires_units(self):
         service = CompilerService()

@@ -143,14 +143,13 @@ class TestOptionsSpec:
         import pickle
 
         options = CompilerOptions(target="vax", enable_cse=True,
-                                  cache="/tmp/x", transcript=True)
+                                  cache="/tmp/x", trace_rewrites=True)
         spec = _options_spec(options)
         pickle.dumps(spec)
         assert "cache" not in spec
-        assert "transcript_stream" not in spec
         rebuilt = CompilerOptions(**spec)
         for f in dataclasses.fields(CompilerOptions):
-            if f.name in ("cache", "transcript_stream"):
+            if f.name == "cache":
                 continue
             assert getattr(rebuilt, f.name) == getattr(options, f.name)
 

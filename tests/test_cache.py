@@ -111,7 +111,7 @@ class TestCacheKey:
 
     def test_non_semantic_fields_do_not_perturb(self):
         source = "(defun f (x) x)"
-        assert key_of(source, CompilerOptions(transcript=True)) == \
+        assert key_of(source, CompilerOptions(trace_rewrites=True)) == \
             key_of(source, CompilerOptions())
 
     def test_fingerprint_excludes_cache_config(self):
@@ -306,8 +306,7 @@ class TestDiagnosticsSurface:
         from repro.__main__ import Repl
 
         out = io.StringIO()
-        options = CompilerOptions(transcript=True,
-                                  cache=str(tmp_path / "store"))
+        options = CompilerOptions(cache=str(tmp_path / "store"))
         repl = Repl(options=options, out=out)
         repl.handle("(defun f (x) (+ x 1))")
         repl.handle("(defun f (x) (+ x 1))")  # same text: a hit

@@ -7,8 +7,7 @@ from repro.datum import sym
 
 
 def options(**overrides):
-    return CompilerOptions(enable_global_integration=True,
-                           transcript=True, **overrides)
+    return CompilerOptions(enable_global_integration=True, **overrides)
 
 
 class TestGlobalIntegration:

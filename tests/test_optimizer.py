@@ -18,7 +18,7 @@ from repro.optimizer import SourceOptimizer, Transcript
 
 
 def opt(text, **option_overrides):
-    options = CompilerOptions(transcript=True, **option_overrides)
+    options = CompilerOptions(**option_overrides)
     optimizer = SourceOptimizer(options)
     result = optimizer.optimize(convert_source(text))
     return result, optimizer

@@ -7,18 +7,21 @@ histogram's exact bucket arithmetic, and the end-to-end traced round
 trip that yields one Perfetto trace per request."""
 
 import asyncio
+import gc
 import json
 import socket
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import Compiler, build_request_trace, parse_prometheus_text
-from repro.api import API_VERSION, request_fingerprint
+from repro.api import API_VERSION, CompilerService
 from repro.batch import compile_batch
+from repro.cache import CompilationCache
 from repro.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.datum import sym
 from repro.options import CompilerOptions
@@ -126,16 +129,21 @@ class TestSocketTransport:
         assert "inc" in response["listing"]
 
     def test_response_cache_on_repeat(self, server_factory):
+        # The batch op answers a repeated unit from its response cache;
+        # a repeated compile op is a per-defun cache hit.
         handle = server_factory(jobs=1)
         client = ServiceClient(handle.server.socket_path)
         source = "(defun inc (x) (+ x 1))"
-        key = request_fingerprint(source, handle.server.options)
-        first = client.compile(source, cache_key=key)
+        units = [{"label": "inc.lisp", "source": source}]
+        first = client.request("batch", units=units)["files"][0]
         assert "served_from" not in first
-        second = client.compile(source, cache_key=key)
+        second = client.request("batch", units=units)["files"][0]
         assert second["served_from"] == "response-cache"
-        assert second["counters"]["response_cache_hits"] >= 1
-        assert second["defined"] == first["defined"]
+        assert second["counters"] == {"response_cache_hits": 1}
+        assert second["defined"] == first["defined"] == ["inc"]
+        repeat = client.compile(source)
+        assert "served_from" not in repeat
+        assert repeat["counters"]["cache_hits"] == 1
 
     def test_unknown_api_version_is_structured(self, server_factory):
         handle = server_factory()
@@ -204,17 +212,18 @@ class TestSocketTransport:
         handle = server_factory(jobs=1)
         client = ServiceClient(handle.server.socket_path)
         source = "(defun inc (x) (+ x 1))"
-        key = request_fingerprint(source, handle.server.options)
-        plain = client.compile(source, cache_key=key)
+        plain = client.compile(source)
         assert "diagnostics" not in plain
-        with_diags = client.compile(source, cache_key=key,
-                                    diagnostics=True)
-        assert with_diags["served_from"] == "response-cache"
+        with_diags = client.compile(source, diagnostics=True)
+        assert with_diags["counters"]["cache_hits"] == 1
         assert with_diags["diagnostics"] is not None
         # ... and a later plain request still gets a slim response.
-        plain_again = client.compile(source, cache_key=key)
-        assert plain_again["served_from"] == "response-cache"
+        plain_again = client.compile(source)
         assert "diagnostics" not in plain_again
+        # /metrics saw every compile, asked-for diagnostics or not.
+        totals = handle.server.metrics.diagnostics_totals
+        assert totals["compilations"] == 3
+        assert totals["counters"]["cache_hits"] == 2
 
     def test_stats_shape(self, server_factory):
         handle = server_factory(max_queue=3, jobs=2)
@@ -226,6 +235,82 @@ class TestSocketTransport:
         assert stats["draining"] is False
         assert stats["requests"].get("compile", 0) >= 1
         assert 0.0 <= stats["cache_hit_ratio"] <= 1.0
+
+    def test_stats_reads_the_service_that_compiled(self, server_factory,
+                                                   tmp_path):
+        store = str(tmp_path / "store")
+        handle = server_factory(jobs=2, cache_dir=store)
+        client = ServiceClient(handle.server.socket_path)
+        for _ in range(3):
+            client.compile("(defun f (x) (+ x 1))")
+        stats = client.stats()
+        assert stats["ops"]["compile"] == 3
+        assert stats["compile_seconds_total"] > 0.0
+        assert stats["cache"]["directory"] == store
+        assert stats["cache"]["stats"]["stores"] == 1
+        assert client.ping()["pong"] is True
+        assert client.stats()["ops"]["ping"] == 1
+
+
+class TestServerDerivedKeys:
+    """The service keys its response cache itself: a ``cache_key`` field
+    from the client is ignored, so reusing one cannot fetch another
+    request's answer."""
+
+    REUSED = "req-reused-key"
+
+    def test_compile_op_ignores_a_reused_cache_key(self, server_factory):
+        handle = server_factory(jobs=1)
+        client = ServiceClient(handle.server.socket_path)
+
+        def compile_keyed(source, **params):
+            return client.request("compile", source=source,
+                                  cache_key=self.REUSED, **params)
+
+        first = compile_keyed("(defun f (x) (+& x 1))")
+        assert first["defined"] == ["f"]
+        listed = compile_keyed("(defun f (x) (+& x 1))", listing=True)
+        assert "f" in listed["listing"]
+        assert compile_keyed("(defun g (y) y)")["defined"] == ["g"]
+        vax = compile_keyed("(defun f (x) (+& x 1))", listing=True,
+                            options={"target": "vax"})
+        assert vax["listing"] == client.compile(
+            "(defun f (x) (+& x 1))", listing=True,
+            options={"target": "vax"})["listing"]
+        assert vax["listing"] != listed["listing"]
+        for response in (first, listed, vax):
+            assert "served_from" not in response
+
+    def test_batch_units_ignore_a_reused_cache_key(self, server_factory):
+        handle = server_factory(jobs=1)
+        client = ServiceClient(handle.server.socket_path)
+
+        def batch_keyed(source, **params):
+            units = [{"label": "u", "source": source,
+                      "cache_key": self.REUSED}]
+            return client.request("batch", units=units,
+                                  **params)["files"][0]
+
+        assert batch_keyed("(defun f (x) (+ x 1))")["defined"] == ["f"]
+        assert batch_keyed("(defun g (y) y)")["defined"] == ["g"]
+        vax = batch_keyed("(defun f (x) (+ x 1))",
+                          options={"target": "vax"})
+        assert vax["defined"] == ["f"]
+        assert "served_from" not in vax
+        assert vax["counters"]["cache_misses"] == 1
+
+    def test_a_hit_reports_only_its_own_work(self, server_factory):
+        handle = server_factory(jobs=1)
+        units = [(f"u{index}.lisp", f"(defun h{index} (x) (+ x {index}))")
+                 for index in range(3)]
+        cold = compile_batch(units, server=handle.server.socket_path)
+        assert cold.counters()["cache_misses"] == 3
+        warm = compile_batch(units, server=handle.server.socket_path)
+        assert warm.error_count == 0
+        for entry in warm.files:
+            assert entry.counters == {"response_cache_hits": 1}
+            assert entry.warnings == []
+            assert entry.seconds <= warm.seconds
 
 
 class TestBackpressure:
@@ -381,7 +466,8 @@ class TestSharedDiskCache:
 
 
 class TestSharedResponseCache:
-    """The daemon's worker threads share one response cache."""
+    """Every worker thread calls the daemon's one service, so they share
+    its batch op's response cache."""
 
     @staticmethod
     def on_fresh_thread(call):
@@ -394,36 +480,37 @@ class TestSharedResponseCache:
         server = ReproServer(CompilerOptions(),
                              socket_path=str(tmp_path / "unused.sock"),
                              jobs=2)
-        source = "(defun inc (x) (+ x 1))"
-        unit = {"label": "inc.lisp", "source": source,
-                "cache_key": request_fingerprint(source, server.options)}
+        unit = {"label": "inc.lisp", "source": "(defun inc (x) (+ x 1))"}
 
         def batch():
-            return server._execute_op("batch", {"units": [unit]})
+            return server.service.handle_op("batch", {"units": [unit]})
 
         first = self.on_fresh_thread(batch)["files"][0]
         second = self.on_fresh_thread(batch)["files"][0]
         assert "served_from" not in first
         assert second["served_from"] == "response-cache"
-        assert second["counters"]["response_cache_hits"] == 1
+        assert second["counters"] == {"response_cache_hits": 1}
         assert second["defined"] == first["defined"] == ["inc"]
 
-    def test_concurrent_stores_and_probes_keep_the_bound(self, tmp_path):
-        server = ReproServer(CompilerOptions(),
-                             socket_path=str(tmp_path / "unused.sock"),
-                             response_cache_size=4)
-        keys = [f"key{index}" for index in range(16)]
+    def test_concurrent_stores_and_probes_keep_the_bound(self):
+        service = CompilerService(cache=CompilationCache(),
+                                  response_cache_size=4)
+        names = [f"k{index}" for index in range(8)]
         errors = []
+        hits = []
 
         def hammer(worker):
             try:
-                for step in range(300):
-                    stored = keys[(worker + step) % len(keys)]
-                    server._remember_response(stored, {"key": stored})
-                    probed = keys[(worker * 7 + step) % len(keys)]
-                    hit = server._cached_response(probed)
-                    if hit is not None and hit["key"] != probed:
-                        errors.append((probed, hit["key"]))
+                for step in range(24):
+                    name = names[(worker + step // 2) % len(names)]
+                    units = [{"label": name,
+                              "source": f"(defun {name} () 0)"}]
+                    entry = service.handle_op(
+                        "batch", {"units": units})["files"][0]
+                    if entry["defined"] != [name]:
+                        errors.append((name, entry["defined"]))
+                    if entry.get("served_from") == "response-cache":
+                        hits.append(name)
             except Exception as err:  # noqa: BLE001
                 errors.append(err)
 
@@ -440,7 +527,8 @@ class TestSharedResponseCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:3]
-        assert len(server._responses) <= 4
+        assert hits
+        assert len(service._responses) <= 4
 
 
 class TestSocketOwnership:
@@ -565,8 +653,6 @@ class TestHttpTransport:
 
 class TestDaemonBackedBatch:
     def test_compile_batch_via_server(self, server_factory, tmp_path):
-        # jobs=1 keeps one worker thread, so the repeat below is
-        # guaranteed to land on the thread whose response cache is warm.
         handle = server_factory(jobs=1, max_queue=32,
                                 cache_dir=str(tmp_path / "store"))
         paths = []
@@ -580,9 +666,8 @@ class TestDaemonBackedBatch:
         assert result.error_count == 0
         assert [f.defined for f in result.files] \
             == [[f"b{index}"] for index in range(4)]
-        # A repeat of the same workload is answered from the daemon's
-        # response cache: the client-computed fingerprint travels with
-        # each request.
+        # A repeat of the same workload is answered from the response
+        # cache of the daemon's batch op.
         again = compile_batch(paths, server=handle.server.socket_path,
                               jobs=1)
         assert again.error_count == 0
@@ -630,6 +715,16 @@ class TestDaemonBackedBatch:
         assert result.files[0].ok
         assert not result.files[1].ok
         assert "missing" in result.files[1].path
+
+    def test_unreachable_daemon_leaves_no_open_socket(self, tmp_path):
+        client = ServiceClient(str(tmp_path / "absent.sock"), timeout=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServiceUnavailable):
+                client.ping()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_unreachable_server_is_per_file_error(self, tmp_path):
         good = tmp_path / "good.lisp"

@@ -61,7 +61,7 @@ MULTI_DEFUN = """(defun first-fn (x)
       0))
 """
 
-TRACING = dict(transcript=True, trace_rewrites=True)
+TRACING = dict(trace_rewrites=True)
 
 
 def _compile_diagnostics(source=MULTI_DEFUN, **options):
@@ -240,7 +240,7 @@ class TestRewriteCapture:
             assert rewrite["after_source"].startswith("(lambda")
 
     def test_off_by_default(self):
-        _, diagnostics = _compile_diagnostics(transcript=True)
+        _, diagnostics = _compile_diagnostics(trace_rewrites=False)
         for rewrite in diagnostics.rewrites:
             assert rewrite["before_source"] is None
             assert rewrite["after_source"] is None
