@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from tests.genprog import corpus  # noqa: E402  (path bootstrap above)
 
-from repro import Compiler, CompilerOptions  # noqa: E402
+from repro import Compiler  # noqa: E402
 from repro.batch import compile_batch  # noqa: E402
 from repro.cache import CompilationCache  # noqa: E402
 
@@ -64,7 +64,7 @@ def _host_cores() -> int:
 def _compile_corpus(cache) -> float:
     started = time.perf_counter()
     for source, _, _ in CORPUS:
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source(source)
     return time.perf_counter() - started
 

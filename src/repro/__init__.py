@@ -18,8 +18,10 @@ Public API highlights:
 * :mod:`repro.target` / :func:`repro.get_target` -- machine descriptions
   (``s1``, ``vax``, ``pdp10``) for retargeting
 * :mod:`repro.machine` -- the simulated S-1 (instruction/allocation counters)
-* :class:`repro.CompilationCache` / ``CompilerOptions(cache=...)`` -- the
-  content-addressed compilation cache (memory LRU + on-disk store)
+* :class:`repro.CompilationCache` / ``Compiler(options, cache=...)`` /
+  ``CompilerService(options, cache=...)`` -- the content-addressed
+  compilation cache (memory LRU + on-disk store); it travels beside the
+  options, never inside them
 * :func:`repro.compile_batch` -- parallel multi-file compilation with
   per-file status reporting (also ``python -m repro batch``); pass
   ``server=`` to ship the work to a warm daemon instead of a local pool
@@ -47,7 +49,7 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 from ._lazy import lazy_attributes
 

@@ -1,9 +1,12 @@
 """The CLI: ``python -m repro [repl|batch|fuzz|serve|client]``.
 
-Every subcommand shares one parent parser (``--cache-dir``, ``--trace``,
-``--metrics``, ``--verify``, ``--target``, ``--tier``, ``--jobs``) and
-drives the compiler through the :class:`repro.api.CompilerService` facade
--- the same object the daemon serves over its wire protocol.
+Each subcommand takes only the flags it honours: the shared ones
+(``--cache-dir``, ``--trace``, ``--metrics``, ``--machine-trace``,
+``--verify``, ``--target``, ``--tier``, ``--timing``, ``--jobs``) have one
+spelling and help text in :func:`shared_flags`, and the machine axes are
+checked against their vocabularies by argparse.  Every subcommand drives
+the compiler through the :class:`repro.api.CompilerService` facade -- the
+same object the daemon serves over its wire protocol.
 
 ``repl`` (the default) is a compile-and-go REPL: each expression is
 compiled through the full Table 1 pipeline and executed on the simulated
@@ -51,7 +54,8 @@ differential check::
     python -m repro fuzz --seed 0 --count 100
     python -m repro fuzz --seed 7 --count 50 --target vax
 
-``--verify`` (any subcommand) turns on the phase-boundary IR sanitizer.
+``--verify`` (repl, batch, serve) turns on the phase-boundary IR sanitizer;
+fuzz always runs it unless given ``--no-verify``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from .errors import ReproError
 from .machine.timing import TIMINGS
 from .options import TIERS, CompilerOptions
 from .reader import read_all, write_to_string
+from .target.machines import TARGETS
 
 if TYPE_CHECKING:
     from .machine.cpu import Machine
@@ -74,63 +79,60 @@ if TYPE_CHECKING:
 #: default invocation).
 SUBCOMMANDS = ("repl", "batch", "fuzz", "serve", "client")
 
+#: The flags several subcommands take, each with one spelling and one help
+#: text; a subcommand takes only those it honours (see shared_flags).
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--cache-dir": dict(
+        default=None, metavar="PATH",
+        help="content-addressed compilation cache directory (shared "
+             "across workers, runs, and the daemon)"),
+    "--trace": dict(
+        default=None, metavar="PATH",
+        help="write a Chrome trace-event JSON on exit (open in Perfetto "
+             "/ chrome://tracing)"),
+    "--metrics": dict(
+        default=None, metavar="PATH",
+        help="write a Prometheus text metrics dump on exit"),
+    "--machine-trace": dict(
+        default=None, metavar="PATH",
+        help="write a Chrome trace of machine execution telemetry on exit "
+             "(run spans, GC pauses, heap occupancy; open in Perfetto)"),
+    "--verify": dict(
+        action="store_true",
+        help="run the phase-boundary IR sanitizer (repro.verify) after "
+             "every compiler phase"),
+    "--jobs": dict(
+        type=int, default=1, metavar="N",
+        help="workers: pool size (batch/serve) or concurrent connections "
+             "(client, batch --server) (default 1)"),
+}
 
-def common_parser(jobs_default: int = 1) -> argparse.ArgumentParser:
-    """The shared parent parser: the flags every subcommand accepts with
-    one spelling and one help text (``parents=[common_parser()]``)."""
+#: The machine axes: flag -> (choices, default, what it selects).
+_AXES = {
+    "--target": (tuple(TARGETS), "s1", "machine description"),
+    "--tier": (TIERS, "simulate", "execution tier"),
+    "--timing": (TIMINGS, "single", "machine timing model"),
+}
+
+
+def shared_flags(*names: str, sweep: bool = False) -> argparse.ArgumentParser:
+    """A parent parser holding just the shared flags *names*.  The axis
+    flags check their value against ``choices``; with *sweep* (fuzz) each
+    one repeats and every value given is swept, elsewhere the last wins."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("common options")
-    group.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="content-addressed compilation cache directory "
-                            "(shared across workers, runs, and the daemon)")
-    group.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace-event JSON on exit "
-                            "(open in Perfetto / chrome://tracing)")
-    group.add_argument("--metrics", default=None, metavar="PATH",
-                       help="write a Prometheus text metrics dump on exit")
-    group.add_argument("--machine-trace", default=None, metavar="PATH",
-                       help="write a Chrome trace of machine execution "
-                            "telemetry on exit (run spans, GC pauses, "
-                            "heap occupancy; open in Perfetto)")
-    group.add_argument("--verify", action="store_true",
-                       help="run the phase-boundary IR sanitizer "
-                            "(repro.verify) after every compiler phase")
-    group.add_argument("--target", action="append", default=None,
-                       metavar="T",
-                       help="machine description: s1, vax, pdp10 "
-                            "(repeatable for fuzz; last wins elsewhere; "
-                            "default s1)")
-    group.add_argument("--tier", action="append", default=None,
-                       metavar="TIER",
-                       help="execution tier: simulate, native "
-                            "(repeatable for fuzz; last wins elsewhere; "
-                            "default simulate)")
-    group.add_argument("--timing", action="append", default=None,
-                       metavar="MODEL",
-                       help="machine timing model: single, pipelined "
-                            "(repeatable for fuzz parity sweeps; last "
-                            "wins elsewhere; default single)")
-    group.add_argument("--jobs", type=int, default=jobs_default,
-                       metavar="N",
-                       help="workers: pool size (batch/serve) or "
-                            "concurrent connections (client) "
-                            f"(default {jobs_default})")
+    for name in names:
+        if name not in _AXES:
+            group.add_argument(name, **_FLAGS[name])
+            continue
+        choices, default, what = _AXES[name]
+        if sweep:
+            group.add_argument(name, action="append", choices=choices,
+                               help=f"{what} to sweep (repeatable)")
+        else:
+            group.add_argument(name, default=default, choices=choices,
+                               help=f"{what} (default {default})")
     return parent
-
-
-def _target_of(args: argparse.Namespace, default: str = "s1") -> str:
-    targets = getattr(args, "target", None)
-    return targets[-1] if targets else default
-
-
-def _tier_of(args: argparse.Namespace, default: str = "simulate") -> str:
-    tiers = getattr(args, "tier", None)
-    return tiers[-1] if tiers else default
-
-
-def _timing_of(args: argparse.Namespace, default: str = "single") -> str:
-    timings = getattr(args, "timing", None)
-    return timings[-1] if timings else default
 
 
 class Repl:
@@ -343,7 +345,8 @@ def batch_main(argv) -> int:
     """``python -m repro batch FILE... [--jobs N] [--cache-dir PATH]``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro batch",
-        parents=[common_parser()],
+        parents=[shared_flags("--cache-dir", "--trace", "--metrics",
+                              "--verify", "--target", "--jobs")],
         description="Compile many source files across a worker pool -- or "
                     "a running daemon (--server) -- with an optional "
                     "shared content-addressed compilation cache.")
@@ -353,7 +356,8 @@ def batch_main(argv) -> int:
                         help="ship work to a running daemon at this "
                              "address (unix socket path or "
                              "http://host:port) instead of spawning a "
-                             "local pool")
+                             "local pool; the daemon's own cache and "
+                             "verification settings apply")
     parser.add_argument("--prelude", action="store_true",
                         help="load the bundled standard library into every "
                              "worker compiler first")
@@ -363,10 +367,18 @@ def batch_main(argv) -> int:
                         help="capture whole-function before/after source "
                              "per optimizer rewrite (slower)")
     args = parser.parse_args(argv)
+    if args.server is not None:
+        # Only semantic options travel to a daemon, and no compile spans
+        # come back: these flags would do nothing.
+        local = [flag for flag, value in (
+            ("--cache-dir", args.cache_dir), ("--verify", args.verify),
+            ("--trace-rewrites", args.trace_rewrites),
+            ("--trace", args.trace), ("--metrics", args.metrics)) if value]
+        if local:
+            parser.error(f"{', '.join(local)} cannot be used with --server "
+                         f"(the daemon compiles with its own settings)")
 
-    options = CompilerOptions(target=_target_of(args),
-                              tier=_tier_of(args),
-                              timing=_timing_of(args),
+    options = CompilerOptions(target=args.target,
                               trace_rewrites=args.trace_rewrites,
                               verify_ir=args.verify)
     service = CompilerService(options=options)
@@ -391,16 +403,6 @@ def batch_main(argv) -> int:
         write_metrics(args.metrics,
                       [f.diagnostics for f in result.files
                        if f.diagnostics is not None])
-    if args.machine_trace:
-        # Batch only compiles -- the execution track is empty, but the
-        # file is still a valid trace so tooling can treat the flag
-        # uniformly across subcommands.
-        from .telemetry import MachineTelemetry
-        from .trace import write_machine_trace
-
-        write_machine_trace(args.machine_trace, MachineTelemetry())
-        print(f"machine trace: wrote {args.machine_trace} (batch executes "
-              f"nothing; execution track is empty)")
     return 0 if result.error_count == 0 else 1
 
 
@@ -410,10 +412,14 @@ def fuzz_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
-        parents=[common_parser()],
+        parents=[shared_flags("--target", "--tier", "--timing",
+                              "--machine-trace", sweep=True)],
         description="Drive the seeded program generator through "
                     "verify-enabled compilation plus an "
-                    "interpreter==compiled differential check.")
+                    "interpreter==compiled differential check over every "
+                    "target, both tiers and the single timing model "
+                    "unless --target/--tier/--timing narrow or widen the "
+                    "sweep.")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="base seed; program i uses seed N+i "
                              "(default 0)")
@@ -433,22 +439,9 @@ def fuzz_main(argv) -> int:
                              "on and assert cycle conservation per run "
                              "(implied by --machine-trace)")
     args = parser.parse_args(argv)
-
     targets = tuple(args.target or ALL_TARGETS)
-    unknown = [t for t in targets if t not in ALL_TARGETS]
-    if unknown:
-        parser.error(f"unknown target(s): {', '.join(unknown)} "
-                     f"(choose from {', '.join(ALL_TARGETS)})")
     tiers = tuple(args.tier or TIERS)
-    unknown = [t for t in tiers if t not in TIERS]
-    if unknown:
-        parser.error(f"unknown tier(s): {', '.join(unknown)} "
-                     f"(choose from {', '.join(TIERS)})")
     timings = tuple(args.timing or ("single",))
-    unknown = [m for m in timings if m not in TIMINGS]
-    if unknown:
-        parser.error(f"unknown timing model(s): {', '.join(unknown)} "
-                     f"(choose from {', '.join(TIMINGS)})")
 
     options = CompilerOptions(enable_cse=args.cse,
                               enable_peephole=args.peephole)
@@ -475,11 +468,12 @@ def serve_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        parents=[common_parser()],
+        parents=[shared_flags("--cache-dir", "--verify", "--target",
+                              "--jobs")],
         description="Start the long-lived compile daemon: unix-socket "
                     "JSON lines and/or HTTP (POST / for the api, GET "
-                    "/metrics for Prometheus).  Warm per-worker caches "
-                    "over the shared --cache-dir store; bounded queue "
+                    "/metrics for Prometheus).  One warm cache over the "
+                    "--cache-dir store for every worker; bounded queue "
                     "with busy responses past --max-queue; graceful "
                     "drain on SIGTERM/SIGINT or a shutdown op.")
     parser.add_argument("--socket", default=None, metavar="PATH",
@@ -513,10 +507,7 @@ def serve_main(argv) -> int:
     if socket_path is None and http_addr is None:
         socket_path = ".repro.sock"
 
-    options = CompilerOptions(target=_target_of(args),
-                              tier=_tier_of(args),
-                              timing=_timing_of(args),
-                              verify_ir=args.verify)
+    options = CompilerOptions(target=args.target, verify_ir=args.verify)
     extra = {}
     if args.max_request_bytes is not None:
         extra["max_request_bytes"] = args.max_request_bytes
@@ -531,10 +522,83 @@ def serve_main(argv) -> int:
     return server.run()
 
 
+def client_main(argv) -> int:
+    """``python -m repro client``: poke a running daemon.
+
+    With FILEs: daemon-backed batch compile (``--jobs`` concurrent
+    connections).  Without: ``--ping`` / ``--stats`` / ``--shutdown``."""
+    import json
+    import os
+
+    from .client import ServiceClient, ServiceError, ServiceUnavailable
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro client",
+        parents=[shared_flags("--target", "--jobs")],
+        description="Talk to a running compile daemon (python -m repro "
+                    "serve) over its unix socket or HTTP address.")
+    parser.add_argument("files", nargs="*", metavar="FILE",
+                        help="Lisp source files to compile on the daemon")
+    parser.add_argument("--server", default=None, metavar="ADDR",
+                        help="daemon address: unix socket path or "
+                             "http://host:port (default: "
+                             "$REPRO_SERVER or .repro.sock)")
+    parser.add_argument("--ping", action="store_true",
+                        help="check the daemon is alive")
+    parser.add_argument("--stats", action="store_true",
+                        help="print the daemon's stats JSON")
+    parser.add_argument("--shutdown", action="store_true",
+                        help="ask the daemon to drain and exit")
+    parser.add_argument("--prelude", action="store_true",
+                        help="load the bundled standard library before "
+                             "each file")
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        help="also write the batch report as JSON")
+    args = parser.parse_args(argv)
+    if not (args.ping or args.stats or args.files or args.shutdown):
+        parser.error("nothing to do: give FILEs or one of "
+                     "--ping/--stats/--shutdown")
+
+    address = args.server or os.environ.get("REPRO_SERVER", ".repro.sock")
+    client = ServiceClient(address)
+    try:
+        if args.ping:
+            response = client.ping()
+            print(f"pong from pid {response.get('pid')} "
+                  f"(repro {response.get('version')}, api v"
+                  f"{response.get('api')})")
+        if args.stats:
+            print(json.dumps(client.stats(), indent=2, default=str))
+        if args.files:
+            from .batch import compile_batch
+
+            result = compile_batch(
+                args.files, options=CompilerOptions(target=args.target),
+                jobs=args.jobs, server=address, load_prelude=args.prelude)
+            print(result.report())
+            if args.json:
+                with open(args.json, "w", encoding="utf-8") as handle:
+                    json.dump(result.to_json(), handle, indent=2)
+            if result.error_count:
+                return 1
+        if args.shutdown:
+            client.shutdown()
+            print("daemon draining")
+    except ServiceUnavailable as err:
+        print(f"error: {err}")
+        return 2
+    except ServiceError as err:
+        print(f"error [{err.code}]: {err}")
+        return 1
+    return 0
+
+
 def repl_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        parents=[common_parser()],
+        parents=[shared_flags("--cache-dir", "--trace", "--metrics",
+                              "--machine-trace", "--verify", "--target",
+                              "--tier", "--timing")],
         description="Compile-and-go REPL for the S-1 Lisp compiler "
                     "reproduction.  (See also: python -m repro batch / "
                     "fuzz / serve / client, each with --help.)")
@@ -546,12 +610,10 @@ def repl_main(argv) -> int:
 
     print("repro: the S-1 Lisp compiler reproduction "
           "(:quit to leave, :prelude for the library)")
-    repl = Repl(CompilerOptions(trace_rewrites=True,
-                                verify_ir=args.verify,
-                                target=_target_of(args),
-                                tier=_tier_of(args),
-                                timing=_timing_of(args),
-                                cache=args.cache_dir))
+    options = CompilerOptions(trace_rewrites=True, verify_ir=args.verify,
+                              target=args.target, tier=args.tier,
+                              timing=args.timing)
+    repl = Repl(service=CompilerService(options, cache=args.cache_dir))
     try:
         while True:
             try:
@@ -585,9 +647,7 @@ def main(argv=None) -> int:
     if name == "serve":
         return serve_main(rest)
     if name == "client":
-        from .client import client_main
-
-        return client_main(rest, parents=[common_parser()])
+        return client_main(rest)
     return repl_main(rest)
 
 

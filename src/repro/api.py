@@ -11,7 +11,9 @@ exposes:
   that cache, keeps one persistent *session* compiler for REPL-style use,
   and answers the four wire operations (``compile`` / ``batch`` / ``ping``
   / ``stats``) both as Python calls and as JSON request handlers.  Its
-  ``batch`` op carries the response cache, keyed by the service itself.
+  ``batch`` op carries the response cache, keyed by the service itself,
+  and builds each unit's record with :func:`repro.batch.compile_unit`,
+  exactly as a local batch does.
 * The **versioned wire schema** (:data:`API_VERSION`): every request is a
   JSON object ``{"api": 1, "op": ..., ...}``; :func:`check_request`
   validates the envelope and rejects unknown versions/ops with a
@@ -42,6 +44,7 @@ not notice.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -50,7 +53,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
 from . import __version__ as _VERSION
-from .cache import CompilationCache, as_cache, options_fingerprint
+from .cache import CompilationCache, options_fingerprint
 from .errors import ReproError
 from .options import (
     NON_SEMANTIC_OPTION_FIELDS,
@@ -121,9 +124,10 @@ def error_response(error: Union[ApiError, Exception],
 
 
 def ok_response(op: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
-    response: Dict[str, Any] = {"api": API_VERSION, "ok": True, "op": op}
-    response.update(payload)
-    return response
+    """The success envelope.  Its fields win over a payload field of the
+    same name: the batch op's ``ok`` count (0 when every unit failed)
+    must not turn a successful request into a failed one."""
+    return {**payload, "api": API_VERSION, "ok": True, "op": op}
 
 
 def check_request(request: Any) -> Tuple[str, Dict[str, Any]]:
@@ -172,9 +176,9 @@ def options_from_wire(base: CompilerOptions,
     """Apply a wire ``options`` object on top of *base*.
 
     Only declared-semantic fields may be overridden: a non-semantic field
-    (``verify_ir``, ``cache``, ``trace_rewrites``) is server policy, and an
-    unknown field is a schema violation -- both raise :class:`ApiError`
-    (code ``bad-options``)."""
+    (``verify_ir``, ``trace_rewrites``, ``tier``, ``timing``) is server
+    policy, and an unknown field is a schema violation -- both raise
+    :class:`ApiError` (code ``bad-options``)."""
     if overrides is None:
         return base
     if not isinstance(overrides, Mapping):
@@ -232,7 +236,9 @@ class CompilerService:
     """The one object every driver drives.
 
     It pairs a (defaulted) :class:`CompilerOptions` with a compilation
-    cache and exposes the four wire operations as Python methods.  Each
+    cache -- *cache* is None (no cache), a directory path (a memory LRU
+    over an on-disk store there) or a :class:`CompilationCache` to share
+    -- and exposes the four wire operations as Python methods.  Each
     ``compile`` runs on a *fresh* compiler bound to the shared cache, so
     requests cannot leak proclaimed specials or globals into each other;
     :meth:`session` returns the one persistent compiler for REPL-style
@@ -252,8 +258,12 @@ class CompilerService:
                  on_diagnostics: Optional[
                      Callable[[Dict[str, Any]], None]] = None):
         self.options = options or CompilerOptions()
-        spec = cache if cache is not None else self.options.cache
-        self.cache: Optional[CompilationCache] = as_cache(spec)
+        if isinstance(cache, (str, os.PathLike)):
+            cache = CompilationCache(directory=cache)
+        elif cache is not None and not isinstance(cache, CompilationCache):
+            raise TypeError(f"cache must be None, a path, or a "
+                            f"CompilationCache, not {type(cache).__name__}")
+        self.cache: Optional[CompilationCache] = cache
         self.response_cache_size = max(0, int(response_cache_size))
         self._on_diagnostics = on_diagnostics
         self._session: Optional[Compiler] = None
@@ -267,19 +277,13 @@ class CompilerService:
 
     # -- compiler plumbing -------------------------------------------------
 
-    def _options_with_cache(self, options: CompilerOptions
-                            ) -> CompilerOptions:
-        if self.cache is None:
-            return options
-        return replace(options, cache=self.cache)
-
     def compiler(self, options: Optional[CompilerOptions] = None) -> Compiler:
         """A fresh compiler bound to the service cache (one per request).
         The pipeline is imported here, not with the module, so a client or
         a ``batch --server`` run never loads it."""
         from .compiler import Compiler
 
-        return Compiler(self._options_with_cache(options or self.options))
+        return Compiler(options or self.options, cache=self.cache)
 
     def session(self) -> Compiler:
         """The persistent compiler (REPL sessions accumulate definitions,
@@ -318,27 +322,32 @@ class CompilerService:
         if load_prelude:
             compiler.load_prelude()
         compiled = compiler.compile(source, name=name, expression=expression)
-        seconds = time.perf_counter() - started
-        with self._lock:
-            self._compile_seconds += seconds
-            self._prelude_warm = self._prelude_warm or load_prelude
-        diagnostics = compiler.last_diagnostics
         result = ServiceResult(
             defined=[str(n) for n in compiled.defined],
-            seconds=seconds)
+            seconds=time.perf_counter() - started)
+        diagnostics = compiler.last_diagnostics
+        data = None
         if diagnostics is not None:
             result.counters = dict(diagnostics.counters)
             result.warnings = [m.render() for m in diagnostics.warnings]
-            report = self._on_diagnostics
-            if want_diagnostics or report is not None:
+            if want_diagnostics or self._on_diagnostics is not None:
                 data = diagnostics.to_json()
-                if report is not None:
-                    report(data)
                 if want_diagnostics:
                     result.diagnostics = data
+        self._finished(result.seconds, load_prelude, data)
         if want_listing:
             result.listing = compiled.listing()
         return result
+
+    def _finished(self, seconds: float, load_prelude: bool,
+                  diagnostics: Optional[Dict[str, Any]]) -> None:
+        """Book one successful compile: the stats totals, and its
+        diagnostics for the *on_diagnostics* hook."""
+        with self._lock:
+            self._compile_seconds += seconds
+            self._prelude_warm = self._prelude_warm or load_prelude
+        if diagnostics is not None and self._on_diagnostics is not None:
+            self._on_diagnostics(diagnostics)
 
     def batch(self, items: Sequence[Any], *, jobs: int = 1,
               cache_dir: Optional[str] = None,
@@ -360,7 +369,7 @@ class CompilerService:
 
     def ping(self) -> Dict[str, Any]:
         self._bump("ping")
-        return {"pong": True, "version": _VERSION, "pid": _pid()}
+        return {"pong": True, "version": _VERSION, "pid": os.getpid()}
 
     def stats(self) -> Dict[str, Any]:
         self._bump("stats")
@@ -417,6 +426,8 @@ class CompilerService:
         # module but hashes nothing.
         import hashlib
 
+        from .batch import BatchFileResult, compile_unit
+
         units = params.get("units")
         if not isinstance(units, (list, tuple)) or not units:
             raise ApiError("bad-request",
@@ -442,22 +453,22 @@ class CompilerService:
             defined = self._cached_response(key)
             if defined is not None:
                 # Nothing compiled: report only this lookup's work.
-                files.append({"path": label, "status": "ok",
-                              "defined": defined,
-                              "seconds": time.perf_counter() - started,
-                              "counters": {"response_cache_hits": 1},
-                              "warnings": [],
-                              "served_from": "response-cache"})
-                continue
-            try:
-                result = self.compile(source, options=options,
-                                      load_prelude=prelude)
-            except ReproError as err:
-                files.append({"path": label, "status": "error",
-                              "error": f"{type(err).__name__}: {err}"})
-                continue
-            self._remember_response(key, result.defined)
-            files.append({"path": label, "status": "ok", **result.to_json()})
+                record = BatchFileResult(
+                    label, "ok", defined,
+                    seconds=time.perf_counter() - started,
+                    counters={"response_cache_hits": 1},
+                    served_from="response-cache")
+            else:
+                self._bump("compile")
+                record = compile_unit(
+                    self.compiler(options), label, source,
+                    load_prelude=prelude,
+                    want_diagnostics=self._on_diagnostics is not None)
+                if record.ok:
+                    self._finished(record.seconds, prelude,
+                                   record.diagnostics)
+                    self._remember_response(key, record.defined)
+            files.append(record.to_wire())
         ok = sum(1 for f in files if f["status"] == "ok")
         return {"files": files, "ok": ok, "errors": len(files) - ok}
 
@@ -476,12 +487,6 @@ class CompilerService:
             self._responses[key] = tuple(defined)
             while len(self._responses) > self.response_cache_size:
                 self._responses.popitem(last=False)
-
-
-def _pid() -> int:
-    import os
-
-    return os.getpid()
 
 
 def connect(address: str, timeout: float = 30.0):

@@ -6,7 +6,8 @@ own :class:`repro.Compiler` instance (workers share nothing but the
 content-addressed cache directory, so compilation order cannot change any
 result), results are merged back in input order regardless of completion
 order, and a failing file is reported as a per-file error instead of
-killing the batch.
+killing the batch.  :func:`compile_unit` builds that per-unit record in
+every mode, a daemon's ``batch`` op included.
 
 Process pools are the default for ``jobs > 1`` (compilation is CPU-bound
 Python); when the platform cannot provide one (restricted sandboxes), the
@@ -22,25 +23,18 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .cache import CompilationCache
 from .options import CompilerOptions
 
+if TYPE_CHECKING:
+    from .compiler import Compiler
+
 #: One work unit: a filesystem path, or an explicit (label, source) pair.
 BatchItem = Union[str, "os.PathLike[str]", Tuple[str, str]]
-
-#: Option fields that cannot (or must not) cross a process boundary.
-_UNPICKLABLE_OPTION_FIELDS = ("cache",)
-
-
-def _options_spec(options: CompilerOptions) -> Dict[str, Any]:
-    """CompilerOptions as a picklable field dict (the cache handle is
-    re-attached worker-side)."""
-    return {f.name: getattr(options, f.name)
-            for f in dataclass_fields(options)
-            if f.name not in _UNPICKLABLE_OPTION_FIELDS}
 
 
 # One cache object per (process, cache directory): the memory LRU layer is
@@ -60,7 +54,10 @@ def _worker_cache(cache_dir: Optional[str]) -> Optional[CompilationCache]:
 
 @dataclass
 class BatchFileResult:
-    """Per-file outcome, merged into :class:`BatchResult` in input order."""
+    """One unit's outcome record: the one shape every batch mode returns
+    (:func:`compile_unit` builds it inline, on a pool worker and inside a
+    daemon's ``batch`` op), merged into :class:`BatchResult` in input
+    order."""
 
     path: str
     status: str                     # "ok" | "error"
@@ -71,28 +68,46 @@ class BatchFileResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: Warnings raised during the compile (cache corruption notes etc.).
     warnings: List[str] = field(default_factory=list)
+    #: "response-cache" when a daemon answered a repeated unit without
+    #: compiling it; None when the unit was compiled.
+    served_from: Optional[str] = None
     #: Worker process id (all equal under jobs=1; several under a pool).
     pid: int = 0
     #: Full ``Diagnostics.to_json()`` of this file's compile (phase spans,
     #: rewrites, counters) -- the trace exporter's per-worker track data.
     diagnostics: Optional[Dict[str, Any]] = None
 
+    @classmethod
+    def failure(cls, path: str, err: BaseException,
+                seconds: float = 0.0) -> "BatchFileResult":
+        return cls(path, "error", seconds=seconds,
+                   error=f"{type(err).__name__}: {err}")
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "status": self.status,
-            "defined": list(self.defined),
-            "seconds": self.seconds,
-            "error": self.error,
-            "counters": dict(self.counters),
-            "warnings": list(self.warnings),
-            "pid": self.pid,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The record as a daemon's batch op answers it (``served_from``
+        only on a response-cache answer)."""
+        entry = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        if self.served_from is None:
+            del entry["served_from"]
+        return entry
+
+    @classmethod
+    def from_wire(cls, entry: Dict[str, Any]) -> "BatchFileResult":
+        return cls(**{name: entry[name] for name in _WIRE_FIELDS
+                      if name in entry})
+
+
+#: The record's fields a daemon sends back; the worker pid and the full
+#: diagnostics stay server-side.
+_WIRE_FIELDS = ("path", "status", "defined", "seconds", "error",
+                "counters", "warnings", "served_from")
 
 
 @dataclass
@@ -157,10 +172,11 @@ class BatchResult:
             if result.ok:
                 detail = f"{len(result.defined)} definition(s)"
                 hits = result.counters.get("cache_hits", 0)
-                if result.counters:
-                    detail += (f", cache {hits}/"
-                               f"{hits + result.counters.get('cache_misses', 0)}"
-                               f" hit")
+                probes = hits + result.counters.get("cache_misses", 0)
+                if probes:
+                    detail += f", cache {hits}/{probes} hit"
+                elif result.served_from == "response-cache":
+                    detail += ", response cache"
             else:
                 detail = result.error or "unknown error"
             lines.append(f"  {'ok ' if result.ok else 'ERR'} "
@@ -173,57 +189,58 @@ class BatchResult:
         return "\n".join(lines)
 
 
-def _item_label(item: BatchItem) -> str:
-    if isinstance(item, tuple):
-        return item[0]
-    return os.fspath(item)
+def compile_unit(compiler: "Compiler", label: str,
+                 source: Optional[str] = None, *,
+                 load_prelude: bool = False,
+                 want_diagnostics: bool = False) -> BatchFileResult:
+    """Compile one batch unit on a fresh *compiler* and return its record.
 
-
-def _compile_one(spec: Dict[str, Any], cache_dir: Optional[str],
-                 label: str, source: Optional[str],
-                 load_prelude: bool,
-                 want_diagnostics: bool = True) -> Dict[str, Any]:
-    """Worker entry: compile one unit with a fresh Compiler.  Returns a
-    plain dict (picklable across the pool boundary)."""
-    from .compiler import Compiler
-
+    Every batch mode calls this: the inline loop, each pool worker and a
+    daemon's ``batch`` op.  *source* None reads the file *label*.  A unit
+    that raises anything (a reader error, a missing file, a RecursionError
+    from pathological nesting) is that unit's error, never the batch's."""
     started = time.perf_counter()
-    result: Dict[str, Any] = {
-        "path": label, "status": "ok", "defined": [], "error": None,
-        "counters": {}, "warnings": [], "pid": os.getpid(),
-        "diagnostics": None,
-    }
-    compiler: Optional[Compiler] = None
     try:
         if source is None:
             with open(label, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        options = CompilerOptions(**spec, cache=_worker_cache(cache_dir))
-        compiler = Compiler(options)
         if load_prelude:
             compiler.load_prelude()
         compiled = compiler.compile(source)
-        result["defined"] = [str(name) for name in compiled.defined]
-    except Exception as err:  # noqa: BLE001 - per-file status, never die
-        result["status"] = "error"
-        result["error"] = f"{type(err).__name__}: {err}"
-    # Harvest diagnostics for ok AND errored files alike: a compile that
+        record = BatchFileResult(
+            label, "ok", [str(name) for name in compiled.defined])
+    except Exception as err:  # noqa: BLE001 - per-unit status, never die
+        record = BatchFileResult.failure(label, err)
+    # Harvest diagnostics for ok AND errored units alike: a compile that
     # died in codegen still probed the cache and raised warnings, and
     # those counters must survive the merge.
-    diagnostics = compiler.last_diagnostics if compiler is not None else None
+    diagnostics = compiler.last_diagnostics
     if diagnostics is not None:
-        result["counters"] = dict(diagnostics.counters)
-        result["warnings"] = [message.render()
-                              for message in diagnostics.warnings]
+        record.counters = dict(diagnostics.counters)
+        record.warnings = [message.render()
+                           for message in diagnostics.warnings]
         # Full diagnostics JSON (phase spans, rewrites) can dwarf the
         # actual outcome; when nothing downstream wants it (no trace/
         # metrics export), keep the cross-process payload lean --
-        # compiled artifacts already live in the shared disk cache, so
+        # compiled artifacts already live in the shared cache, so
         # nothing heavy needs to cross the pool boundary at all.
         if want_diagnostics:
-            result["diagnostics"] = diagnostics.to_json()
-    result["seconds"] = time.perf_counter() - started
-    return result
+            record.diagnostics = diagnostics.to_json()
+    record.pid = os.getpid()
+    record.seconds = time.perf_counter() - started
+    return record
+
+
+def _compile_one(options: CompilerOptions, cache_dir: Optional[str],
+                 label: str, source: Optional[str], load_prelude: bool,
+                 want_diagnostics: bool) -> BatchFileResult:
+    """Worker entry: one unit on a fresh Compiler over this process's
+    cache for *cache_dir* (options and record both pickle whole)."""
+    from .compiler import Compiler
+
+    return compile_unit(Compiler(options, cache=_worker_cache(cache_dir)),
+                        label, source, load_prelude=load_prelude,
+                        want_diagnostics=want_diagnostics)
 
 
 def compile_batch(items: Sequence[BatchItem], *,
@@ -237,31 +254,22 @@ def compile_batch(items: Sequence[BatchItem], *,
     per-file outcomes deterministically (input order).
 
     *jobs* > 1 runs a process pool with per-worker Compiler instances;
-    *cache_dir* (or ``options.cache``) shares one content-addressed store
-    across workers and across runs.  *server* (a daemon address: unix
-    socket path or ``http://host:port``) skips local pools entirely and
-    ships each unit's source to a warm ``repro serve`` daemon over *jobs*
-    concurrent connections -- compiled artifacts stay in the daemon's
-    shared cache, a repeated unit is answered from its response cache,
-    and only names and counters come back.
+    *cache_dir* shares one content-addressed store across workers and
+    across runs.  *server* (a daemon address: unix socket path or
+    ``http://host:port``) skips local pools entirely and ships each
+    unit's source to a warm ``repro serve`` daemon over *jobs* concurrent
+    connections -- the daemon compiles with its own cache and
+    verification settings, a repeated unit is answered from its response
+    cache, and only names and counters come back.
     *want_diagnostics=False* drops the per-file diagnostics JSON from the
     results (counters and warnings are always kept), keeping the
     cross-process payload lean when no trace/metrics export needs it."""
     options = options or CompilerOptions()
-    spec = _options_spec(options)
-    if cache_dir is None and options.cache is not None:
-        if isinstance(options.cache, CompilationCache):
-            cache_dir = options.cache.directory
-        else:
-            cache_dir = os.fspath(options.cache)
     cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
 
-    units: List[Tuple[str, Optional[str]]] = []
-    for item in items:
-        if isinstance(item, tuple):
-            units.append((item[0], item[1]))
-        else:
-            units.append((os.fspath(item), None))
+    units: List[Tuple[str, Optional[str]]] = [
+        item if isinstance(item, tuple) else (os.fspath(item), None)
+        for item in items]
 
     started = time.perf_counter()
     jobs = max(1, int(jobs))
@@ -269,45 +277,32 @@ def compile_batch(items: Sequence[BatchItem], *,
     if server is not None:
         from .client import compile_units_via_server
 
-        raw_results = compile_units_via_server(
+        files = compile_units_via_server(
             units, server, options=options, jobs=jobs,
             load_prelude=load_prelude)
-        files = [BatchFileResult(**entry) for entry in raw_results]
         return BatchResult(files=files, jobs=jobs,
                            seconds=time.perf_counter() - started,
                            executor="server", cache_dir=cache_dir)
 
     executor_kind = "inline"
-    raw: List[Optional[Dict[str, Any]]] = [None] * len(units)
+    files: List[BatchFileResult] = []
 
     if jobs == 1 or len(units) <= 1:
-        for index, (label, source) in enumerate(units):
-            raw[index] = _compile_one(spec, cache_dir, label, source,
-                                      load_prelude, want_diagnostics)
+        files = [_compile_one(options, cache_dir, label, source,
+                              load_prelude, want_diagnostics)
+                 for label, source in units]
     else:
-        import concurrent.futures
-
         executor_kind, pool = _make_pool(jobs)
         with pool:
-            futures = {
-                pool.submit(_compile_one, spec, cache_dir, label, source,
-                            load_prelude, want_diagnostics): index
-                for index, (label, source) in enumerate(units)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
+            futures = [pool.submit(_compile_one, options, cache_dir, label,
+                                   source, load_prelude, want_diagnostics)
+                       for label, source in units]
+            for (label, _), future in zip(units, futures):
                 try:
-                    raw[index] = future.result()
+                    files.append(future.result())
                 except Exception as err:  # worker died (pool breakage, ...)
-                    raw[index] = {
-                        "path": units[index][0], "status": "error",
-                        "defined": [], "seconds": 0.0,
-                        "error": f"{type(err).__name__}: {err}",
-                        "counters": {}, "warnings": [], "pid": 0,
-                        "diagnostics": None,
-                    }
+                    files.append(BatchFileResult.failure(label, err))
 
-    files = [BatchFileResult(**entry) for entry in raw if entry is not None]
     return BatchResult(files=files, jobs=jobs,
                        seconds=time.perf_counter() - started,
                        executor=executor_kind, cache_dir=cache_dir)

@@ -137,16 +137,6 @@ class CacheStats:
     #: still returned, the entry just is not persisted.
     store_errors: int = 0
 
-    def as_counters(self, prefix: str = "cache") -> Dict[str, int]:
-        return {
-            f"{prefix}_hits": self.hits,
-            f"{prefix}_misses": self.misses,
-            f"{prefix}_stores": self.stores,
-            f"{prefix}_evictions": self.evictions,
-            f"{prefix}_corrupt": self.corrupt,
-            f"{prefix}_store_errors": self.store_errors,
-        }
-
     def to_json(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
@@ -367,19 +357,3 @@ class CompilationCache:
                          if self.disk is not None else None),
             }
 
-
-def as_cache(spec: Any) -> Optional[CompilationCache]:
-    """Coerce the ``CompilerOptions.cache`` field into a cache object.
-
-    ``None`` stays None (caching off); a :class:`CompilationCache` is used
-    as-is (and may be shared between compilers); a string / path becomes a
-    memory+disk cache rooted there."""
-    if spec is None:
-        return None
-    if isinstance(spec, CompilationCache):
-        return spec
-    if isinstance(spec, (str, os.PathLike)):
-        return CompilationCache(directory=spec)
-    raise TypeError(
-        f"CompilerOptions.cache must be None, a path, or a "
-        f"CompilationCache, not {type(spec).__name__}")

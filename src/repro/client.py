@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import os
 import socket
 import time
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .api import API_VERSION, options_to_wire
+from .batch import BatchFileResult
 from .errors import ReproError
 from .options import CompilerOptions
 
@@ -234,7 +234,7 @@ def compile_units_via_server(
         jobs: int = 1,
         load_prelude: bool = False,
         timeout: float = 120.0,
-        units_per_request: Optional[int] = None) -> List[Dict[str, Any]]:
+        units_per_request: Optional[int] = None) -> List[BatchFileResult]:
     """The daemon-backed batch engine: ship every ``(label, source)`` unit
     (source read from *label* when None) to the warm server, results in
     input order.
@@ -242,8 +242,8 @@ def compile_units_via_server(
     Units travel in chunks (batch wire ops, a handful of round trips
     instead of one per file) over *jobs* concurrent connections; a warm
     daemon answers repeats straight from the response cache of its batch
-    op, which it keys itself.  Returns one ``BatchFileResult``-shaped dict
-    per unit."""
+    op, which it keys itself.  Returns one record per unit, the same
+    :class:`repro.batch.BatchFileResult` a local batch builds."""
     options = options or CompilerOptions()
     client = ServiceClient(server, timeout=timeout)
     # The daemon compiles with ITS defaults unless the request pins the
@@ -252,15 +252,7 @@ def compile_units_via_server(
     # would silently compile for the wrong machine.
     wire_options = options_to_wire(options)
 
-    def error_entry(label: str, err: Exception,
-                    seconds: float = 0.0) -> Dict[str, Any]:
-        return {"path": label, "status": "error", "defined": [],
-                "seconds": seconds,
-                "error": f"{type(err).__name__}: {err}",
-                "counters": {}, "warnings": [], "pid": 0,
-                "diagnostics": None}
-
-    results: List[Optional[Dict[str, Any]]] = [None] * len(units)
+    results: List[Optional[BatchFileResult]] = [None] * len(units)
     ready: List[Tuple[int, str, str]] = []
     for index, (label, source) in enumerate(units):
         if source is None:
@@ -268,7 +260,7 @@ def compile_units_via_server(
                 with open(label, "r", encoding="utf-8") as handle:
                     source = handle.read()
             except OSError as err:
-                results[index] = error_entry(label, err)
+                results[index] = BatchFileResult.failure(label, err)
                 continue
         ready.append((index, label, source))
 
@@ -293,28 +285,17 @@ def compile_units_via_server(
         except (ReproError, OSError) as err:
             seconds = (time.perf_counter() - started) / len(chunk)
             for index, label, _ in chunk:
-                results[index] = error_entry(label, err, seconds)
+                results[index] = BatchFileResult.failure(label, err, seconds)
             return
         files = response.get("files", [])
         for position, (index, label, _) in enumerate(chunk):
-            if position >= len(files):
-                results[index] = error_entry(
+            if position < len(files):
+                results[index] = BatchFileResult.from_wire(files[position])
+            else:
+                results[index] = BatchFileResult.failure(
                     label, ServiceError("short-response",
                                         "server returned no result for "
                                         "this unit"))
-                continue
-            entry = files[position]
-            results[index] = {
-                "path": label,
-                "status": entry.get("status", "error"),
-                "defined": list(entry.get("defined", [])),
-                "seconds": float(entry.get("seconds", 0.0)),
-                "error": entry.get("error"),
-                "counters": dict(entry.get("counters", {})),
-                "warnings": list(entry.get("warnings", [])),
-                "pid": 0,
-                "diagnostics": None,
-            }
 
     if jobs == 1 or len(chunks) <= 1:
         for chunk in chunks:
@@ -326,76 +307,3 @@ def compile_units_via_server(
                            for chunk in chunks]:
                 future.result()
     return [entry for entry in results if entry is not None]
-
-
-def client_main(argv: Sequence[str], parents=()) -> int:
-    """``python -m repro client``: poke a running daemon.
-
-    With FILEs: daemon-backed batch compile (one request per file,
-    ``--jobs`` concurrent connections).  Without: ``--ping`` / ``--stats``
-    / ``--shutdown``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro client",
-        parents=list(parents),
-        description="Talk to a running compile daemon (python -m repro "
-                    "serve) over its unix socket or HTTP address.")
-    parser.add_argument("files", nargs="*", metavar="FILE",
-                        help="Lisp source files to compile on the daemon")
-    parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="daemon address: unix socket path or "
-                             "http://host:port (default: "
-                             "$REPRO_SERVER or .repro.sock)")
-    parser.add_argument("--ping", action="store_true",
-                        help="check the daemon is alive")
-    parser.add_argument("--stats", action="store_true",
-                        help="print the daemon's stats JSON")
-    parser.add_argument("--shutdown", action="store_true",
-                        help="ask the daemon to drain and exit")
-    parser.add_argument("--prelude", action="store_true",
-                        help="load the bundled standard library before "
-                             "each file")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the batch report as JSON")
-    args = parser.parse_args(list(argv))
-
-    address = args.server or os.environ.get("REPRO_SERVER", ".repro.sock")
-    client = ServiceClient(address)
-    try:
-        if args.ping:
-            response = client.ping()
-            print(f"pong from pid {response.get('pid')} "
-                  f"(repro {response.get('version')}, api v"
-                  f"{response.get('api')})")
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, default=str))
-        if args.files:
-            from .batch import compile_batch
-
-            options = CompilerOptions(
-                target=(args.target[-1] if getattr(args, "target", None)
-                        else "s1"))
-            result = compile_batch(
-                args.files, options=options,
-                jobs=getattr(args, "jobs", 1) or 1,
-                server=address, load_prelude=args.prelude)
-            print(result.report())
-            if args.json:
-                with open(args.json, "w", encoding="utf-8") as handle:
-                    json.dump(result.to_json(), handle, indent=2)
-            if result.error_count:
-                return 1
-        if args.shutdown:
-            client.shutdown()
-            print("daemon draining")
-        if not (args.ping or args.stats or args.files or args.shutdown):
-            parser.error("nothing to do: give FILEs or one of "
-                         "--ping/--stats/--shutdown")
-    except ServiceUnavailable as err:
-        print(f"error: {err}")
-        return 2
-    except ServiceError as err:
-        print(f"error [{err.code}]: {err}")
-        return 1
-    return 0

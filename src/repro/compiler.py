@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import analyze
 from .annotate import annotate
-from .cache import CachedFunction, as_cache, cache_key, canonical_source
+from .cache import (CachedFunction, CompilationCache, cache_key,
+                    canonical_source)
 from .codegen.generator import FunctionCodegen
 from .datum import NIL, Cons, to_list
 from .datum.symbols import Symbol, sym
@@ -169,12 +170,13 @@ class CompilationResult:
 class Compiler:
     """Compiles a program (a set of top-level forms) for the simulator."""
 
-    def __init__(self, options: Optional[CompilerOptions] = None):
+    def __init__(self, options: Optional[CompilerOptions] = None,
+                 cache: Optional[CompilationCache] = None):
         self.options = options or DEFAULT_OPTIONS
-        #: Content-addressed compilation cache (repro.cache), from
-        #: options.cache: None, a directory path, or a shared
-        #: CompilationCache instance.
-        self.cache = as_cache(self.options.cache)
+        #: Content-addressed compilation cache (repro.cache), or None.  It
+        #: travels beside the options, never inside them, and may be
+        #: shared between compilers.
+        self.cache = cache
         self.converter = Converter()
         self.program = Program()
         self.functions: Dict[Symbol, CompiledFunction] = {}
@@ -573,14 +575,9 @@ class Compiler:
     def phase_report(self) -> str:
         """Render the executed phase pipeline (Table 1 reproduction), with
         the last compilation's wall-clock timings when available."""
-        if self.last_trace is None:
-            return "(nothing compiled yet)"
-        lines = ["Phase structure (as executed):"]
-        for index, phase in enumerate(self.last_trace.phases, 1):
-            lines.append(f"  {index}. {phase}")
-        if self.last_diagnostics is not None and self.last_diagnostics.phases:
-            lines.extend(self.last_diagnostics.timing_lines())
-        return "\n".join(lines)
+        return CompilationResult(trace=self.last_trace,
+                                 diagnostics=self.last_diagnostics
+                                 ).phase_report()
 
 
 def compile_and_run(source: str, call: str, args: Sequence[Any] = (),

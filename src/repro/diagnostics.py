@@ -200,11 +200,6 @@ class Diagnostics:
         self.counters[counter] = value
         return value
 
-    def merge_counters(self, counts: Mapping[str, int]) -> None:
-        for counter, amount in counts.items():
-            if amount:
-                self.bump(counter, amount)
-
     def warn(self, message: str, phase: Optional[str] = None,
              location: Optional[SourceLocation] = None) -> DiagnosticMessage:
         entry = DiagnosticMessage("warning", message, phase, location)

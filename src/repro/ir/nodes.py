@@ -72,9 +72,6 @@ class Variable:
         kind = "special " if self.special else ""
         return f"#<{kind}var {self.name}.{self.uid}>"
 
-    def reference_count(self) -> int:
-        return len(self.refs)
-
     def is_assigned(self) -> bool:
         return bool(self.setqs)
 

@@ -23,6 +23,7 @@ from ..datum import NIL, T
 from ..datum.symbols import Symbol, sym
 from ..errors import LispError, MachineError, WrongNumberOfArgumentsError
 from ..interp.environment import DeepBindingStack
+from ..options import TIERS
 from ..primitives import Primitive, lookup_primitive
 from ..telemetry import MachineTelemetry
 from .heap import Heap
@@ -97,41 +98,27 @@ class Machine:
                  tier: str = "simulate",
                  timing: str = "single",
                  pipeline: Optional[PipelineDescription] = None):
-        if tier not in ("simulate", "native"):
+        if tier not in TIERS:
             raise MachineError(
                 f"unknown execution tier {tier!r} "
-                "(choose 'simulate' or 'native')")
-        if timing not in TIMINGS:
-            raise MachineError(
-                f"unknown timing model {timing!r} "
-                f"(choose one of {', '.join(TIMINGS)})")
+                f"(choose one of {', '.join(TIERS)})")
         self.program = program
+        #: Instruction budget of one run()/start(); a run() may pass its own.
         self.fuel = fuel
+        #: The instruction count at which the current run traps: the count
+        #: at its entry plus its budget (the one bound every tier checks).
+        self.instruction_limit = fuel
         #: Execution engine: "simulate" is the cycle-honest reference
         #: interpreter; "native" runs blocks translated to Python by
         #: repro.machine.native (same results, block-granular accounting).
         self.tier = tier
-        #: Timing model: "single" charges the cycle table alone (the
-        #: paper's model); "pipelined" additionally charges hazard stalls
-        #: from the target's PipelineDescription.  Strictly non-semantic:
-        #: only cycles and the stall counters differ.
-        self.timing = timing
         # The pipeline tables travel with the machine even under
         # timing="single" so set_timing() can switch models later
         # (the REPL's :timing does).
         self._pipeline_spec = pipeline
-        self._pipeline: Optional[PipelineDescription] = None
-        if timing == "pipelined":
-            self._pipeline = pipeline if pipeline is not None \
-                else DEFAULT_PIPELINE
         # id(CodeObject) -> (code, TimingProfile) under the current
         # pipeline, object pinned (same discipline as _native_cache).
         self._timing_cache: Dict[int, Tuple[CodeObject, TimingProfile]] = {}
-        # Pipelined-model bookkeeping: the (code, pc) the front end
-        # expects next if the last instruction fell through sequentially;
-        # anything else means the pipeline was flushed.
-        self._pipe_code: Optional[CodeObject] = None
-        self._pipe_pc = -1
         #: Per-category hazard stall cycles (already included in
         #: ``cycles``); all zero under timing="single".
         self.stall_data = 0
@@ -182,6 +169,11 @@ class Machine:
         #: ledger plus IC/GC/heap events.  None (the default) keeps each
         #: hot loop to one load and one test.  See enable_telemetry().
         self.telemetry: Optional[MachineTelemetry] = None
+        #: Timing model (``self.timing``): "single" charges the cycle
+        #: table alone (the paper's model); "pipelined" additionally
+        #: charges hazard stalls from the target's PipelineDescription.
+        #: Strictly non-semantic: only cycles and the stall counters differ.
+        self.set_timing(timing)
 
     # -- public API -----------------------------------------------------------
 
@@ -191,14 +183,12 @@ class Machine:
     def run(self, function: Symbol, args: Sequence[Any],
             fuel: Optional[int] = None) -> Any:
         """Call a compiled function with Lisp-datum arguments; returns a
-        Lisp datum.  A *fuel* argument bounds this call only: the
-        machine's configured budget is restored afterwards (it used to
-        stick, silently retuning every later run and skewing
-        MultiMachine's stall-budget snapshot)."""
-        saved_fuel = self.fuel
-        if fuel is not None:
-            self.fuel = fuel
+        Lisp datum.  Each call may execute ``fuel`` instructions (the
+        machine's budget unless a *fuel* argument bounds this call), however
+        many earlier calls this machine ran."""
         code = self.program.get(function)
+        self.instruction_limit = self.instructions + (
+            self.fuel if fuel is None else fuel)
         self._entry_state = (len(self.stack), self.fp, self.tp, self.cp,
                              len(self.catch_stack), self.specials.depth())
         self._poisoned = False
@@ -222,7 +212,6 @@ class Machine:
             raise
         finally:
             self._flush_native_counts()
-            self.fuel = saved_fuel
             if telemetry is not None:
                 telemetry.end_run(self)
         return self.machine_to_lisp(self.result)
@@ -304,7 +293,10 @@ class Machine:
             self._pipeline = None
         self._timing_cache.clear()
         self._native_cache.clear()
-        self._pipe_code = None
+        # Pipelined-model bookkeeping: the (code, pc) the front end
+        # expects next if the last instruction fell through sequentially;
+        # anything else means the pipeline was flushed.
+        self._pipe_code: Optional[CodeObject] = None
         self._pipe_pc = -1
 
     def stall_cycles(self) -> Dict[str, int]:
@@ -432,7 +424,7 @@ class Machine:
         instruction = self.code.instructions[index]
         self.pc = index + 1
         self.instructions += 1
-        if self.instructions > self.fuel:
+        if self.instructions > self.instruction_limit:
             raise MachineError("instruction budget exhausted")
         self.opcode_counts[instruction.opcode] += 1
         telemetry = self.telemetry
@@ -628,6 +620,7 @@ class Machine:
         REPL's :stats is documented as session-cumulative."""
         code = self.program.get(function)
         self.instructions = 0
+        self.instruction_limit = self.fuel
         self.cycles = 0
         self.opcode_counts = Counter()
         self.call_count = 0

@@ -909,7 +909,7 @@ class _Translator:
                 body.append("regs = m.regs")
             body += [f"_ni = m.instructions + {count}",
                      "m.instructions = _ni",
-                     "if _ni > m.fuel:",
+                     "if _ni > m.instruction_limit:",
                      "    raise MachineError('instruction budget"
                      " exhausted')"]
             if static:

@@ -100,14 +100,6 @@ def tree_equal(a: Node, b: Node) -> bool:
     return False
 
 
-def replace_node(old: Node, new: Node) -> None:
-    """Splice *new* where *old* sits; *old*'s parent must exist."""
-    parent = old.parent
-    if parent is None:
-        raise ValueError("cannot replace the root without a holder")
-    parent.replace_child(old, new)
-
-
 class RootHolder(Node):
     """Sentinel parent so rules can replace the tree's real root."""
 

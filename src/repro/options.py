@@ -8,7 +8,7 @@ EXPERIMENTS.md flips one of these flags.
 Every field is declared either **semantic** (it changes the generated
 code, so it must perturb the content-addressed cache key and it may be
 overridden over the service wire protocol) or **non-semantic** (it only
-controls reporting, verification, or the cache itself).  The declaration
+controls execution, reporting or verification).  The declaration
 lives on the dataclass field's ``metadata`` and is projected into
 :data:`SEMANTIC_OPTION_FIELDS` / :data:`NON_SEMANTIC_OPTION_FIELDS` --
 the single source of truth consumed by both :func:`repro.cache.cache_key`
@@ -16,6 +16,11 @@ and the ``repro.api`` wire schema.  A field added without an explicit
 declaration defaults to semantic, which is the safe direction (an
 unnecessary cache-key perturbation costs a miss; a missing one would
 serve wrong code).
+
+Options are a plain value: every field is a bool, int or str, so a
+``CompilerOptions`` pickles whole into pool workers and compares by value.
+The compilation cache travels beside it, never inside it
+(``Compiler(options, cache=...)``, ``CompilerService(options, cache=...)``).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def semantic(default):
 
 def non_semantic(default):
     """A field that cannot change the generated code: excluded from the
-    cache key (reporting, verification, and cache plumbing only)."""
+    cache key (execution, reporting and verification only)."""
     return field(default=default, metadata={"semantic": False})
 
 
@@ -102,12 +107,6 @@ class CompilerOptions:
     trace_rewrites: bool = non_semantic(False)  # whole-function before/after
                                                 # source per rewrite (costly)
 
-    # --- compilation cache (repro.cache) ---
-    # None (off), a directory path (memory LRU + on-disk store rooted
-    # there), or a repro.cache.CompilationCache instance (possibly shared
-    # between compilers).  Plumbing-only: never part of the cache key.
-    cache: object = non_semantic(None)
-
     def __post_init__(self) -> None:
         # Fail at option-construction time, not deep inside codegen: an
         # unknown target raises repro.errors.UnknownTargetError here.
@@ -142,7 +141,7 @@ def _field_is_semantic(f) -> bool:
 SEMANTIC_OPTION_FIELDS = frozenset(
     f.name for f in fields(CompilerOptions) if _field_is_semantic(f))
 
-#: The complement: reporting/verification/cache plumbing.  Never hashed.
+#: The complement: execution, reporting and verification.  Never hashed.
 NON_SEMANTIC_OPTION_FIELDS = frozenset(
     f.name for f in fields(CompilerOptions) if not _field_is_semantic(f))
 

@@ -209,7 +209,7 @@ class MachineTelemetry:
             if stalls is not None:
                 self._book_stalls(machine, stalls)
             # A block that trapped on its fuel check charged nothing.
-            if machine.instructions <= machine.fuel:
+            if machine.instructions <= machine.instruction_limit:
                 cell = context.runs.get(block.start)
                 if cell is None:
                     cell = context.runs[block.start] = [0]

@@ -35,9 +35,6 @@ class Packing:
         self.temp_slots_used = 0
         self.registers_used: set = set()
 
-    def slot_count(self) -> int:
-        return self.temp_slots_used
-
 
 def pack_tns(tns: List[TN], options: CompilerOptions = DEFAULT_OPTIONS
              ) -> Packing:

@@ -75,10 +75,6 @@ class TN:
             self.last = tick
         (self.write_ticks if write else self.read_ticks).append(tick)
 
-    def live_at(self, tick: int) -> bool:
-        return (self.first is not None and self.last is not None
-                and self.first <= tick <= self.last)
-
     def overlaps(self, other: "TN") -> bool:
         if self.first is None or other.first is None:
             return False

@@ -69,6 +69,12 @@ class TestRequestEnvelope:
         assert bad["error"]["code"] == "internal-error"
         assert "boom" in bad["error"]["message"]
 
+    def test_batch_count_never_overrides_the_envelope(self):
+        # A batch whose every unit failed counts 0 ok units; the request
+        # itself still succeeded.
+        envelope = ok_response("batch", {"files": [], "ok": 0, "errors": 1})
+        assert envelope["ok"] is True and envelope["op"] == "batch"
+
 
 class TestOptionSplit:
     def test_split_partitions_all_fields(self):
@@ -82,8 +88,9 @@ class TestOptionSplit:
     def test_observability_fields_are_non_semantic(self):
         # tier selects how compiled code is executed and timing selects
         # how executed cycles are charged -- never what it compiles to,
-        # so neither may perturb cache keys.
-        assert {"verify_ir", "trace_rewrites", "cache", "tier", "timing"} \
+        # so neither may perturb cache keys.  The cache itself is no
+        # option at all: it travels beside the options.
+        assert {"verify_ir", "trace_rewrites", "tier", "timing"} \
             == set(NON_SEMANTIC_OPTION_FIELDS)
 
     def test_cache_reexport_is_the_same_object(self):

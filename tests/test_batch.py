@@ -6,8 +6,7 @@ import os
 
 import pytest
 
-from repro import CompilerOptions, compile_batch
-from repro.batch import _options_spec
+from repro import CompilerOptions, CompilerService, compile_batch
 
 from .genprog import corpus
 
@@ -67,11 +66,11 @@ class TestInlineBatch:
             cold.counters().get("cache_hits", 0)
         assert warm.counters().get("cache_misses", 0) == 0
 
-    def test_cache_dir_from_options(self, tmp_path):
+    def test_cache_dir_from_service(self, tmp_path):
         paths = write_corpus(tmp_path, n=2)
-        options = CompilerOptions(cache=str(tmp_path / ".cache"))
-        compile_batch(paths, options=options)
-        warm = compile_batch(paths, options=options)
+        service = CompilerService(cache=str(tmp_path / ".cache"))
+        service.batch(paths)
+        warm = service.batch(paths)
         assert warm.counters()["cache_hits"] > 0
         assert warm.cache_dir == str(tmp_path / ".cache")
 
@@ -139,19 +138,16 @@ class TestParallelBatch:
 
 class TestOptionsSpec:
     def test_spec_is_picklable_and_complete(self):
+        """Pool workers receive the options themselves: a plain value
+        that pickles whole (the cache travels beside it)."""
         import dataclasses
         import pickle
 
         options = CompilerOptions(target="vax", enable_cse=True,
-                                  cache="/tmp/x", trace_rewrites=True)
-        spec = _options_spec(options)
-        pickle.dumps(spec)
-        assert "cache" not in spec
-        rebuilt = CompilerOptions(**spec)
-        for f in dataclasses.fields(CompilerOptions):
-            if f.name == "cache":
-                continue
-            assert getattr(rebuilt, f.name) == getattr(options, f.name)
+                                  tier="native", timing="pipelined",
+                                  verify_ir=True, trace_rewrites=True)
+        assert pickle.loads(pickle.dumps(options)) == options
+        assert len(dataclasses.fields(CompilerOptions)) == 32
 
 
 class TestBatchCli:

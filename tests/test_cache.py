@@ -15,17 +15,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Compiler, CompilerOptions
+from repro import Compiler, CompilerOptions, CompilerService
 from repro.cache import (
     CACHE_FORMAT_VERSION,
     CachedFunction,
     CompilationCache,
     MemoryCache,
     NON_SEMANTIC_OPTION_FIELDS,
-    as_cache,
     cache_key,
     canonical_source,
-    options_fingerprint,
 )
 from repro.datum import sym
 
@@ -115,9 +113,10 @@ class TestCacheKey:
             key_of(source, CompilerOptions())
 
     def test_fingerprint_excludes_cache_config(self):
-        a = options_fingerprint(CompilerOptions())
-        b = options_fingerprint(CompilerOptions(cache="/some/where"))
-        assert a == b
+        # The cache travels beside the options, never inside them, so no
+        # cache configuration can reach the fingerprint.
+        assert "cache" not in {
+            f.name for f in dataclasses.fields(CompilerOptions)}
 
     def test_version_is_part_of_the_key(self, monkeypatch):
         source = "(defun f (x) x)"
@@ -171,20 +170,23 @@ class TestMemoryCache:
 
 
 class TestAsCache:
+    """``CompilerService(options, cache)`` takes its cache as None, a
+    directory path or a CompilationCache, and nothing else."""
+
     def test_none_passthrough(self):
-        assert as_cache(None) is None
+        assert CompilerService(cache=None).cache is None
 
     def test_instance_passthrough(self):
         cache = CompilationCache()
-        assert as_cache(cache) is cache
+        assert CompilerService(cache=cache).cache is cache
 
     def test_path_becomes_disk_cache(self, tmp_path):
-        cache = as_cache(str(tmp_path / "store"))
+        cache = CompilerService(cache=str(tmp_path / "store")).cache
         assert cache.directory == str(tmp_path / "store")
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
-            as_cache(42)
+            CompilerService(cache=42)
 
 
 class TestCompilerIntegration:
@@ -192,21 +194,21 @@ class TestCompilerIntegration:
 
     def test_cold_then_warm_hit(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source(self.SOURCE)
         assert c1.last_diagnostics.counters == {
             "cache_misses": 1, "cache_stores": 1}
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         c2.compile_source(self.SOURCE)
         assert c2.last_diagnostics.counters == {"cache_hits": 1}
         assert c2.run("f", [5]) == 26
 
     def test_hit_listing_is_byte_identical(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source(self.SOURCE)
         cold = c1.functions[sym("f")].listing()
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         c2.compile_source(self.SOURCE)
         assert c2.functions[sym("f")].listing() == cold
 
@@ -215,11 +217,11 @@ class TestCompilerIntegration:
     def test_generated_hit_listings_byte_identical(self, seed):
         source, fn, args = generate_program(seed)
         cache = CompilationCache()  # memory-only is enough here
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source(source)
         cold_listing = c1.functions[sym(fn)].listing()
         cold_result = c1.run(fn, args)
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         c2.compile_source(source)
         assert c2.last_diagnostics.counters.get("cache_hits", 0) >= 1
         assert c2.functions[sym(fn)].listing() == cold_listing
@@ -227,9 +229,9 @@ class TestCompilerIntegration:
 
     def test_different_options_do_not_share_entries(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source(self.SOURCE)
-        c2 = Compiler(CompilerOptions(cache=cache, optimize=False))
+        c2 = Compiler(CompilerOptions(optimize=False), cache=cache)
         c2.compile_source(self.SOURCE)
         assert c2.last_diagnostics.counters.get("cache_hits", 0) == 0
         assert c2.run("f", [5]) == 26
@@ -238,10 +240,10 @@ class TestCompilerIntegration:
         """The same defun text compiled after a defvar proclamation reads
         its free variable as special -- the key must distinguish them."""
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source("(defvar *k* 7)\n(defun f () *k*)")
         assert c1.run("f", []) == 7
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         # Without the defvar first, the same defun must NOT reuse c1's
         # special-reading code path silently; the changed specials set
         # gives it a different key (here it still compiles, to a
@@ -251,9 +253,8 @@ class TestCompilerIntegration:
 
     def test_global_integration_bypasses_cache(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        options = CompilerOptions(cache=cache,
-                                  enable_global_integration=True)
-        compiler = Compiler(options)
+        options = CompilerOptions(enable_global_integration=True)
+        compiler = Compiler(options, cache=cache)
         compiler.compile_source(self.SOURCE)
         counters = compiler.last_diagnostics.counters
         assert counters.get("cache_bypass", 0) == 1
@@ -262,22 +263,32 @@ class TestCompilerIntegration:
 
     def test_expression_wrapper_name_is_part_of_key(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_expression("(+ 1 2)", name="*one*")
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         result = c2.compile_expression("(+ 1 2)", name="*two*")
         assert c2.last_diagnostics.counters.get("cache_hits", 0) == 0
         assert str(result.name) == "*two*"
-        c3 = Compiler(CompilerOptions(cache=cache))
+        c3 = Compiler(cache=cache)
         c3.compile_expression("(+ 1 2)", name="*one*")
         assert c3.last_diagnostics.counters.get("cache_hits", 0) == 1
         assert c3.run("*one*", []) == 3
 
+    def test_store_file_name_is_stable(self, tmp_path):
+        # Moving the cache out of CompilerOptions moved no key: the
+        # default-options entry keeps the name it has always had.
+        store = tmp_path / "store"
+        Compiler(cache=CompilationCache(directory=store)).compile_source(
+            "(defun f (x) x)")
+        assert [path.name for path in store.iterdir()] == [
+            "e9dbd9eb2b38762928cae9052c64e2b27baef05986963472112e74d127483019"
+            ".pkl"]
+
     def test_phase_report_shows_cache_hit(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        c1 = Compiler(CompilerOptions(cache=cache))
+        c1 = Compiler(cache=cache)
         c1.compile_source(self.SOURCE)
-        c2 = Compiler(CompilerOptions(cache=cache))
+        c2 = Compiler(cache=cache)
         c2.compile_source(self.SOURCE)
         assert "cache hit" in c2.phase_report()
 
@@ -287,7 +298,7 @@ class TestDiagnosticsSurface:
         from repro.diagnostics import Diagnostics
 
         cache = CompilationCache(directory=tmp_path / "store")
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source("(defun f (x) x)")
         data = compiler.last_diagnostics.to_json()
         assert data["counters"] == {"cache_misses": 1, "cache_stores": 1}
@@ -296,7 +307,7 @@ class TestDiagnosticsSurface:
 
     def test_report_renders_counters(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source("(defun f (x) x)")
         report = compiler.last_diagnostics.report()
         assert "Counters:" in report
@@ -306,8 +317,8 @@ class TestDiagnosticsSurface:
         from repro.__main__ import Repl
 
         out = io.StringIO()
-        options = CompilerOptions(cache=str(tmp_path / "store"))
-        repl = Repl(options=options, out=out)
+        service = CompilerService(cache=str(tmp_path / "store"))
+        repl = Repl(out=out, service=service)
         repl.handle("(defun f (x) (+ x 1))")
         repl.handle("(defun f (x) (+ x 1))")  # same text: a hit
         repl.handle(":diag")
@@ -316,7 +327,7 @@ class TestDiagnosticsSurface:
 
     def test_cache_to_json_shape(self, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source("(defun f (x) x)")
         data = cache.to_json()
         assert data["format_version"] == CACHE_FORMAT_VERSION

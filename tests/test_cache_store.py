@@ -31,7 +31,7 @@ def store_dir(tmp_path):
 def populate(tmp_path):
     """Cold-compile SOURCE through a disk cache; returns the entry path."""
     cache = CompilationCache(directory=store_dir(tmp_path))
-    compiler = Compiler(CompilerOptions(cache=cache))
+    compiler = Compiler(cache=cache)
     compiler.compile_source(SOURCE)
     entries = [p for p in os.listdir(store_dir(tmp_path))
                if p.endswith(".pkl")]
@@ -42,7 +42,7 @@ def populate(tmp_path):
 def compile_against(tmp_path):
     """A fresh compiler over the same store; returns (compiler, counters)."""
     cache = CompilationCache(directory=store_dir(tmp_path))
-    compiler = Compiler(CompilerOptions(cache=cache))
+    compiler = Compiler(cache=cache)
     compiler.compile_source(SOURCE)
     return compiler, compiler.last_diagnostics.counters
 
@@ -127,7 +127,7 @@ class TestUnwritableStore:
         blocker = tmp_path / "store"
         blocker.write_text("i am a file where a directory should be")
         cache = CompilationCache(directory=blocker)
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source(SOURCE)           # must not raise
         assert compiler.run("f", [6]) == 42
         assert cache.disk.stats.store_errors == 1
@@ -144,7 +144,7 @@ class TestUnwritableStore:
 
         monkeypatch.setattr(os, "replace", deny)
         cache = CompilationCache(directory=store_dir(tmp_path))
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         # Different source => miss => attempted store hits the read-only
         # wall; the compile itself must succeed.
         compiler.compile_source("(defun g (x) (+ x 1))")
@@ -185,7 +185,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", deny)
         cache = CompilationCache(directory=store_dir(tmp_path))
-        compiler = Compiler(CompilerOptions(cache=cache))
+        compiler = Compiler(cache=cache)
         compiler.compile_source("(defun h (x) x)")
         monkeypatch.undo()
         leftovers = [p for p in os.listdir(store_dir(tmp_path))

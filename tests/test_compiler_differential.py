@@ -266,19 +266,18 @@ class TestGeneratedDifferentialSweep:
     @pytest.mark.parametrize("target", ["s1", "vax", "pdp10"])
     def test_interpreter_vs_compiled_vs_cached(self, target, tmp_path):
         cache = CompilationCache(directory=tmp_path / "store")
-        options = CompilerOptions(target=target, cache=cache,
-                                  verify_ir=True)
+        options = CompilerOptions(target=target, verify_ir=True)
         for index, (source, fn, args) in enumerate(self.SWEEP):
             expected = interp_result(source, fn, args)
 
-            cold = Compiler(options)
+            cold = Compiler(options, cache=cache)
             cold.compile_source(source)
             cold_result = cold.run(fn, args)
             assert lisp_equal(expected, cold_result), (
                 f"[{target} #{index}] interpreter={expected!r} "
                 f"cold={cold_result!r}\n{source}")
 
-            warm = Compiler(options)
+            warm = Compiler(options, cache=cache)
             warm.compile_source(source)
             assert warm.last_diagnostics.counters.get("cache_hits", 0) >= 1, (
                 f"[{target} #{index}] expected a cache hit\n{source}")

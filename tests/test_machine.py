@@ -22,6 +22,7 @@ from repro.machine import (
     reg,
     temp,
 )
+from repro.options import TIERS
 
 
 def ins(opcode, *operands, comment=None):
@@ -121,6 +122,41 @@ class TestBasicExecution:
         assert machine.run(sym("k"), []) == 42
         with pytest.raises(MachineError):
             machine.run(sym("spin"), [])  # constructor budget still enforced
+
+
+class TestFuelPerRun:
+    """A machine budgets ``fuel`` instructions per run, not over its
+    lifetime: a reused machine (the REPL keeps one per session) must not
+    run out after a few calls."""
+
+    SOURCE = "(defun g (n) (if (= n 0) 0 (+ 1 (g (- n 1)))))"
+
+    def compiled(self, tier):
+        from repro import Compiler, CompilerOptions
+
+        compiler = Compiler(CompilerOptions(tier=tier))
+        compiler.compile_source(self.SOURCE)
+        probe = compiler.machine()
+        assert probe.run(sym("g"), [10]) == 10
+        return compiler, probe.instructions
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_reused_machine_budgets_each_run(self, tier):
+        compiler, need = self.compiled(tier)
+        machine = compiler.machine(fuel=2 * need)
+        for _ in range(6):
+            assert machine.run(sym("g"), [10]) == 10
+        assert machine.instructions == 6 * need
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_fuel_override_on_a_reused_machine(self, tier):
+        compiler, need = self.compiled(tier)
+        machine = compiler.machine()
+        for _ in range(6):
+            assert machine.run(sym("g"), [10], fuel=2 * need) == 10
+        with pytest.raises(MachineError, match="budget exhausted"):
+            machine.run(sym("g"), [10], fuel=need // 2)
+        assert machine.run(sym("g"), [10], fuel=2 * need) == 10
 
 
 class TestCalls:

@@ -342,12 +342,12 @@ class TestTierOption:
         tiers: the tier must never leak into what gets cached."""
         source = "(defun triple (x) (* 3 x))"
         cache = CompilationCache(directory=tmp_path / "store")
-        cold = Compiler(CompilerOptions(cache=cache, tier="native"))
+        cold = Compiler(CompilerOptions(tier="native"), cache=cache)
         cold.compile_source(source)
         assert cold.run("triple", [5]) == 15
 
         for tier in TIERS:
-            warm = Compiler(CompilerOptions(cache=cache, tier=tier))
+            warm = Compiler(CompilerOptions(tier=tier), cache=cache)
             warm.compile_source(source)
             assert warm.last_diagnostics.counters.get(
                 "cache_hits", 0) >= 1

@@ -72,6 +72,19 @@ class TestSessionMachine:
         assert repl.machine is machine
         assert out.getvalue().splitlines()[-1] == "42"
 
+    def test_session_machine_budgets_each_entry(self):
+        # The session machine's fuel bounds each entry, not the session:
+        # (g 10) needs ~105 instructions, so with a 1000-instruction budget
+        # every entry from the tenth on used to fail.
+        out = io.StringIO()
+        repl = Repl(out=out)
+        repl.handle("(defun g (n) (if (= n 0) 0 (+ 1 (g (- n 1)))))")
+        repl.handle("(g 10)")
+        repl.machine.fuel = 1000
+        for _ in range(20):
+            repl.handle("(g 10)")
+        assert out.getvalue().splitlines()[1:] == ["10"] * 21
+
     def test_prelude_preserves_session_state(self):
         output, _, _ = session("(defvar *seed* 7)",
                                "(setq *seed* 13)",

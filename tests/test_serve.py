@@ -695,7 +695,7 @@ class TestDaemonBackedBatch:
             [("unit.lisp", "(defun v (x) (+ x 1))")],
             handle.server.socket_path,
             options=CompilerOptions(target="vax"))
-        assert results[0]["status"] == "ok"
+        assert results[0].status == "ok"
         batches = [params for op, params in handle.server.seen
                    if op == "batch"]
         assert batches, "no batch op reached the daemon"
@@ -733,6 +733,82 @@ class TestDaemonBackedBatch:
                                server=str(tmp_path / "nothing.sock"))
         assert result.error_count == 1
         assert "ServiceUnavailable" in result.files[0].error
+
+
+class TestOneUnitRecord:
+    """One function builds a batch unit's record in every mode, so the
+    same units report the same outcomes inline, on a pool, through the
+    service's batch op and through a daemon."""
+
+    @staticmethod
+    def corpus():
+        deep = "x"
+        for _ in range(3000):
+            deep = f"(1+ {deep})"
+        units = [(f"u{index}.lisp", f"(defun u{index} (x) (+ x {index}))")
+                 for index in range(7)]
+        units.insert(3, ("deep.lisp", f"(defun deep (x) {deep})"))
+        return units
+
+    def outcomes(self, mode, units, server_factory, cache_dir):
+        """(path, status, error, counters) per unit under *mode*, each
+        mode over its own fresh cache directory."""
+        if mode == "service":
+            service = CompilerService(cache=cache_dir)
+            files = service.handle_op("batch", {"units": [
+                {"label": label, "source": source}
+                for label, source in units]})["files"]
+            return [(f["path"], f["status"], f["error"], f["counters"])
+                    for f in files]
+        if mode == "daemon":
+            handle = server_factory(jobs=1, cache_dir=cache_dir)
+            result = compile_batch(units, server=handle.server.socket_path)
+        else:
+            result = compile_batch(units, jobs=2 if mode == "pool" else 1,
+                                   cache_dir=cache_dir)
+        return [(f.path, f.status, f.error, f.counters)
+                for f in result.files]
+
+    MODES = ("inline", "pool", "service", "daemon")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_raising_unit_is_only_its_own_error(self, mode,
+                                                  server_factory, tmp_path):
+        units = self.corpus()
+        outcomes = self.outcomes(mode, units, server_factory,
+                                 str(tmp_path / "store"))
+        assert [path for path, *_ in outcomes] == \
+            [label for label, _ in units]
+        failed = [(path, error) for path, status, error, _ in outcomes
+                  if status != "ok"]
+        assert len(failed) == 1
+        assert failed[0][0] == "deep.lisp"
+        assert failed[0][1].startswith("RecursionError")
+
+    def test_a_failed_unit_keeps_its_counters_in_every_mode(
+            self, server_factory, tmp_path):
+        units = [("conv.lisp", "(defun c-ok (x) x)\n(defun c-bad (1) x)"),
+                 ("other.lisp", "(defun other (y) y)")]
+        seen = {}
+        for mode in self.MODES:
+            path, status, error, counters = self.outcomes(
+                mode, units, server_factory, str(tmp_path / mode))[0]
+            assert (path, status) == ("conv.lisp", "error")
+            assert error.startswith("ConversionError")
+            seen[mode] = counters
+        assert all(counters == {"cache_misses": 2, "cache_stores": 1}
+                   for counters in seen.values()), seen
+
+    def test_warm_repeat_report_names_the_response_cache(
+            self, server_factory, tmp_path):
+        handle = server_factory(jobs=1)
+        units = [("a.lisp", "(defun a (x) x)"), ("b.lisp", "(defun b (x) x)")]
+        compile_batch(units, server=handle.server.socket_path)
+        warm = compile_batch(units, server=handle.server.socket_path)
+        assert [f.served_from for f in warm.files] == ["response-cache"] * 2
+        text = warm.report()
+        assert text.count("1 definition(s), response cache") == 2
+        assert "0/0" not in text
 
 
 class TestClientCli:
@@ -794,17 +870,6 @@ class TestServeCli:
         for flag in ("--cache-dir", "--jobs", "--max-queue", "--socket",
                      "--http", "--target", "--verify"):
             assert flag in out
-
-    def test_every_subcommand_shares_the_common_flags(self, capsys):
-        from repro.__main__ import main
-
-        for subcommand in ("batch", "fuzz", "serve", "client"):
-            with pytest.raises(SystemExit):
-                main([subcommand, "--help"])
-            out = capsys.readouterr().out
-            for flag in ("--cache-dir", "--trace", "--metrics",
-                         "--verify", "--target", "--jobs"):
-                assert flag in out, (subcommand, flag)
 
 
 # ---------------------------------------------------------------------------
