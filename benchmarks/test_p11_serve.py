@@ -204,13 +204,13 @@ class TestDaemonBackedBatch:
                     socket_path=sock,
                     cache_dir=str(tmp_path / f"daemon{round_number}"),
                     jobs=jobs, max_queue=64):
-                via_daemon = compile_batch(units, server=sock, jobs=jobs)
+                via_daemon = compile_batch(units, server=sock)
                 assert via_daemon.error_count == 0
                 daemon_seconds.append(via_daemon.seconds)
                 if round_number == self.ROUNDS - 1:
                     # The warm repeat is answered from the daemon's
                     # response cache -- the point of keeping it alive.
-                    warm = compile_batch(units, server=sock, jobs=jobs)
+                    warm = compile_batch(units, server=sock)
                     assert warm.error_count == 0
                     assert warm.counters().get(
                         "response_cache_hits", 0) >= len(units)
@@ -241,7 +241,7 @@ class TestDaemonBackedBatch:
         # "No slower": a 3% allowance covers the wire round trips on a
         # single-core host (measured overhead vs an in-process call);
         # multi-core hosts must genuinely not lose (the daemon compiles
-        # on `jobs` worker threads).
+        # the batch's misses on `jobs` worker processes).
         budget = 1.03 if cores < 2 else 1.0
         assert daemon_best <= local_best * budget, (
             f"daemon batch {daemon_best:.3f}s vs jobs=1 local "

@@ -103,8 +103,7 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
              "every compiler phase"),
     "--jobs": dict(
         type=int, default=1, metavar="N",
-        help="workers: pool size (batch/serve) or concurrent connections "
-             "(client, batch --server) (default 1)"),
+        help="worker processes that compile batch units (default 1)"),
 }
 
 #: The machine axes: flag -> (choices, default, what it selects).
@@ -368,12 +367,14 @@ def batch_main(argv) -> int:
                              "per optimizer rewrite (slower)")
     args = parser.parse_args(argv)
     if args.server is not None:
-        # Only semantic options travel to a daemon, and no compile spans
-        # come back: these flags would do nothing.
+        # Only semantic options travel to a daemon, it compiles on its own
+        # --jobs workers, and no compile spans come back: these flags
+        # would do nothing.
         local = [flag for flag, value in (
             ("--cache-dir", args.cache_dir), ("--verify", args.verify),
             ("--trace-rewrites", args.trace_rewrites),
-            ("--trace", args.trace), ("--metrics", args.metrics)) if value]
+            ("--trace", args.trace), ("--metrics", args.metrics),
+            ("--jobs", args.jobs != 1)) if value]
         if local:
             parser.error(f"{', '.join(local)} cannot be used with --server "
                          f"(the daemon compiles with its own settings)")
@@ -473,18 +474,19 @@ def serve_main(argv) -> int:
         description="Start the long-lived compile daemon: unix-socket "
                     "JSON lines and/or HTTP (POST / for the api, GET "
                     "/metrics for Prometheus).  One warm cache over the "
-                    "--cache-dir store for every worker; bounded queue "
-                    "with busy responses past --max-queue; graceful "
-                    "drain on SIGTERM/SIGINT or a shutdown op.")
+                    "--cache-dir store; --jobs N worker processes for the "
+                    "batch op; bounded queue with busy responses past "
+                    "--max-queue; graceful drain on SIGTERM/SIGINT or a "
+                    "shutdown op.")
     parser.add_argument("--socket", default=None, metavar="PATH",
                         help="unix socket to listen on (default "
                              ".repro.sock when no --http is given)")
     parser.add_argument("--http", default=None, metavar="HOST:PORT",
                         help="also serve HTTP on this address")
     parser.add_argument("--max-queue", type=int, default=8, metavar="N",
-                        help="max requests waiting for a worker before "
-                             "new ones get an immediate busy response "
-                             "(default 8)")
+                        help="max requests waiting for the dispatch "
+                             "thread before new ones get an immediate busy "
+                             "response (default 8)")
     parser.add_argument("--timeout", type=float, default=120.0,
                         metavar="SECONDS",
                         help="per-request timeout (default 120)")
@@ -525,8 +527,8 @@ def serve_main(argv) -> int:
 def client_main(argv) -> int:
     """``python -m repro client``: poke a running daemon.
 
-    With FILEs: daemon-backed batch compile (``--jobs`` concurrent
-    connections).  Without: ``--ping`` / ``--stats`` / ``--shutdown``."""
+    With FILEs: daemon-backed batch compile (a few files per ``batch``
+    request).  Without: ``--ping`` / ``--stats`` / ``--shutdown``."""
     import json
     import os
 
@@ -534,7 +536,7 @@ def client_main(argv) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro client",
-        parents=[shared_flags("--target", "--jobs")],
+        parents=[shared_flags("--target")],
         description="Talk to a running compile daemon (python -m repro "
                     "serve) over its unix socket or HTTP address.")
     parser.add_argument("files", nargs="*", metavar="FILE",
@@ -574,7 +576,7 @@ def client_main(argv) -> int:
 
             result = compile_batch(
                 args.files, options=CompilerOptions(target=args.target),
-                jobs=args.jobs, server=address, load_prelude=args.prelude)
+                server=address, load_prelude=args.prelude)
             print(result.report())
             if args.json:
                 with open(args.json, "w", encoding="utf-8") as handle:

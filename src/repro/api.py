@@ -12,7 +12,7 @@ exposes:
   and answers the four wire operations (``compile`` / ``batch`` / ``ping``
   / ``stats``) both as Python calls and as JSON request handlers.  Its
   ``batch`` op carries the response cache, keyed by the service itself,
-  and builds each unit's record with :func:`repro.batch.compile_unit`,
+  and compiles the misses with :meth:`repro.batch.WorkerPool.compile`,
   exactly as a local batch does.
 * The **versioned wire schema** (:data:`API_VERSION`): every request is a
   JSON object ``{"api": 1, "op": ..., ...}``; :func:`check_request`
@@ -65,9 +65,9 @@ from .options import (
 #: responses echo it.
 API_VERSION = 1
 
-#: Operations the schema defines, and whether each one queues behind the
-#: worker pool (``ping``/``stats`` answer inline even when the queue is
-#: full -- a monitoring probe must not be subject to backpressure).
+#: Operations the schema defines, and whether each one queues for the
+#: daemon's dispatch thread (``ping``/``stats`` answer inline even when the
+#: queue is full -- a monitoring probe must not be subject to backpressure).
 WIRE_OPS = ("compile", "batch", "ping", "stats", "shutdown")
 INLINE_OPS = frozenset({"ping", "stats"})
 
@@ -91,6 +91,7 @@ STABILITY_TIERS: Dict[str, str] = {
 }
 
 if TYPE_CHECKING:
+    from .batch import WorkerPool
     from .compiler import Compiler
 
 __all__ = list(STABILITY_TIERS)
@@ -242,13 +243,14 @@ class CompilerService:
     ``compile`` runs on a *fresh* compiler bound to the shared cache, so
     requests cannot leak proclaimed specials or globals into each other;
     :meth:`session` returns the one persistent compiler for REPL-style
-    accumulation.  Thread-safe: the daemon calls one instance from every
-    worker thread, and no lock is held across a compile.
+    accumulation.  Thread-safe, and no lock is held across a compile.
 
     The wire ``batch`` op answers a repeated unit from a response cache of
     *response_cache_size* entries (least recently used evicted first; 0
     turns it off).  The service keys each unit itself, from exactly the
-    inputs of its compile.  *on_diagnostics*, when given, receives every
+    inputs of its compile, and compiles the misses on *pool* (internal:
+    only :class:`repro.serve.ReproServer` sets it, to its ``--jobs``
+    workers) or inline.  *on_diagnostics*, when given, receives every
     successful compile's ``Diagnostics.to_json()`` (the daemon folds them
     into ``/metrics``)."""
 
@@ -256,7 +258,8 @@ class CompilerService:
                  cache: Union[None, str, CompilationCache] = None, *,
                  response_cache_size: int = 128,
                  on_diagnostics: Optional[
-                     Callable[[Dict[str, Any]], None]] = None):
+                     Callable[[Dict[str, Any]], None]] = None,
+                 pool: Optional["WorkerPool"] = None):
         self.options = options or CompilerOptions()
         if isinstance(cache, (str, os.PathLike)):
             cache = CompilationCache(directory=cache)
@@ -266,6 +269,7 @@ class CompilerService:
         self.cache: Optional[CompilationCache] = cache
         self.response_cache_size = max(0, int(response_cache_size))
         self._on_diagnostics = on_diagnostics
+        self.pool = pool
         self._session: Optional[Compiler] = None
         self._lock = threading.Lock()
         self._responses: "OrderedDict[bytes, Tuple[str, ...]]" = \
@@ -426,7 +430,7 @@ class CompilerService:
         # module but hashes nothing.
         import hashlib
 
-        from .batch import BatchFileResult, compile_unit
+        from .batch import BatchFileResult, WorkerPool
 
         units = params.get("units")
         if not isinstance(units, (list, tuple)) or not units:
@@ -446,29 +450,31 @@ class CompilerService:
         # A unit's compile is a function of exactly these inputs and its
         # source text (a fresh compiler per unit), so they address it.
         scope = f"{options_fingerprint(options)}\nprelude={prelude}\n"
-        files = []
+        files: List[Any] = []
+        misses: List[Tuple[int, bytes]] = []
         for label, source in items:
             started = time.perf_counter()
             key = hashlib.sha256((scope + source).encode("utf-8")).digest()
             defined = self._cached_response(key)
-            if defined is not None:
-                # Nothing compiled: report only this lookup's work.
-                record = BatchFileResult(
-                    label, "ok", defined,
-                    seconds=time.perf_counter() - started,
-                    counters={"response_cache_hits": 1},
-                    served_from="response-cache")
-            else:
-                self._bump("compile")
-                record = compile_unit(
-                    self.compiler(options), label, source,
-                    load_prelude=prelude,
-                    want_diagnostics=self._on_diagnostics is not None)
-                if record.ok:
-                    self._finished(record.seconds, prelude,
-                                   record.diagnostics)
-                    self._remember_response(key, record.defined)
-            files.append(record.to_wire())
+            if defined is None:
+                misses.append((len(files), key))
+                files.append(None)
+                continue
+            # Nothing compiled: report only this lookup's work.
+            files.append(BatchFileResult(
+                label, "ok", defined, seconds=time.perf_counter() - started,
+                counters={"response_cache_hits": 1},
+                served_from="response-cache"))
+        records = (self.pool or WorkerPool(1)).compile(
+            [items[index] for index, _ in misses], options, self.cache,
+            prelude, self._on_diagnostics is not None)
+        for (index, key), record in zip(misses, records):
+            self._bump("compile")
+            if record.ok:
+                self._finished(record.seconds, prelude, record.diagnostics)
+                self._remember_response(key, record.defined)
+            files[index] = record
+        files = [record.to_wire() for record in files]
         ok = sum(1 for f in files if f["status"] == "ok")
         return {"files": files, "ok": ok, "errors": len(files) - ok}
 

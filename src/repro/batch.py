@@ -1,18 +1,20 @@
 """Parallel batch compilation: many files, a worker pool, one report.
 
 ``compile_batch`` partitions a list of source files (or ``(label, text)``
-pairs) across a ``concurrent.futures`` pool.  Each unit is compiled by its
-own :class:`repro.Compiler` instance (workers share nothing but the
+pairs) across a :class:`WorkerPool`.  Each unit is compiled by its own
+:class:`repro.Compiler` instance (workers share nothing but the
 content-addressed cache directory, so compilation order cannot change any
 result), results are merged back in input order regardless of completion
 order, and a failing file is reported as a per-file error instead of
 killing the batch.  :func:`compile_unit` builds that per-unit record in
-every mode, a daemon's ``batch`` op included.
+every mode, and :meth:`WorkerPool.compile` decides where units run for a
+local batch and a daemon's ``batch`` op alike.
 
-Process pools are the default for ``jobs > 1`` (compilation is CPU-bound
-Python); when the platform cannot provide one (restricted sandboxes), the
-driver degrades to a thread pool and records that in the report.  Each
-worker process keeps one :class:`repro.cache.CompilationCache` per cache
+``--jobs N`` means N worker processes everywhere: the one-shot CLI starts
+a pool per batch, and ``repro serve`` keeps one warm for its ``batch``
+misses.  When the platform cannot start processes (restricted sandboxes),
+the pool degrades to threads and records that in the report.  Each worker
+process keeps one :class:`repro.cache.CompilationCache` per cache
 directory, so the in-memory LRU layer is reused across the files a worker
 handles and the on-disk layer is shared by everyone.
 
@@ -243,6 +245,70 @@ def _compile_one(options: CompilerOptions, cache_dir: Optional[str],
                         want_diagnostics=want_diagnostics)
 
 
+class WorkerPool:
+    """The one pool behind ``--jobs``: *jobs* worker processes that compile
+    batch units (threads where the host cannot start processes;
+    :attr:`executor` says which, ``"inline"`` while none run).  They start
+    at :meth:`start` or on first use, and afresh after a worker dies."""
+
+    def __init__(self, jobs: int):
+        self.jobs = max(1, int(jobs))
+        self.executor = "inline"
+        self._pool: Any = None
+
+    def start(self) -> Any:
+        if self._pool is None and self.jobs > 1:
+            self.executor, self._pool = _make_pool(self.jobs)
+        return self._pool
+
+    def close(self) -> None:
+        """Stop the workers once the units they run finish; queued units
+        are dropped (an interrupted batch does not compile the rest)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def compile(self, units: Sequence[Tuple[str, Optional[str]]],
+                options: CompilerOptions, cache: Optional[CompilationCache],
+                load_prelude: bool, want_diagnostics: bool
+                ) -> List[BatchFileResult]:
+        """One record per unit, in input order.  With one worker or one
+        unit, units compile inline over *cache*; otherwise on the workers,
+        each over its own cache of *cache*'s directory.  A dead worker's
+        units are errors, and the next call starts a new pool."""
+        if self.jobs == 1 or len(units) <= 1:
+            from .compiler import Compiler
+
+            return [compile_unit(Compiler(options, cache=cache), label,
+                                 source, load_prelude=load_prelude,
+                                 want_diagnostics=want_diagnostics)
+                    for label, source in units]
+        from concurrent.futures import BrokenExecutor
+
+        cache_dir = cache.directory if cache is not None else None
+
+        def submit_all():
+            pool = self.start()
+            return [pool.submit(_compile_one, options, cache_dir, label,
+                                source, load_prelude, want_diagnostics)
+                    for label, source in units]
+
+        try:
+            futures = submit_all()
+        except BrokenExecutor:      # a worker died since the last call
+            self.close()
+            futures = submit_all()
+        files = []
+        for (label, _), future in zip(units, futures):
+            try:
+                files.append(future.result())
+            except Exception as err:  # the worker died (pool breakage, ...)
+                files.append(BatchFileResult.failure(label, err))
+                if isinstance(err, BrokenExecutor):
+                    self.close()
+        return files
+
+
 def compile_batch(items: Sequence[BatchItem], *,
                   options: Optional[CompilerOptions] = None,
                   jobs: int = 1,
@@ -253,12 +319,12 @@ def compile_batch(items: Sequence[BatchItem], *,
     """Compile *items* (paths or ``(label, source)`` pairs) and merge the
     per-file outcomes deterministically (input order).
 
-    *jobs* > 1 runs a process pool with per-worker Compiler instances;
-    *cache_dir* shares one content-addressed store across workers and
-    across runs.  *server* (a daemon address: unix socket path or
-    ``http://host:port``) skips local pools entirely and ships each
-    unit's source to a warm ``repro serve`` daemon over *jobs* concurrent
-    connections -- the daemon compiles with its own cache and
+    *jobs* > 1 runs a :class:`WorkerPool` with per-worker Compiler
+    instances; *cache_dir* shares one content-addressed store across
+    workers and across runs.  *server* (a daemon address: unix socket path
+    or ``http://host:port``) skips local pools entirely (*jobs* must be 1)
+    and ships every unit's source to a warm ``repro serve`` daemon, a few
+    units per request -- the daemon compiles with its own workers, cache and
     verification settings, a repeated unit is answered from its response
     cache, and only names and counters come back.
     *want_diagnostics=False* drops the per-file diagnostics JSON from the
@@ -272,40 +338,28 @@ def compile_batch(items: Sequence[BatchItem], *,
         for item in items]
 
     started = time.perf_counter()
-    jobs = max(1, int(jobs))
 
     if server is not None:
+        if jobs != 1:
+            raise ValueError("jobs sizes a local pool; a daemon compiles "
+                             "on its own --jobs workers")
         from .client import compile_units_via_server
 
         files = compile_units_via_server(
-            units, server, options=options, jobs=jobs,
-            load_prelude=load_prelude)
-        return BatchResult(files=files, jobs=jobs,
+            units, server, options=options, load_prelude=load_prelude)
+        return BatchResult(files=files, jobs=1,
                            seconds=time.perf_counter() - started,
                            executor="server", cache_dir=cache_dir)
 
-    executor_kind = "inline"
-    files: List[BatchFileResult] = []
-
-    if jobs == 1 or len(units) <= 1:
-        files = [_compile_one(options, cache_dir, label, source,
-                              load_prelude, want_diagnostics)
-                 for label, source in units]
-    else:
-        executor_kind, pool = _make_pool(jobs)
-        with pool:
-            futures = [pool.submit(_compile_one, options, cache_dir, label,
-                                   source, load_prelude, want_diagnostics)
-                       for label, source in units]
-            for (label, _), future in zip(units, futures):
-                try:
-                    files.append(future.result())
-                except Exception as err:  # worker died (pool breakage, ...)
-                    files.append(BatchFileResult.failure(label, err))
-
-    return BatchResult(files=files, jobs=jobs,
+    pool = WorkerPool(jobs)
+    try:
+        files = pool.compile(units, options, _worker_cache(cache_dir),
+                             load_prelude, want_diagnostics)
+    finally:
+        pool.close()
+    return BatchResult(files=files, jobs=pool.jobs,
                        seconds=time.perf_counter() - started,
-                       executor=executor_kind, cache_dir=cache_dir)
+                       executor=pool.executor, cache_dir=cache_dir)
 
 
 #: Memoized result of the cheap pre-spawn viability probe (None: not yet
@@ -340,21 +394,39 @@ def process_pool_viable() -> bool:
     return _POOL_VIABLE
 
 
+def _worker_init(started: Any) -> None:
+    """Each pool worker: leave SIGINT (a Ctrl-C reaches the whole process
+    group) to the parent, load the pipeline, and wait on the *started*
+    barrier until every worker has loaded it."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from . import compiler  # noqa: F401
+    started.wait(timeout=60)
+
+
 def _make_pool(jobs: int):
     """A process pool when the platform allows it, else a thread pool (the
     result notes which, so reports stay honest about parallelism).  The
     cheap :func:`process_pool_viable` probe runs first, skipping straight
-    to threads on hosts that cannot spawn; the probe task then surfaces
-    platforms where pool creation succeeds but the first spawn fails."""
+    to threads on hosts that cannot spawn; one probe task per worker then
+    returns once every worker has loaded the pipeline, and surfaces
+    platforms where pool creation succeeds but a spawn fails.  A process
+    that runs threads (the daemon) spawns, since forking it is unsafe."""
     import concurrent.futures
+    import multiprocessing
+    import threading
 
-    if not process_pool_viable():
-        return "thread", concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs)
-    try:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-        pool.submit(os.getpid).result(timeout=60)
-        return "process", pool
-    except Exception:
-        return "thread", concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs)
+    if process_pool_viable():
+        context = multiprocessing.get_context(
+            "spawn" if threading.active_count() > 1 else None)
+        try:
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=context,
+                initializer=_worker_init, initargs=(context.Barrier(jobs),))
+            for probe in [pool.submit(os.getpid) for _ in range(jobs)]:
+                probe.result(timeout=60)
+            return "process", pool
+        except Exception:  # noqa: BLE001 - any failure means threads
+            pass
+    return "thread", concurrent.futures.ThreadPoolExecutor(max_workers=jobs)

@@ -12,7 +12,6 @@ content-addressed store.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import socket
 import time
@@ -56,8 +55,7 @@ class ServiceClient:
 
     *address* is a unix-socket path or an ``http://host:port`` URL.  Each
     request opens its own connection, so one client object may be shared
-    freely across threads (the batch path fans out with a thread pool of
-    them)."""
+    freely across threads."""
 
     def __init__(self, address: str, timeout: float = 30.0):
         self.address = address
@@ -227,83 +225,62 @@ def _request_with_busy_retry(client: ServiceClient, op: str,
             delay = min(delay * 2, 1.0)
 
 
+#: Units per ``batch`` request of a client batch.  Requests go one after
+#: another, so per-request timeouts bound a few units, not the corpus, and
+#: another client's op waits for one request at most.
+UNITS_PER_REQUEST = 8
+
+
 def compile_units_via_server(
         units: Sequence[Tuple[str, Optional[str]]],
         server: str, *,
         options: Optional[CompilerOptions] = None,
-        jobs: int = 1,
         load_prelude: bool = False,
-        timeout: float = 120.0,
-        units_per_request: Optional[int] = None) -> List[BatchFileResult]:
+        timeout: float = 120.0) -> List[BatchFileResult]:
     """The daemon-backed batch engine: ship every ``(label, source)`` unit
-    (source read from *label* when None) to the warm server, results in
-    input order.
+    (source read from *label* when None) to the warm server, in ``batch``
+    requests of up to :data:`UNITS_PER_REQUEST` units, results in input
+    order.
 
-    Units travel in chunks (batch wire ops, a handful of round trips
-    instead of one per file) over *jobs* concurrent connections; a warm
-    daemon answers repeats straight from the response cache of its batch
-    op, which it keys itself.  Returns one record per unit, the same
+    The daemon answers repeats straight from the response cache of its
+    batch op, which it keys itself, and compiles the rest on its own
+    workers.  Returns one record per unit, the same
     :class:`repro.batch.BatchFileResult` a local batch builds."""
-    options = options or CompilerOptions()
-    client = ServiceClient(server, timeout=timeout)
-    # The daemon compiles with ITS defaults unless the request pins the
-    # semantic options, so ship the full declared-semantic set with every
-    # chunk -- otherwise `--target vax` against an s1-defaulted daemon
-    # would silently compile for the wrong machine.
-    wire_options = options_to_wire(options)
-
-    results: List[Optional[BatchFileResult]] = [None] * len(units)
-    ready: List[Tuple[int, str, str]] = []
-    for index, (label, source) in enumerate(units):
-        if source is None:
-            try:
+    records: List[Optional[BatchFileResult]] = []
+    sent: List[Dict[str, str]] = []
+    for label, source in units:
+        try:
+            if source is None:
                 with open(label, "r", encoding="utf-8") as handle:
                     source = handle.read()
-            except OSError as err:
-                results[index] = BatchFileResult.failure(label, err)
-                continue
-        ready.append((index, label, source))
-
-    jobs = max(1, int(jobs))
-    if units_per_request is None:
-        # A few requests per connection: amortize the per-request round
-        # trip while keeping requests small enough that per-request
-        # timeouts and the daemon's queue accounting stay meaningful.
-        units_per_request = max(1, -(-len(ready) // (jobs * 4)))
-    chunks = [ready[at:at + units_per_request]
-              for at in range(0, len(ready), units_per_request)]
-
-    def send_chunk(chunk: List[Tuple[int, str, str]]) -> None:
-        payload = [{"label": label, "source": source}
-                   for _, label, source in chunk]
+        except OSError as err:
+            records.append(BatchFileResult.failure(label, err))
+            continue
+        records.append(None)
+        sent.append({"label": label, "source": source})
+    client = ServiceClient(server, timeout=timeout)
+    # The daemon compiles with ITS defaults unless the request pins the
+    # semantic options, so ship the full declared-semantic set -- otherwise
+    # `--target vax` against an s1-defaulted daemon would silently compile
+    # for the wrong machine.
+    params = {"prelude": load_prelude,
+              "options": options_to_wire(options or CompilerOptions())}
+    answers: List[BatchFileResult] = []
+    for at in range(0, len(sent), UNITS_PER_REQUEST):
+        chunk = sent[at:at + UNITS_PER_REQUEST]
         started = time.perf_counter()
         try:
-            response = _request_with_busy_retry(
-                client, "batch", {"units": payload,
-                                  "options": wire_options,
-                                  "prelude": load_prelude})
+            files = _request_with_busy_retry(
+                client, "batch", dict(params, units=chunk)).get("files", [])
+            got = [BatchFileResult.from_wire(entry)
+                   for entry in files[:len(chunk)]]
         except (ReproError, OSError) as err:
             seconds = (time.perf_counter() - started) / len(chunk)
-            for index, label, _ in chunk:
-                results[index] = BatchFileResult.failure(label, err, seconds)
-            return
-        files = response.get("files", [])
-        for position, (index, label, _) in enumerate(chunk):
-            if position < len(files):
-                results[index] = BatchFileResult.from_wire(files[position])
-            else:
-                results[index] = BatchFileResult.failure(
-                    label, ServiceError("short-response",
-                                        "server returned no result for "
-                                        "this unit"))
-
-    if jobs == 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            send_chunk(chunk)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=jobs) as pool:
-            for future in [pool.submit(send_chunk, chunk)
-                           for chunk in chunks]:
-                future.result()
-    return [entry for entry in results if entry is not None]
+            got = [BatchFileResult.failure(unit["label"], err, seconds)
+                   for unit in chunk]
+        answers.extend(got)
+        answers.extend(BatchFileResult.failure(unit["label"], ServiceError(
+            "short-response", "server returned no result for this unit"))
+            for unit in chunk[len(got):])
+    replies = iter(answers)
+    return [record or next(replies) for record in records]

@@ -49,14 +49,6 @@ class ConversionError(ReproError):
     form, unbound variable in strict mode, malformed lambda list, ...)."""
 
 
-class AnalysisError(ReproError):
-    """An analysis phase found an inconsistency (internal invariant)."""
-
-
-class OptimizerError(ReproError):
-    """The source-level optimizer detected an internal inconsistency."""
-
-
 class CodegenError(ReproError):
     """Code generation failed (unsupported construct, allocator overflow)."""
 

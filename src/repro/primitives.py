@@ -372,12 +372,6 @@ define_primitive("atan", lambda y, x=None: math.atan2(float(y), float(x))
 # fixnum families used throughout the paper's Sections 6 and 7.
 # ---------------------------------------------------------------------------
 
-def _float_binop(name: str, op: Callable[[float, float], float]):
-    def wrapper(a: Any, b: Any) -> float:
-        return op(_need_float(name, a), _need_float(name, b))
-    return wrapper
-
-
 def _float_nary(name: str, op: Callable[[float, float], float], unit: float):
     def wrapper(*args: Any) -> float:
         values = [_need_float(name, a) for a in args]

@@ -8,9 +8,9 @@ and cons-cell lists.  Quote sugar expands here (``'x`` -> ``(quote x)``,
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
-from ..datum import NIL, Cons, from_list, intern_symbol, sym
+from ..datum import NIL, Cons, from_list, intern_symbol
 from ..datum.symbols import Symbol
 from ..diagnostics import SourceLocation
 from ..errors import ReaderError
@@ -48,7 +48,6 @@ class Parser:
     def __init__(self, text: str, filename: str = "<input>"):
         self._lexer = lx.Lexer(text, filename)
         self._filename = filename
-        self._pushback: Optional[lx.Token] = None
 
     def _loc(self, token: lx.Token) -> SourceLocation:
         return SourceLocation(token.line, token.column, self._filename)
@@ -58,16 +57,6 @@ class Parser:
             form.source_pos = self._loc(token)
         return form
 
-    def _next(self) -> lx.Token:
-        if self._pushback is not None:
-            token, self._pushback = self._pushback, None
-            return token
-        return self._lexer.next_token()
-
-    def _push(self, token: lx.Token) -> None:
-        assert self._pushback is None
-        self._pushback = token
-
     def read(self) -> Any:
         """Read one datum; raises ReaderError at EOF."""
         datum = self.read_or_eof()
@@ -76,7 +65,7 @@ class Parser:
         return datum
 
     def read_or_eof(self) -> Any:
-        token = self._next()
+        token = self._lexer.next_token()
         return self._parse(token)
 
     def read_all(self) -> List[Any]:
@@ -137,7 +126,7 @@ class Parser:
         items: List[Any] = []
         tail: Any = NIL
         while True:
-            token = self._next()
+            token = self._lexer.next_token()
             if token.kind == lx.EOF:
                 raise ReaderError("unterminated list",
                                   location=self._loc(open_token))
@@ -148,7 +137,7 @@ class Parser:
                     raise ReaderError("dotted pair with no car",
                                       location=self._loc(token))
                 tail = self.read()
-                closer = self._next()
+                closer = self._lexer.next_token()
                 if closer.kind != lx.RPAREN:
                     raise ReaderError("expected ')' after dotted tail",
                                       location=self._loc(closer))

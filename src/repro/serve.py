@@ -14,10 +14,12 @@ pool spawn).  Two transports speak the same versioned schema
   running totals, plus server gauges -- queue depth, in-flight count,
   per-op latency histograms, cache hit ratio), ``GET /healthz``.
 
-Compilation is CPU-bound, so requests execute on a thread pool of
-``--jobs`` workers, all calling one :class:`repro.api.CompilerService`:
-one memory LRU over the ``--cache-dir`` store, one response cache on its
-``batch`` op, and the counters ``ping``/``stats`` report.  The daemon adds
+Queued requests run one at a time on one dispatch thread, which calls
+one :class:`repro.api.CompilerService`: one memory LRU over the
+``--cache-dir`` store, one response cache on its ``batch`` op, and the
+counters ``ping``/``stats`` report.  A ``batch`` op's misses run on the
+``--jobs`` worker processes of :class:`repro.batch.WorkerPool`, started
+warm before the daemon listens.  The daemon adds
 queueing, transport and metrics, nothing semantic.  The asyncio
 side enforces **backpressure**: past ``--max-queue`` waiting requests a
 ``busy`` error is returned immediately (never a hang), monitoring ops
@@ -29,6 +31,7 @@ listeners close, in-flight work drains, then the process exits.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import threading
@@ -46,6 +49,7 @@ from .api import (
     error_response,
     ok_response,
 )
+from .batch import WorkerPool
 from .cache import CompilationCache
 from .errors import ReproError
 from .options import CompilerOptions
@@ -76,18 +80,15 @@ def request_trace_id(request: Any) -> Optional[str]:
     return None
 
 
-def tag_response(response: Dict[str, Any], trace_id: Optional[str]
-                 ) -> Tuple[Dict[str, Any], str]:
-    """Every response envelope identifies its request: the client's
-    ``trace_id`` echoed back, or a server-minted ``request_id`` when the
-    client sent none.  Both fields are additive, so old clients are
-    unaffected; returns ``(response, the id used)``."""
-    if trace_id is not None:
-        response["trace_id"] = trace_id
-        return response, trace_id
-    request_id = "req-" + uuid.uuid4().hex[:12]
-    response["request_id"] = request_id
-    return response, request_id
+async def _send(writer: asyncio.StreamWriter, data: bytes) -> bool:
+    """Write *data* to a client; False when the client has hung up, which
+    ends that connection instead of raising into asyncio's log."""
+    try:
+        writer.write(data)
+        await writer.drain()
+    except OSError:             # ConnectionResetError, BrokenPipeError
+        return False
+    return True
 
 
 def _socket_answers(path: str, timeout: float = 0.5) -> bool:
@@ -180,8 +181,8 @@ class ServerMetrics:
                 "# TYPE repro_server_uptime_seconds gauge",
                 f"repro_server_uptime_seconds "
                 f"{time.time() - self.started:.3f}",
-                "# HELP repro_server_queue_depth Requests waiting for a "
-                "worker right now.",
+                "# HELP repro_server_queue_depth Requests waiting for the "
+                "dispatch thread right now.",
                 "# TYPE repro_server_queue_depth gauge",
                 f"repro_server_queue_depth {queue_depth}",
                 "# HELP repro_server_in_flight Requests executing right "
@@ -244,7 +245,7 @@ class ReproServer:
     existing event loop (the tests do the latter).
 
     *response_cache_size* bounds the response cache of the one
-    :class:`CompilerService` every worker thread calls (entries, least
+    :class:`CompilerService` the dispatch thread calls (entries, least
     recently used evicted first; 0 turns it off)."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,
@@ -264,7 +265,8 @@ class ReproServer:
         self.socket_path = socket_path
         self.http_addr = http_addr
         self.cache_dir = os.fspath(cache_dir) if cache_dir else None
-        self.jobs = max(1, int(jobs))
+        self.pool = WorkerPool(jobs)
+        self.jobs = self.pool.jobs
         self.max_queue = max(0, int(max_queue))
         self.request_timeout = request_timeout
         self.max_request_bytes = max(1024, int(max_request_bytes))
@@ -272,7 +274,7 @@ class ReproServer:
         self.service = CompilerService(
             self.options, CompilationCache(directory=self.cache_dir),
             response_cache_size=response_cache_size,
-            on_diagnostics=self.metrics.merge_diagnostics)
+            on_diagnostics=self.metrics.merge_diagnostics, pool=self.pool)
 
         self._executor = None
         self._counter_lock = threading.Lock()
@@ -285,15 +287,15 @@ class ReproServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    # -- worker side (threads) --------------------------------------------
+    # -- the dispatch thread -----------------------------------------------
 
     def _execute(self, op: str, params: Mapping[str, Any],
                  accepted_at: Optional[float] = None) -> Dict[str, Any]:
-        """Runs on a worker thread: one queued wire op.  A traced request
-        (one carrying a ``trace_id``) gets ``server_timing`` attached --
-        how long it waited for a worker and how long it executed, on the
-        server's own clock -- so the client can reconstruct the round
-        trip (:func:`repro.trace.build_request_trace`)."""
+        """Runs on the dispatch thread: one queued wire op.  A traced
+        request (one carrying a ``trace_id``) gets ``server_timing``
+        attached -- how long it waited in the queue and how long it
+        executed, on the server's own clock -- so the client can rebuild
+        the round trip (:func:`repro.trace.build_request_trace`)."""
         with self._counter_lock:
             self._queued -= 1
             self._in_flight += 1
@@ -324,6 +326,7 @@ class ReproServer:
             "queue_depth": queued,
             "in_flight": in_flight,
             "jobs": self.jobs,
+            "executor": self.pool.executor,
             "max_queue": self.max_queue,
             "draining": self._draining,
             "requests": dict(self.metrics.requests),
@@ -335,42 +338,54 @@ class ReproServer:
         })
         return data
 
-    async def _respond(self, request: Any) -> Dict[str, Any]:
-        """One parsed request object -> one response object.  Never
-        raises: every failure becomes a structured error envelope, and
-        every envelope -- success, busy, timeout, internal error --
-        carries either the client's echoed ``trace_id`` or a
-        server-minted ``request_id``."""
+    async def _respond(self, raw: bytes) -> Dict[str, Any]:
+        """One request's bytes -> one response object.  Never raises:
+        every failure becomes a structured error envelope."""
         started = time.perf_counter()
-        response = await self._respond_inner(request, started)
-        response, request_id = tag_response(response,
-                                            request_trace_id(request))
-        op = response.get("op") \
-            or (response.get("error") or {}).get("code", "?")
-        self.metrics.note_request(request_id, op,
-                                  time.perf_counter() - started,
-                                  bool(response.get("ok")))
+        trace_id = None
+        try:
+            try:
+                request = json.loads(raw)
+            except (ValueError, RecursionError) as err:  # or too deep
+                raise ApiError("bad-json", f"unparseable request: {err}")
+            trace_id = request_trace_id(request)
+            op, params = check_request(request)
+        except ApiError as err:
+            return self._answered(error_response(err), trace_id, err.code,
+                                  started)
+        response = await self._dispatch(op, params, started)
+        return self._answered(response, trace_id, op, started)
+
+    def _answered(self, response: Dict[str, Any], trace_id: Optional[str],
+                  label: str, started: float) -> Dict[str, Any]:
+        """Every envelope the daemon writes passes here once.  It
+        identifies its request -- the client's ``trace_id`` echoed back,
+        or a server-minted ``request_id`` (both additive fields, so old
+        clients are unaffected) -- and is counted in ``/metrics`` and
+        journaled in ``stats`` under *label*: its op, or the error code of
+        a request that names none."""
+        request_id = trace_id or "req-" + uuid.uuid4().hex[:12]
+        response["trace_id" if trace_id else "request_id"] = request_id
+        seconds = time.perf_counter() - started
+        ok = bool(response.get("ok"))
+        self.metrics.observe(label, seconds, ok)
+        self.metrics.note_request(request_id, label, seconds, ok)
         return response
 
-    async def _respond_inner(self, request: Any,
-                             accepted_at: float) -> Dict[str, Any]:
-        started = accepted_at
-        op = "?"
-        ok = True
+    async def _dispatch(self, op: str, params: Dict[str, Any],
+                        accepted_at: float) -> Dict[str, Any]:
         try:
-            op, params = check_request(request)
             if op == "shutdown":
                 assert self._loop is not None
                 self._loop.create_task(self.shutdown())
                 return ok_response("shutdown", {"draining": True})
             if op in INLINE_OPS:
                 # Monitoring probes bypass the queue entirely: they must
-                # answer even when the worker pool is saturated.
+                # answer even when the dispatch thread is busy.
                 if op == "ping":
                     return ok_response("ping", self.service.ping())
                 return ok_response("stats", self._stats_payload())
             if self._draining:
-                ok = False
                 return error_response(ApiError(
                     "shutting-down", "server is draining; not accepting "
                     "new work"))
@@ -383,7 +398,6 @@ class ReproServer:
                     self._outstanding += 1
             if not accepted:
                 self.metrics.count_busy()
-                ok = False
                 queued, in_flight = self._queue_depths()
                 return error_response(ApiError(
                     "busy",
@@ -392,170 +406,134 @@ class ReproServer:
             try:
                 assert self._loop is not None
                 future = self._loop.run_in_executor(
-                    self._executor, self._execute, op, dict(params),
-                    accepted_at)
+                    self._executor, self._execute, op, params, accepted_at)
                 try:
-                    response = await asyncio.wait_for(
+                    return await asyncio.wait_for(
                         asyncio.shield(future), self.request_timeout)
                 except asyncio.TimeoutError:
                     self.metrics.count_timeout()
-                    ok = False
                     return error_response(ApiError(
                         "timeout",
                         f"request exceeded {self.request_timeout:.1f}s; "
                         f"the compile keeps running server-side"))
-                if not response.get("ok", False):
-                    ok = False
-                return response
             finally:
                 with self._counter_lock:
                     self._outstanding -= 1
-        except ApiError as err:
-            ok = False
-            return error_response(err)
         except Exception as err:  # noqa: BLE001 - envelope, never a crash
-            ok = False
             return error_response(err)
+
+    async def _connection(self, handle, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        """Run one client connection's *handle*; shutdown cancels the
+        connections left once it has drained."""
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        try:
+            await handle(reader, writer)
+        except asyncio.CancelledError:
+            pass  # shutdown drained and is closing idle connections
         finally:
-            self.metrics.observe(op, time.perf_counter() - started, ok)
+            self._conn_tasks.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError,
+                    asyncio.CancelledError):
+                pass
 
     # -- unix socket transport (JSON lines) -------------------------------
 
     async def _handle_socket(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionResetError:
-                    break
-                except ValueError:
-                    # readline() reports a stream-limit overrun as
-                    # ValueError (not LimitOverrunError); the buffered
-                    # data is unusable, so answer structurally and drop
-                    # the connection.
-                    response, _ = tag_response(error_response(ApiError(
-                        "too-large",
-                        f"request line exceeds the server's "
-                        f"{self.max_request_bytes} byte limit")), None)
-                    try:
-                        writer.write(
-                            json.dumps(response).encode("utf-8") + b"\n")
-                        await writer.drain()
-                    except (ConnectionResetError, BrokenPipeError,
-                            OSError):
-                        pass
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = json.loads(line)
-                except ValueError as err:
-                    response, _ = tag_response(error_response(
-                        ApiError("bad-json",
-                                 f"unparseable request: {err}")), None)
-                else:
-                    response = await self._respond(request)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
-        except asyncio.CancelledError:
-            pass  # shutdown drained and is closing idle connections
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                pass
+                line = await reader.readline()
+            except ConnectionResetError:
+                break
+            except ValueError:
+                # readline() reports a stream-limit overrun as ValueError
+                # (not LimitOverrunError); the buffered data is unusable,
+                # so answer structurally and drop the connection.
+                response = self._answered(error_response(ApiError(
+                    "too-large",
+                    f"request line exceeds the server's "
+                    f"{self.max_request_bytes} byte limit")), None,
+                    "too-large", time.perf_counter())
+                await _send(writer,
+                            json.dumps(response).encode("utf-8") + b"\n")
+                break
+            if not line:
+                break
+            if not line.strip():
+                continue
+            response = await self._respond(line)
+            if not await _send(
+                    writer, json.dumps(response).encode("utf-8") + b"\n"):
+                break
 
     # -- HTTP transport ----------------------------------------------------
 
     async def _handle_http(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
         try:
-            try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), 30.0)
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                    asyncio.LimitOverrunError, ConnectionResetError):
-                return
-            request_line, _, header_blob = \
-                head.decode("latin-1").partition("\r\n")
-            parts = request_line.split()
-            if len(parts) < 2:
-                await self._http_reply(writer, 400, "text/plain",
-                                       b"bad request line\n")
-                return
-            method, path = parts[0].upper(), parts[1]
-            headers: Dict[str, str] = {}
-            for header in header_blob.split("\r\n"):
-                name, _, value = header.partition(":")
-                if _:
-                    headers[name.strip().lower()] = value.strip()
-            if method == "GET" and path.startswith("/metrics"):
-                queued, in_flight = self._queue_depths()
-                body = self.metrics.render(queued, in_flight)
-                await self._http_reply(
-                    writer, 200, "text/plain; version=0.0.4",
-                    body.encode("utf-8"))
-                return
-            if method == "GET" and path.startswith("/healthz"):
-                body = json.dumps({"ok": True, "api": API_VERSION})
-                await self._http_reply(writer, 200, "application/json",
-                                       body.encode("utf-8") + b"\n")
-                return
-            if method != "POST":
-                await self._http_reply(writer, 405, "text/plain",
-                                       b"use POST / with a JSON body, GET "
-                                       b"/metrics, or GET /healthz\n")
-                return
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                length = 0
-            length = max(0, length)
-            if length > self.max_request_bytes:
-                body = json.dumps(tag_response(error_response(ApiError(
-                    "too-large",
-                    f"request body of {length} bytes exceeds the "
-                    f"server's {self.max_request_bytes} byte limit")),
-                    None)[0])
-                await self._http_reply(writer, 413, "application/json",
-                                       body.encode("utf-8") + b"\n")
-                return
-            try:
-                body = await reader.readexactly(length) if length else b""
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return
-            try:
-                request = json.loads(body or b"null")
-            except ValueError as err:
-                response, _ = tag_response(error_response(
-                    ApiError("bad-json",
-                             f"unparseable request: {err}")), None)
-            else:
-                response = await self._respond(request)
-            status = 200 if response.get("ok") else 400
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), 30.0)
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError,
+                asyncio.LimitOverrunError, ConnectionResetError):
+            return
+        request_line, _, header_blob = \
+            head.decode("latin-1").partition("\r\n")
+        parts = request_line.split()
+        if len(parts) < 2:
+            await self._http_reply(writer, 400, "text/plain",
+                                   b"bad request line\n")
+            return
+        method, path = parts[0].upper(), parts[1]
+        headers: Dict[str, str] = {}
+        for header in header_blob.split("\r\n"):
+            name, _, value = header.partition(":")
+            if _:
+                headers[name.strip().lower()] = value.strip()
+        if method == "GET" and path.startswith("/metrics"):
+            queued, in_flight = self._queue_depths()
+            body = self.metrics.render(queued, in_flight)
             await self._http_reply(
-                writer, status, "application/json",
-                json.dumps(response).encode("utf-8") + b"\n")
-        except asyncio.CancelledError:
-            pass  # shutdown drained and is closing idle connections
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                pass
+                writer, 200, "text/plain; version=0.0.4",
+                body.encode("utf-8"))
+            return
+        if method == "GET" and path.startswith("/healthz"):
+            body = json.dumps({"ok": True, "api": API_VERSION})
+            await self._http_reply(writer, 200, "application/json",
+                                   body.encode("utf-8") + b"\n")
+            return
+        if method != "POST":
+            await self._http_reply(writer, 405, "text/plain",
+                                   b"use POST / with a JSON body, GET "
+                                   b"/metrics, or GET /healthz\n")
+            return
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            length = 0
+        length = max(0, length)
+        if length > self.max_request_bytes:
+            body = json.dumps(self._answered(error_response(ApiError(
+                "too-large",
+                f"request body of {length} bytes exceeds the "
+                f"server's {self.max_request_bytes} byte limit")),
+                None, "too-large", time.perf_counter()))
+            await self._http_reply(writer, 413, "application/json",
+                                   body.encode("utf-8") + b"\n")
+            return
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            return
+        response = await self._respond(body or b"null")
+        status = 200 if response.get("ok") else 400
+        await self._http_reply(
+            writer, status, "application/json",
+            json.dumps(response).encode("utf-8") + b"\n")
 
     async def _http_reply(self, writer: asyncio.StreamWriter, status: int,
                           content_type: str, body: bytes) -> None:
@@ -566,8 +544,7 @@ class ReproServer:
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n")
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        await _send(writer, head.encode("latin-1") + body)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -575,33 +552,35 @@ class ReproServer:
         from concurrent.futures import ThreadPoolExecutor
 
         # A daemon exists to be warm: load the Table 1 pipeline (which the
-        # lazy package surface defers to the first compile) before the
-        # first connection, so no request pays for the import.
+        # lazy package surface defers to the first compile) and start the
+        # worker processes before the first connection, so no request
+        # pays for either.
         from . import compiler  # noqa: F401
 
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
+        if self.socket_path is not None and os.path.exists(self.socket_path):
+            if _socket_answers(self.socket_path):
+                raise ReproError(
+                    f"a daemon is already listening on "
+                    f"{self.socket_path}; shut it down first "
+                    f"(python -m repro client --server "
+                    f"{self.socket_path} --shutdown) or pick "
+                    f"another --socket")
+            os.unlink(self.socket_path)          # stale leftover
+        await self._loop.run_in_executor(self._executor, self.pool.start)
         if self.socket_path is not None:
-            if os.path.exists(self.socket_path):
-                if _socket_answers(self.socket_path):
-                    raise ReproError(
-                        f"a daemon is already listening on "
-                        f"{self.socket_path}; shut it down first "
-                        f"(python -m repro client --server "
-                        f"{self.socket_path} --shutdown) or pick "
-                        f"another --socket")
-                os.unlink(self.socket_path)      # stale leftover
             server = await asyncio.start_unix_server(
-                self._handle_socket, path=self.socket_path,
-                limit=self.max_request_bytes)
+                functools.partial(self._connection, self._handle_socket),
+                path=self.socket_path, limit=self.max_request_bytes)
             self._servers.append(server)
         if self.http_addr is not None:
             host, port = self.http_addr
             server = await asyncio.start_server(
-                self._handle_http, host=host, port=port,
-                limit=self.max_request_bytes)
+                functools.partial(self._connection, self._handle_http),
+                host=host, port=port, limit=self.max_request_bytes)
             self._servers.append(server)
 
     @property
@@ -646,6 +625,7 @@ class ReproServer:
                                  return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        self.pool.close()
         if self.socket_path is not None:
             try:
                 os.unlink(self.socket_path)

@@ -121,6 +121,34 @@ class TestParallelBatch:
         else:  # thread fallback on restricted platforms
             assert {f.pid for f in pooled.files} == {os.getpid()}
 
+    def test_a_threaded_caller_gets_spawned_workers(self, tmp_path,
+                                                    monkeypatch):
+        # Forking a process that runs threads is unsafe, so a pool started
+        # from one (a daemon, an embedding application) spawns its workers.
+        import multiprocessing
+        import threading
+
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            pooled = compile_batch(write_corpus(tmp_path, n=4), jobs=2)
+        finally:
+            stop.set()
+            other.join()
+        assert pooled.error_count == 0
+        if pooled.executor == "process":
+            assert methods[-1] == "spawn"
+            assert os.getpid() not in {f.pid for f in pooled.files}
+
     def test_pool_with_errors_and_cache(self, tmp_path):
         paths = write_corpus(tmp_path, n=6)
         broken = tmp_path / "broken.lisp"

@@ -23,12 +23,13 @@ FLAGS = {
              "--telemetry"},
     "serve": {"--cache-dir", "--verify", "--target", "--jobs", "--socket",
               "--http", "--max-queue", "--timeout", "--max-request-bytes"},
-    "client": {"--target", "--jobs", "--server", "--ping", "--stats",
-               "--shutdown", "--prelude", "--json"},
+    "client": {"--target", "--server", "--ping", "--stats", "--shutdown",
+               "--prelude", "--json"},
 }
 
 #: The (subcommand, shared flag) pairs that used to be accepted and do
-#: nothing.
+#: nothing, and ``client --jobs``, whose connection fan-out is gone (a
+#: daemon compiles on its own ``--jobs`` workers).
 INERT = [
     ("repl", "--jobs"),
     ("batch", "--tier"), ("batch", "--timing"), ("batch", "--machine-trace"),
@@ -38,7 +39,7 @@ INERT = [
     ("serve", "--tier"), ("serve", "--timing"),
     ("client", "--cache-dir"), ("client", "--trace"), ("client", "--metrics"),
     ("client", "--machine-trace"), ("client", "--verify"),
-    ("client", "--tier"), ("client", "--timing"),
+    ("client", "--tier"), ("client", "--timing"), ("client", "--jobs"),
 ]
 
 #: A value for each shared flag that takes one (valid where accepted).
@@ -113,7 +114,7 @@ class TestSubcommandFlags:
 
     @pytest.mark.parametrize("flag", ["--cache-dir", "--verify",
                                       "--trace-rewrites", "--trace",
-                                      "--metrics"])
+                                      "--metrics", "--jobs"])
     def test_batch_server_refuses_local_only_flags(self, flag, argv_for,
                                                    tmp_path, capsys):
         value = VALUES.get(flag)

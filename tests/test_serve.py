@@ -9,6 +9,9 @@ trip that yields one Perfetto trace per request."""
 import asyncio
 import gc
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import sys
 import threading
@@ -20,7 +23,7 @@ import pytest
 
 from repro import Compiler, build_request_trace, parse_prometheus_text
 from repro.api import API_VERSION, CompilerService
-from repro.batch import compile_batch
+from repro.batch import BatchFileResult, compile_batch
 from repro.cache import CompilationCache
 from repro.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.datum import sym
@@ -446,7 +449,7 @@ class TestSharedDiskCache:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors[:3]
-        # Hit/miss accounting stayed consistent across every worker: the
+        # Hit/miss accounting stayed consistent across every client: the
         # same 4 bodies were compiled 96 times, so probes = hits + misses
         # and the overwhelming majority were hits.
         totals = handle.server.metrics.diagnostics_totals["counters"]
@@ -466,8 +469,8 @@ class TestSharedDiskCache:
 
 
 class TestSharedResponseCache:
-    """Every worker thread calls the daemon's one service, so they share
-    its batch op's response cache."""
+    """Every thread that calls one service shares its batch op's response
+    cache."""
 
     @staticmethod
     def on_fresh_thread(call):
@@ -660,16 +663,14 @@ class TestDaemonBackedBatch:
             path = tmp_path / f"unit{index}.lisp"
             path.write_text(f"(defun b{index} (x) (+ x {index}))")
             paths.append(str(path))
-        result = compile_batch(paths, server=handle.server.socket_path,
-                               jobs=2)
+        result = compile_batch(paths, server=handle.server.socket_path)
         assert result.executor == "server"
         assert result.error_count == 0
         assert [f.defined for f in result.files] \
             == [[f"b{index}"] for index in range(4)]
         # A repeat of the same workload is answered from the response
         # cache of the daemon's batch op.
-        again = compile_batch(paths, server=handle.server.socket_path,
-                              jobs=1)
+        again = compile_batch(paths, server=handle.server.socket_path)
         assert again.error_count == 0
         assert again.counters().get("response_cache_hits", 0) >= 1
 
@@ -705,6 +706,31 @@ class TestDaemonBackedBatch:
         # every declared-semantic field is pinned, not just the changed one
         assert set(wire) == set(SEMANTIC_OPTION_FIELDS)
 
+    def test_a_batch_longer_than_the_request_timeout_completes(
+            self, server_factory, monkeypatch):
+        # A client batch goes out in requests of a few units, one after
+        # another, so the daemon's --timeout bounds a request, not the
+        # corpus.
+        import repro.batch
+
+        compile_unit = repro.batch.compile_unit
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return compile_unit(*args, **kwargs)
+
+        monkeypatch.setattr(repro.batch, "compile_unit", slow)
+        handle = server_factory(jobs=1, request_timeout=1.0)
+        units = [(f"t{index}.lisp", f"(defun t{index} (x) (+ x {index}))")
+                 for index in range(40)]
+        started = time.perf_counter()
+        result = compile_batch(units, server=handle.server.socket_path)
+        assert time.perf_counter() - started > 2.0
+        assert result.error_count == 0, result.report()
+        assert [f.defined for f in result.files] \
+            == [[f"t{index}"] for index in range(40)]
+        assert handle.server.metrics.timeouts == 0
+
     def test_batch_reports_per_file_errors(self, server_factory, tmp_path):
         handle = server_factory()
         good = tmp_path / "good.lisp"
@@ -738,7 +764,8 @@ class TestDaemonBackedBatch:
 class TestOneUnitRecord:
     """One function builds a batch unit's record in every mode, so the
     same units report the same outcomes inline, on a pool, through the
-    service's batch op and through a daemon."""
+    service's batch op and through a daemon with and without worker
+    processes."""
 
     @staticmethod
     def corpus():
@@ -760,8 +787,9 @@ class TestOneUnitRecord:
                 for label, source in units]})["files"]
             return [(f["path"], f["status"], f["error"], f["counters"])
                     for f in files]
-        if mode == "daemon":
-            handle = server_factory(jobs=1, cache_dir=cache_dir)
+        if mode.startswith("daemon"):
+            handle = server_factory(jobs=2 if mode == "daemon-pool" else 1,
+                                    cache_dir=cache_dir)
             result = compile_batch(units, server=handle.server.socket_path)
         else:
             result = compile_batch(units, jobs=2 if mode == "pool" else 1,
@@ -769,7 +797,7 @@ class TestOneUnitRecord:
         return [(f.path, f.status, f.error, f.counters)
                 for f in result.files]
 
-    MODES = ("inline", "pool", "service", "daemon")
+    MODES = ("inline", "pool", "service", "daemon", "daemon-pool")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_a_raising_unit_is_only_its_own_error(self, mode,
@@ -809,6 +837,194 @@ class TestOneUnitRecord:
         text = warm.report()
         assert text.count("1 definition(s), response cache") == 2
         assert "0/0" not in text
+
+
+class TestDaemonPool:
+    """``--jobs N`` means N worker processes in the daemon too: a batch
+    op's misses run on the pool ``repro batch`` runs, started warm in
+    ``start()``, while a ``--jobs 1`` daemon compiles in its own process."""
+
+    @staticmethod
+    def units(tag, count=4):
+        return [(f"{tag}{index}.lisp", f"(defun {tag}{index} (x) (+ x {index}))")
+                for index in range(count)]
+
+    @staticmethod
+    def compiling_pids(monkeypatch):
+        """The pid of every record the daemon answers, in order (the
+        daemon runs in this process; the pid stays off the wire)."""
+        pids = []
+        to_wire = BatchFileResult.to_wire
+
+        def recording(record):
+            pids.append(record.pid)
+            return to_wire(record)
+
+        monkeypatch.setattr(BatchFileResult, "to_wire", recording)
+        return pids
+
+    @staticmethod
+    def children():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    def test_misses_compile_on_worker_processes(self, server_factory,
+                                                monkeypatch, tmp_path):
+        pids = self.compiling_pids(monkeypatch)
+        handle = server_factory(jobs=2, cache_dir=str(tmp_path / "store"))
+        client = ServiceClient(handle.server.socket_path)
+        stats = client.stats()
+        assert (stats["executor"], stats["jobs"]) == ("process", 2)
+        workers = self.children()
+        assert len(workers) == 2        # started in start(), before a request
+        cold = compile_batch(self.units("w"), server=handle.server.socket_path)
+        assert cold.error_count == 0
+        assert cold.counters() == {"cache_misses": 4, "cache_stores": 4}
+        assert len(pids) == 4 and set(pids) <= workers
+        # Every pool compile is counted: stats, /metrics and the response
+        # cache, which answers the warm repeat.
+        assert client.stats()["ops"]["compile"] == 4
+        assert metric_value(parse_prometheus_text(
+            handle.server.metrics.render(0, 0)),
+            "repro_compilations_total") == 4
+        warm = compile_batch(self.units("w"), server=handle.server.socket_path)
+        assert warm.counters() == {"response_cache_hits": 4}
+        handle.stop()
+        assert not self.children() & workers
+
+    def test_jobs_1_compiles_in_its_own_process(self, server_factory,
+                                                monkeypatch):
+        pids = self.compiling_pids(monkeypatch)
+        before = self.children()
+        handle = server_factory(jobs=1)
+        result = compile_batch(self.units("i"), server=handle.server.socket_path)
+        assert result.error_count == 0
+        assert pids == [os.getpid()] * 4
+        assert ServiceClient(handle.server.socket_path).stats()[
+            "executor"] == "inline"
+        assert self.children() == before
+
+    def test_a_killed_worker_costs_at_most_one_request(self, server_factory,
+                                                       monkeypatch):
+        pids = self.compiling_pids(monkeypatch)
+        handle = server_factory(jobs=2)
+        client = ServiceClient(handle.server.socket_path)
+
+        def batch(tag):
+            return client.request("batch", units=[
+                {"label": label, "source": source}
+                for label, source in self.units(tag)])["files"]
+
+        assert [f["status"] for f in batch("a")] == ["ok"] * 4
+        assert pids[0] in self.children()
+        os.kill(pids[0], signal.SIGKILL)
+        assert client.ping()["pong"] is True
+        assert client.stats()["executor"] == "process"
+        # The next request answers one record per unit, never an error
+        # envelope (its units may be errors if the death lands under it).
+        assert [f["path"] for f in batch("b")] == \
+            [label for label, _ in self.units("b")]
+        assert client.ping()["pong"] is True
+        assert client.stats()["in_flight"] == 0
+        # ... and the one after runs on a fresh pool.
+        again = batch("c")
+        assert [f["status"] for f in again] == ["ok"] * 4
+        assert not any("served_from" in f for f in again)
+        assert pids[0] not in self.children()
+        handle.stop()
+        assert not self.children()
+
+    def test_sigint_to_the_workers_is_left_to_the_daemon(
+            self, server_factory, monkeypatch):
+        # A Ctrl-C reaches the daemon's whole process group; only the
+        # daemon acts on it (by draining), so its workers keep compiling.
+        pids = self.compiling_pids(monkeypatch)
+        handle = server_factory(jobs=2)
+        workers = self.children()
+        assert len(workers) == 2
+        for pid in workers:
+            os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        result = compile_batch(self.units("s", count=8),
+                               server=handle.server.socket_path)
+        assert result.error_count == 0, result.report()
+        assert len(pids) == 8 and set(pids) <= workers
+        assert self.children() == workers
+
+    def test_client_side_jobs_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            compile_batch(self.units("r"), server=str(tmp_path / "no.sock"),
+                          jobs=2)
+
+
+class TestClientHangUp:
+    """A client that leaves before its answer ends its connection; asyncio
+    reports nothing and the daemon keeps answering."""
+
+    def test_hang_ups_leave_nothing_in_the_loop_log(self, server_factory):
+        handle = server_factory()
+        loop = handle.server._loop
+        reported = []
+        loop.call_soon_threadsafe(loop.set_exception_handler,
+                                  lambda _loop, context: reported.append(
+                                      context.get("message")))
+        path = handle.server.socket_path
+
+        def hang_up(payload):
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            conn.connect(path)
+            conn.sendall(payload)
+            conn.close()
+
+        hang_up(b'{"api": 1, "op": "comp')             # a partial line
+        hang_up(json.dumps({"api": API_VERSION, "op": "compile",
+                            "source": "(defun gone (x) x)"}).encode()
+                + b"\n")                                # a whole request
+        assert _raw_socket_request(path, b"{malformed\n")["error"][
+            "code"] == "bad-json"
+        # A compile queues behind the abandoned one, so it has been
+        # answered into a closed socket by the time this one is.
+        assert ServiceClient(path).compile("(defun next (x) x)")[
+            "defined"] == ["next"]
+        deadline = time.monotonic() + 5
+        while handle.server._conn_tasks and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert reported == []
+        assert ServiceClient(path).ping()["pong"] is True
+
+
+class TestEveryEnvelopeCounted:
+    def test_refusals_are_counted_and_journaled_under_one_label(
+            self, server_factory):
+        handle = server_factory(max_request_bytes=4096)
+        path = handle.server.socket_path
+        answers = {
+            "bad-json": _raw_socket_request(path, b"not json\n"),
+            "unsupported-api-version": _raw_socket_request(
+                path, json.dumps({"api": 2, "op": "ping"}).encode() + b"\n"),
+            "too-large": _raw_socket_request(path, b"x" * 10_000 + b"\n"),
+        }
+        journal = {entry["id"]: entry["op"] for entry in
+                   ServiceClient(path).stats()["recent_requests"]}
+        for label, answer in answers.items():
+            assert answer["error"]["code"] == label
+            assert journal[answer["request_id"]] == label
+        metrics = handle.server.metrics
+        assert metrics.requests == {label: 1 for label in answers} \
+            | {"stats": 1}
+        assert metrics.errors == {label: 1 for label in answers}
+
+    def test_nesting_deeper_than_the_parser_is_bad_json(self,
+                                                         server_factory):
+        # Far under the size limit, but deeper than json.loads recurses:
+        # one more counted bad-json envelope, not a dead connection.
+        handle = server_factory()
+        path = handle.server.socket_path
+        answer = _raw_socket_request(path, b"[" * 100_000 + b"\n")
+        assert answer["error"]["code"] == "bad-json"
+        journal = {entry["id"]: entry["op"] for entry in
+                   ServiceClient(path).stats()["recent_requests"]}
+        assert journal[answer["request_id"]] == "bad-json"
+        assert handle.server.metrics.errors == {"bad-json": 1}
 
 
 class TestClientCli:
