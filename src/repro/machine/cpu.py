@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..datum import NIL, T
 from ..datum.symbols import Symbol, sym
-from ..errors import LispError, MachineError, WrongNumberOfArgumentsError
+from ..errors import LispError, MachineError, WrongNumberOfArgumentsError, WrongTypeError
 from ..interp.environment import DeepBindingStack
 from ..options import TIERS
 from ..primitives import Primitive, lookup_primitive
@@ -147,8 +147,9 @@ class Machine:
         self.result: Any = NIL
         self._halted = False
         # Run-entry snapshot (stack height, fp/tp/cp, catch depth,
-        # specials depth) so a fatal trap can restore a usable machine;
-        # _poisoned marks "this run died mid-flight".
+        # specials depth, frame serial) so a fatal trap can restore a
+        # usable machine; None outside a run.  _poisoned marks "this run
+        # died mid-flight".
         self._entry_state: Optional[Tuple] = None
         self._poisoned = False
         # Allocation watermark for the automatic-GC trigger: the check
@@ -186,11 +187,23 @@ class Machine:
         Lisp datum.  Each call may execute ``fuel`` instructions (the
         machine's budget unless a *fuel* argument bounds this call), however
         many earlier calls this machine ran."""
+        self._enter(function, args, self.fuel if fuel is None else fuel)
+        try:
+            self._execute()
+        finally:
+            self._leave()
+        return self.machine_to_lisp(self.result)
+
+    def _enter(self, function: Symbol, args: Sequence[Any],
+               fuel: int) -> None:
+        """The one way into a run (run() and start()): snapshot the entry
+        state, push the arguments and the outermost frame, and open the
+        observer's run span."""
         code = self.program.get(function)
-        self.instruction_limit = self.instructions + (
-            self.fuel if fuel is None else fuel)
+        self.instruction_limit = self.instructions + fuel
         self._entry_state = (len(self.stack), self.fp, self.tp, self.cp,
-                             len(self.catch_stack), self.specials.depth())
+                             len(self.catch_stack), self.specials.depth(),
+                             self._serial)
         self._poisoned = False
         for arg in args:
             self.stack.append(self.lisp_to_pointer(arg))
@@ -199,38 +212,37 @@ class Machine:
         self.pc = 0
         self._halted = False
         self._pipe_code = None  # the pipeline starts a run empty
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.begin_run(str(function), self)
-        try:
-            self._execute()
-        except Exception:
-            # A trap mid-run leaves frames, catch records, and dynamic
-            # bindings behind; restore the entry state so the machine stays
-            # usable (the REPL reuses one machine across errors).
-            self._abort_run()
-            raise
-        finally:
-            self._flush_native_counts()
-            if telemetry is not None:
-                telemetry.end_run(self)
-        return self.machine_to_lisp(self.result)
+        if self.telemetry is not None:
+            self.telemetry.begin_run(str(function), self)
 
-    def _abort_run(self) -> None:
-        """Restore the entry-state snapshot after a fatal trap and mark
-        the machine halted + poisoned: whatever run was in flight is dead
-        and must not be rescheduled (multi.py checks ``halted``)."""
-        if self._entry_state is not None:
-            height, fp, tp, cp, catches, spec_depth = self._entry_state
+    def _leave(self) -> None:
+        """The one way out of a run; a second call is a no-op.  A run
+        that did not halt died mid-flight (trap, fuel, uncaught throw):
+        restore the entry snapshot, frame serials included, so the
+        machine stays usable (the REPL reuses one machine across errors),
+        and mark it halted + poisoned so no scheduler resumes it.  Either
+        way, a register's pdl number whose frame is gone is dropped: it
+        died with its frame (Section 6.3), and it would keep a finished
+        machine alive by pointing back at it."""
+        entry, self._entry_state = self._entry_state, None
+        if entry is None:
+            return
+        if not self._halted:
+            height, fp, tp, cp, catches, spec_depth, serial = entry
             del self.stack[height:]
             self.fp, self.tp, self.cp = fp, tp, cp
             del self.catch_stack[catches:]
             self.specials.pop_to(spec_depth)
-        self._halted = True
-        self._poisoned = True
-        self._end_span()
-
-    def _end_span(self) -> None:
+            self._live_serials = {live for live in self._live_serials
+                                  if live <= serial}
+            self._halted = True
+            self._poisoned = True
+        regs = self.regs
+        for index, word in enumerate(regs):
+            if type(word) is PdlNumber \
+                    and not word.machine.frame_alive(word.frame_serial):
+                regs[index] = NIL
+        self._flush_native_counts()
         if self.telemetry is not None:
             self.telemetry.end_run(self)
 
@@ -398,13 +410,6 @@ class Machine:
         else:
             raise MachineError(f"cannot write operand {operand!r}")
 
-    def _need_raw(self, word: Any, opcode: str) -> Any:
-        if is_raw_number(word):
-            return word
-        raise MachineError(
-            f"{opcode}: operand is not a raw machine number: {word!r} "
-            "(representation analysis bug?)")
-
     # -- the execution loop -------------------------------------------------------------
 
     def _execute(self) -> None:
@@ -512,19 +517,23 @@ class Machine:
             self._native_cache[id(code)] = cached
         return cached[1]
 
+    def _native_block(self):
+        """The translated block at (code, pc), translating on first use."""
+        code, pc = self.code, self.pc
+        block = self._native_code_for(code).blocks.get(pc)
+        if block is None:
+            if pc >= len(code.instructions):
+                raise MachineError(
+                    f"fell off the end of {code.name} at pc={pc}")
+            raise MachineError(  # pragma: no cover - translator invariant
+                f"native tier: pc={pc} is not a block leader in {code.name}")
+        return block
+
     def step_block(self) -> None:
         """Execute one translated basic block (native tier's unit of
         progress: fuel, cycles, GC, and the stack high-water mark are
         all checked at block granularity)."""
-        code = self.code
-        block = self._native_code_for(code).blocks.get(self.pc)
-        if block is None:
-            if self.pc >= len(code.instructions):
-                raise MachineError(
-                    f"fell off the end of {code.name} at pc={self.pc}")
-            raise MachineError(  # pragma: no cover - translator invariant
-                f"native tier: pc={self.pc} is not a block leader in "
-                f"{code.name}")
+        block = self._native_block()
         telemetry = self.telemetry
         if telemetry is None:
             block.run(self)
@@ -543,7 +552,6 @@ class Machine:
             step_block = self.step_block
             while not self._halted:
                 step_block()
-            self._flush_native_counts()
             return
         # Hot loop: follow statically chained blocks (run() returns the
         # successor NativeBlock for intra-code edges) and fall back to a
@@ -565,22 +573,13 @@ class Machine:
                     if self._halted:
                         break
                     code = self.code
-                    # _native_code_for()'s id-keyed lookup, inlined: a
-                    # cached CodeObject costs the hot loop no call.
+                    # _native_block()'s hit path, inlined: a cached
+                    # CodeObject costs the hot loop no call.
                     entry = cache.get(id(code))
                     if entry is not None and entry[0] is code:
-                        native = entry[1]
-                    else:
-                        native = self._native_code_for(code)
-                    block = native.blocks.get(self.pc)
+                        block = entry[1].blocks.get(self.pc)
                     if block is None:
-                        if self.pc >= len(code.instructions):
-                            raise MachineError(
-                                f"fell off the end of {code.name} at "
-                                f"pc={self.pc}")
-                        raise MachineError(  # pragma: no cover - invariant
-                            f"native tier: pc={self.pc} is not a block "
-                            f"leader in {code.name}")
+                        block = self._native_block()
                 nxt = block.run(self)
                 counts[block] += 1
                 size = len(stack)
@@ -592,7 +591,6 @@ class Machine:
         finally:
             if max_stack > self.max_stack:
                 self.max_stack = max_stack
-            self._flush_native_counts()
 
     def _flush_native_counts(self) -> None:
         """Fold per-block execution counters into opcode_counts (the
@@ -618,9 +616,7 @@ class Machine:
         lists stay), and its run span opens here and closes when step()
         halts or aborts.  run() keeps cumulating across calls -- the
         REPL's :stats is documented as session-cumulative."""
-        code = self.program.get(function)
         self.instructions = 0
-        self.instruction_limit = self.fuel
         self.cycles = 0
         self.opcode_counts = Counter()
         self.call_count = 0
@@ -628,20 +624,10 @@ class Machine:
         self.stall_data = 0
         self.stall_control = 0
         self.stall_structural = 0
-        self._pipe_code = None
         self._native_counts.clear()
         if self.telemetry is not None:
             self.telemetry.restart()
-            self.telemetry.begin_run(str(function), self)
-        self._poisoned = False
-        self._entry_state = (len(self.stack), self.fp, self.tp, self.cp,
-                             len(self.catch_stack), self.specials.depth())
-        for arg in args:
-            self.stack.append(self.lisp_to_pointer(arg))
-        self._push_frame(None, 0, len(args))
-        self.code = code
-        self.pc = 0
-        self._halted = False
+        self._enter(function, args, self.fuel)
 
     @property
     def halted(self) -> bool:
@@ -663,12 +649,11 @@ class Machine:
                     if self._halted:
                         break
                     self.step_instruction()
-        except Exception:
-            self._abort_run()
+        except BaseException:
+            self._leave()
             raise
         if self._halted:
-            self._flush_native_counts()
-            self._end_span()
+            self._leave()
         return self._halted
 
     # -- instruction implementations -----------------------------------------------------
@@ -679,35 +664,15 @@ class Machine:
 
     def _op_unbox(self, instruction: Instruction) -> None:
         dst, src = instruction.operands
-        word = self.read(src)
-        if isinstance(word, HeapNumber):
-            self.write(dst, word.value)
-        elif isinstance(word, PdlNumber):
-            self.write(dst, word.deref())
-        elif is_raw_number(word) and isinstance(word, int):
-            self.write(dst, word)  # fixnums are immediate
-        elif isinstance(word, Fraction):
-            self.write(dst, float(word))
-        else:
-            # The paper: dereferencing is "often preceded by a run-time
-            # data-type check" -- a non-number here is the *user's* type
-            # error, not a compiler bug.
-            from ..errors import WrongTypeError
-
-            raise WrongTypeError(
-                f"not a number: {pointer_to_lisp(word)!r}")
+        self.write(dst, _unbox(self.read(src)))
 
     def _op_boxf(self, instruction: Instruction) -> None:
         dst, src = instruction.operands
-        word = self._need_raw(self.read(src), "BOXF")
-        if isinstance(word, int):
-            self.write(dst, word)  # immediates need no box
-        else:
-            self.write(dst, self.heap.allocate_number(word))
+        self.write(dst, _boxf(self.heap, self.read(src)))
 
     def _op_pdlbox(self, instruction: Instruction) -> None:
         dst, slot, src = instruction.operands
-        word = self._need_raw(self.read(src), "PDLBOX")
+        word = _need_raw(self.read(src), "PDLBOX")
         if isinstance(word, int):
             self.write(dst, word)
             return
@@ -728,17 +693,14 @@ class Machine:
         return word
 
     def _op_raw_binary(self, instruction: Instruction) -> None:
-        opcode = instruction.opcode
         dst, a_src, b_src = instruction.operands
-        a = self._need_raw(self.read(a_src), opcode)
-        b = self._need_raw(self.read(b_src), opcode)
-        self.write(dst, _raw_binary(opcode, a, b))
+        self.write(dst, _raw_binary_checked(
+            instruction.opcode, self.read(a_src), self.read(b_src)))
 
     def _op_raw_unary(self, instruction: Instruction) -> None:
-        opcode = instruction.opcode
         dst, src = instruction.operands
-        value = self._need_raw(self.read(src), opcode)
-        self.write(dst, _raw_unary(opcode, value))
+        self.write(dst, _raw_unary_checked(instruction.opcode,
+                                           self.read(src)))
 
     def _op_jmp(self, instruction: Instruction) -> None:
         (label,) = instruction.operands
@@ -762,8 +724,8 @@ class Machine:
 
     def _op_cmpbr(self, instruction: Instruction) -> None:
         rel, a_src, b_src, label = instruction.operands
-        a = self._need_raw(self.read(a_src), "CMPBR")
-        b = self._need_raw(self.read(b_src), "CMPBR")
+        a = _need_raw(self.read(a_src), "CMPBR")
+        b = _need_raw(self.read(b_src), "CMPBR")
         relation = rel[1] if isinstance(rel[1], str) else rel[1].name
         if self._RELATIONS[relation](a, b):
             self.pc = self.code.resolve_label(label[1])
@@ -1194,7 +1156,7 @@ class Machine:
         from ..primitives import LispVector
 
         dst, k_src, v_src = instruction.operands
-        factor = self._need_raw(self.read(k_src), "VSCALE")
+        factor = _need_raw(self.read(k_src), "VSCALE")
         vector = self._vector_operand(v_src, "VSCALE")
         self._vector_cycles(len(vector.data))
         result = LispVector([factor * x for x in vector.data])
@@ -1270,6 +1232,49 @@ class Machine:
         if table.get(key) != self.processor_id:
             raise MachineError(f"UNLOCK of lock not held: {key!r}")
         del table[key]
+
+
+# -- slow paths: the _op_* handlers call these, and so does the native
+# tier's generated code (through its namespace) wherever its inline type
+# test fails, so the two tiers share one semantics.
+
+
+def _need_raw(word: Any, opcode: str) -> Any:
+    if is_raw_number(word):
+        return word
+    raise MachineError(
+        f"{opcode}: operand is not a raw machine number: {word!r} "
+        "(representation analysis bug?)")
+
+
+def _raw_binary_checked(opcode: str, a: Any, b: Any) -> Any:
+    return _raw_binary(opcode, _need_raw(a, opcode), _need_raw(b, opcode))
+
+
+def _raw_unary_checked(opcode: str, value: Any) -> Any:
+    return _raw_unary(opcode, _need_raw(value, opcode))
+
+
+def _unbox(word: Any) -> Any:
+    if isinstance(word, HeapNumber):
+        return word.value
+    if isinstance(word, PdlNumber):
+        return word.deref()
+    if is_raw_number(word) and isinstance(word, int):
+        return word  # fixnums are immediate
+    if isinstance(word, Fraction):
+        return float(word)
+    # The paper: dereferencing is "often preceded by a run-time data-type
+    # check" -- a non-number here is the *user's* type error, not a
+    # compiler bug.
+    raise WrongTypeError(f"not a number: {pointer_to_lisp(word)!r}")
+
+
+def _boxf(heap: Heap, word: Any) -> Any:
+    word = _need_raw(word, "BOXF")
+    if isinstance(word, int):
+        return word  # immediates need no box
+    return heap.allocate_number(word)
 
 
 def _raw_binary(opcode: str, a: Any, b: Any) -> Any:

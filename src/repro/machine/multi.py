@@ -94,17 +94,16 @@ class MultiMachine:
         # the result of a shorter task list.
         self._results = [NIL] * len(self.processors)
         active = []
-        for index, (function, args) in enumerate(tasks):
-            cpu = self.processors[index]
-            cpu.start(function, list(args))
-            active.append(index)
-        # cpu.instructions is cumulative across calls; budget this call's
-        # *delta* against the fixed allowance so repeated run_tasks calls
-        # do not spuriously exhaust.
-        instructions_at_start = sum(
-            cpu.instructions for cpu in self.processors)
-        steps_without_progress = 0
         try:
+            for index, (function, args) in enumerate(tasks):
+                self.processors[index].start(function, list(args))
+                active.append(index)
+            # cpu.instructions is cumulative across calls; budget this
+            # call's *delta* against the fixed allowance so repeated
+            # run_tasks calls do not spuriously exhaust.
+            instructions_at_start = sum(
+                cpu.instructions for cpu in self.processors)
+            steps_without_progress = 0
             while active:
                 progressed = False
                 for index in list(active):
@@ -129,13 +128,15 @@ class MultiMachine:
                     - instructions_at_start
                 if spent > self._stall_budget:
                     raise MachineError("multiprocessor fuel exhausted")
-        except Exception:
-            # One processor died (fuel, trap, uncaught throw): the others
-            # are mid-task with frames on their stacks.  Abort them too so
-            # every processor is halted and restored -- a later run_tasks
-            # on this MultiMachine starts clean.
+        except BaseException:
+            # One processor died (fuel, trap, uncaught throw), a task
+            # failed to start, or an interrupt arrived: the others are
+            # mid-task with frames on their stacks.  End their runs too
+            # (the one that died has already left its own) so every
+            # processor is halted and restored -- a later run_tasks on
+            # this MultiMachine starts clean.
             for index in active:
-                self.processors[index]._abort_run()
+                self.processors[index]._leave()
             raise
         return [self._results[i] for i in range(len(tasks))]
 

@@ -35,15 +35,24 @@ out, GC triggers, and the stack high-water mark is sampled differ.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..datum import NIL, T
 from ..datum.numbers import lisp_eql
 from ..datum.symbols import sym
-from ..errors import MachineError, WrongTypeError
+from ..errors import MachineError
 from ..primitives import lookup_primitive
-from .cpu import _DISPATCH, FrameRecord, _raw_binary, _raw_unary
+from .cpu import (
+    _DISPATCH,
+    FrameRecord,
+    _boxf,
+    _need_raw,
+    _raw_binary,
+    _raw_binary_checked,
+    _raw_unary,
+    _raw_unary_checked,
+    _unbox,
+)
 from .isa import (
     CYCLES,
     CodeObject,
@@ -52,7 +61,7 @@ from .isa import (
     RAW_UNARY_OPS,
 )
 from .timing import PipelineDescription, analyze as analyze_timing
-from .values import HeapNumber, PdlNumber, is_raw_number, pointer_to_lisp
+from .values import HeapNumber, PdlNumber, pointer_to_lisp
 
 #: Opcodes that end a basic block because control may leave it.
 _BRANCHES = {"JMP", "JUMPNIL", "JUMPNNIL", "CMPBR", "EQLBR", "ARGDISPATCH"}
@@ -93,48 +102,6 @@ def _is_terminator(instruction: Instruction) -> bool:
     # GENERIC throw unwinds to a catch record: control leaves the block.
     return (opcode == "GENERIC" and instruction.operands
             and instruction.operands[0][1] is sym("throw"))
-
-
-# ---------------------------------------------------------------------------
-# runtime slow paths shared by all generated blocks
-
-
-def _need(word: Any, opcode: str) -> None:
-    raise MachineError(
-        f"{opcode}: operand is not a raw machine number: {word!r} "
-        "(representation analysis bug?)")
-
-
-def _rawbin_checked(opcode: str, a: Any, b: Any) -> Any:
-    if not is_raw_number(a):
-        _need(a, opcode)
-    if not is_raw_number(b):
-        _need(b, opcode)
-    return _raw_binary(opcode, a, b)
-
-
-def _rawun_checked(opcode: str, value: Any) -> Any:
-    if not is_raw_number(value):
-        _need(value, opcode)
-    return _raw_unary(opcode, value)
-
-
-def _unbox_slow(word: Any) -> Any:
-    if isinstance(word, PdlNumber):
-        return word.deref()
-    if is_raw_number(word) and isinstance(word, int):
-        return word
-    if isinstance(word, Fraction):
-        return float(word)
-    raise WrongTypeError(f"not a number: {pointer_to_lisp(word)!r}")
-
-
-def _boxf_slow(machine: Any, word: Any) -> Any:
-    if not is_raw_number(word):
-        _need(word, "BOXF")
-    if isinstance(word, int):
-        return word
-    return machine.heap.allocate_number(word)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +193,15 @@ class _Translator:
             "HeapNumber": HeapNumber,
             "_eql": lisp_eql,
             "_ptl": pointer_to_lisp,
-            "_need": _need,
+            # The simulator's own slow paths (cpu.py), called wherever
+            # an inline type test fails.
+            "_need_raw": _need_raw,
             "_rawbin": _raw_binary,
             "_rawun": _raw_unary,
-            "_rawbin_checked": _rawbin_checked,
-            "_rawun_checked": _rawun_checked,
-            "_unbox_slow": _unbox_slow,
-            "_boxf_slow": _boxf_slow,
+            "_rawbin_checked": _raw_binary_checked,
+            "_rawun_checked": _raw_unary_checked,
+            "_unbox": _unbox,
+            "_boxf": _boxf,
         }
         if pipeline is not None:
             # Dynamic transfer checks compare against the block's own
@@ -500,10 +469,10 @@ class _Translator:
             lines = [f"_x = {a}", f"_y = {b}"]
             if not _imm_raw(ops[1]):
                 lines += [f"if not {_is_raw('_x')}:",
-                          "    _need(_x, 'CMPBR')"]
+                          "    _need_raw(_x, 'CMPBR')"]
             if not _imm_raw(ops[2]):
                 lines += [f"if not {_is_raw('_y')}:",
-                          "    _need(_y, 'CMPBR')"]
+                          "    _need_raw(_y, 'CMPBR')"]
             return (lines
                     + [f"if _x {pyop} _y:"]
                     + ["    " + line
@@ -537,7 +506,7 @@ class _Translator:
                     "elif _t is int:",
                     f"    {write_or_none(ops[0], '_x')}",
                     "else:",
-                    f"    {write_or_none(ops[0], '_unbox_slow(_x)')}"]
+                    f"    {write_or_none(ops[0], '_unbox(_x)')}"]
 
         if op == "BOXF":
             src = read(ops[1])
@@ -555,7 +524,7 @@ class _Translator:
                     "elif _t is float or _t is complex:",
                     f"    {write_or_none(ops[0], 'm.heap.allocate_number(_x)')}",
                     "else:",
-                    f"    {write_or_none(ops[0], '_boxf_slow(m, _x)')}"]
+                    f"    {write_or_none(ops[0], '_boxf(m.heap, _x)')}"]
 
         if op == "PDLBOX":
             src = read(ops[2])

@@ -145,6 +145,25 @@ def _need_float(name: str, value: Any) -> float:
     return value
 
 
+def _need_list(name: str, value: Any) -> List[Any]:
+    try:
+        return to_list(value)
+    except (TypeError, ValueError):  # an atom, or a dotted tail
+        raise WrongTypeError(f"{name}: not a proper list: {value!r}") from None
+
+
+def _domain_error(name: str, error: Exception) -> LispError:
+    """The Lisp error for a host arithmetic fault in primitive *name*: its
+    arguments had the right types but lie outside the operation's domain
+    ("/: division by zero").  Raised from an ``except`` around the
+    operation, so the common path pays for no extra test."""
+    if isinstance(error, ZeroDivisionError):
+        return LispError(f"{name}: division by zero")
+    if isinstance(error, OverflowError):
+        return LispError(f"{name}: result out of range")
+    return LispError(f"{name}: argument out of domain")
+
+
 # ---------------------------------------------------------------------------
 # Generic arithmetic
 # ---------------------------------------------------------------------------
@@ -184,7 +203,10 @@ def _prim_mul(*args: Any) -> Any:
 def _prim_div(first: Any, *rest: Any) -> Any:
     _need_number("/", first)
     if not rest:
-        return generic_div(1, first)
+        try:
+            return generic_div(1, first)
+        except ZeroDivisionError as error:
+            raise _domain_error("/", error) from None
     acc = first
     for arg in rest:
         _need_number("/", arg)
@@ -260,46 +282,59 @@ define_primitive("abs", lambda x: abs(_need_number("abs", x)), 1, 1,
 # Two fixnums (exactly ``int``: bools and every other type take the
 # Fraction path) divide with ``//``, which gives the same integer as the
 # exact quotient rounded, without building two Fractions a call; ``rem``
-# and ``mod`` go through here too.
+# and ``mod`` go through here too, so their zero divisor reports
+# "truncate: division by zero" or "floor: division by zero".
 def _prim_floor(x: Any, divisor: Any = 1) -> Any:
-    if type(x) is int and type(divisor) is int:
-        return x // divisor
-    _need_real("floor", x)
-    _need_real("floor", divisor)
-    return math.floor(Fraction(x) / Fraction(divisor)) if not (
-        isinstance(x, float) or isinstance(divisor, float)
-    ) else math.floor(x / divisor)
+    try:
+        if type(x) is int and type(divisor) is int:
+            return x // divisor
+        _need_real("floor", x)
+        _need_real("floor", divisor)
+        return math.floor(Fraction(x) / Fraction(divisor)) if not (
+            isinstance(x, float) or isinstance(divisor, float)
+        ) else math.floor(x / divisor)
+    except (ArithmeticError, ValueError) as error:
+        raise _domain_error("floor", error) from None
 
 
 def _prim_ceiling(x: Any, divisor: Any = 1) -> Any:
-    if type(x) is int and type(divisor) is int:
-        return -(-x // divisor)
-    _need_real("ceiling", x)
-    _need_real("ceiling", divisor)
-    if isinstance(x, float) or isinstance(divisor, float):
-        return math.ceil(x / divisor)
-    return math.ceil(Fraction(x) / Fraction(divisor))
+    try:
+        if type(x) is int and type(divisor) is int:
+            return -(-x // divisor)
+        _need_real("ceiling", x)
+        _need_real("ceiling", divisor)
+        if isinstance(x, float) or isinstance(divisor, float):
+            return math.ceil(x / divisor)
+        return math.ceil(Fraction(x) / Fraction(divisor))
+    except (ArithmeticError, ValueError) as error:
+        raise _domain_error("ceiling", error) from None
 
 
 def _prim_truncate(x: Any, divisor: Any = 1) -> Any:
-    if type(x) is int and type(divisor) is int:
-        quotient = x // divisor
-        if quotient < 0 and quotient * divisor != x:
-            quotient += 1  # inexact and negative: floor went one lower
-        return quotient
-    _need_real("truncate", x)
-    _need_real("truncate", divisor)
-    quotient = x / divisor if isinstance(x, float) or isinstance(divisor, float) \
-        else Fraction(x) / Fraction(divisor)
-    return math.trunc(quotient)
+    try:
+        if type(x) is int and type(divisor) is int:
+            quotient = x // divisor
+            if quotient < 0 and quotient * divisor != x:
+                quotient += 1  # inexact and negative: floor went one lower
+            return quotient
+        _need_real("truncate", x)
+        _need_real("truncate", divisor)
+        quotient = x / divisor if isinstance(x, float) or isinstance(divisor, float) \
+            else Fraction(x) / Fraction(divisor)
+        return math.trunc(quotient)
+    except (ArithmeticError, ValueError) as error:
+        raise _domain_error("truncate", error) from None
 
 
 def _prim_round(x: Any, divisor: Any = 1) -> Any:
     _need_real("round", x)
     _need_real("round", divisor)
-    quotient = x / divisor if isinstance(x, float) or isinstance(divisor, float) \
-        else Fraction(x) / Fraction(divisor)
-    floor_q = math.floor(quotient)
+    try:
+        quotient = x / divisor if isinstance(x, float) or isinstance(divisor, float) \
+            else Fraction(x) / Fraction(divisor)
+        floor_q = math.floor(quotient)
+    except (ArithmeticError, ValueError) as error:
+        raise _domain_error("round", error) from None
     frac = quotient - floor_q
     if frac < Fraction(1, 2) if not isinstance(quotient, float) else frac < 0.5:
         return floor_q
@@ -325,11 +360,14 @@ define_primitive("gcd", lambda *a: math.gcd(*[_need_integer("gcd", x) for x in a
 def _prim_expt(base: Any, power: Any) -> Any:
     _need_number("expt", base)
     _need_number("expt", power)
-    if isinstance(power, int) and not isinstance(base, (float, complex)):
-        if power >= 0:
-            return normalize_number(base ** power)
-        return normalize_number(Fraction(1) / Fraction(base) ** (-power))
-    return base ** power
+    try:
+        if isinstance(power, int) and not isinstance(base, (float, complex)):
+            if power >= 0:
+                return normalize_number(base ** power)
+            return normalize_number(Fraction(1) / Fraction(base) ** (-power))
+        return base ** power
+    except ArithmeticError as error:
+        raise _domain_error("expt", error) from None
 
 
 define_primitive("expt", _prim_expt, 2, 2, cycles=10)
@@ -338,10 +376,13 @@ define_primitive("expt", _prim_expt, 2, 2, cycles=10)
 def _real_math(name: str, fn: Callable[[float], float]):
     def wrapper(x: Any) -> Any:
         _need_number(name, x)
-        if isinstance(x, complex):
-            return getattr(cmath, name.rstrip("$fc"), None)(x) \
-                if hasattr(cmath, name.rstrip("$fc")) else fn(x)
-        return fn(float(x))
+        try:
+            if isinstance(x, complex):
+                return getattr(cmath, name.rstrip("$fc"), None)(x) \
+                    if hasattr(cmath, name.rstrip("$fc")) else fn(x)
+            return fn(float(x))
+        except (ArithmeticError, ValueError) as error:
+            raise _domain_error(name, error) from None
     return wrapper
 
 
@@ -362,9 +403,11 @@ define_primitive("exp", _real_math("exp", math.exp), 1, 1, pdl_result=True,
                  machine_op="FEXP", cycles=8)
 define_primitive("log", _real_math("log", math.log), 1, 1, pdl_result=True,
                  machine_op="FLOG", cycles=8)
-define_primitive("atan", lambda y, x=None: math.atan2(float(y), float(x))
-                 if x is not None else math.atan(float(y)), 1, 2,
-                 pdl_result=True, machine_op="FATAN", cycles=8)
+define_primitive("atan", lambda y, x=None:
+                 math.atan2(float(_need_real("atan", y)),
+                            float(_need_real("atan", x)))
+                 if x is not None else math.atan(float(_need_real("atan", y))),
+                 1, 2, pdl_result=True, machine_op="FATAN", cycles=8)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +424,16 @@ def _float_nary(name: str, op: Callable[[float, float], float], unit: float):
         for v in values[1:]:
             acc = op(acc, v)
         return acc
+    return wrapper
+
+
+def _float_math(name: str, fn: Callable[[float], float]):
+    def wrapper(a: Any) -> float:
+        x = _need_float(name, a)
+        try:
+            return fn(x)
+        except ValueError as error:  # the sine or cosine of an infinity
+            raise _domain_error(name, error) from None
     return wrapper
 
 
@@ -417,21 +470,24 @@ define_primitive("min$f", _float_nary("min$f", min, float("inf")), 1, None,
 define_primitive("abs$f", lambda a: abs(_need_float("abs$f", a)), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FABS")
-define_primitive("sqrt$f", lambda a: math.sqrt(_need_float("sqrt$f", a)), 1, 1,
+# The FSQRT instruction's semantics: a negative argument has a complex
+# root, as it does for ``sqrt``, which the optimizer specializes to
+# ``sqrt$f`` on a float argument.
+define_primitive("sqrt$f", lambda a: _prim_sqrt(_need_float("sqrt$f", a)), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FSQRT", cycles=8)
-define_primitive("sin$f", lambda a: math.sin(_need_float("sin$f", a)), 1, 1,
+define_primitive("sin$f", _float_math("sin$f", math.sin), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FSINR", cycles=10)
-define_primitive("cos$f", lambda a: math.cos(_need_float("cos$f", a)), 1, 1,
+define_primitive("cos$f", _float_math("cos$f", math.cos), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FCOSR", cycles=10)
 # The S-1's FSIN instruction takes its argument in *cycles* (revolutions);
 # the optimizer rewrites (sin$f x) => (sinc$f (*$f (/ 1 2pi) x)).  Section 7.
-define_primitive("sinc$f", lambda a: math.sin(_need_float("sinc$f", a) * 2.0 * math.pi),
+define_primitive("sinc$f", _float_math("sinc$f", lambda a: math.sin(a * 2.0 * math.pi)),
                  1, 1, arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FSIN", cycles=8)
-define_primitive("cosc$f", lambda a: math.cos(_need_float("cosc$f", a) * 2.0 * math.pi),
+define_primitive("cosc$f", _float_math("cosc$f", lambda a: math.cos(a * 2.0 * math.pi)),
                  1, 1, arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
                  machine_op="FCOS", cycles=8)
 define_primitive("=$f", lambda a, b: _bool(_need_float("=$f", a) == _need_float("=$f", b)),
@@ -560,8 +616,17 @@ def _trunc_div(a: int, b: int) -> int:
 
 define_primitive("float", lambda x: float(_need_real("float", x)), 1, 1,
                  result_rep="SWFLO", pdl_result=True, machine_op="FLT")
-define_primitive("fix", lambda x: math.trunc(_need_real("fix", x)), 1, 1,
-                 result_rep="SWFIX", machine_op="FIX")
+
+
+def _prim_fix(x: Any) -> int:
+    _need_real("fix", x)
+    try:
+        return math.trunc(x)
+    except (ArithmeticError, ValueError) as error:  # an infinity or a NaN
+        raise _domain_error("fix", error) from None
+
+
+define_primitive("fix", _prim_fix, 1, 1, result_rep="SWFIX", machine_op="FIX")
 
 
 # ---------------------------------------------------------------------------
@@ -612,24 +677,27 @@ def _prim_append(*lists: Any) -> Any:
         return NIL
     items: List[Any] = []
     for lst in lists[:-1]:
-        items.extend(to_list(lst))
+        items.extend(_need_list("append", lst))
     return from_list(items, tail=lists[-1])
 
 
 define_primitive("append", _prim_append, 0, None, allocates=True,
                  associative=True, identity=NIL)
-define_primitive("reverse", lambda x: from_list(list(reversed(to_list(x)))),
+define_primitive("reverse", lambda x: from_list(list(reversed(_need_list("reverse", x)))),
                  1, 1, allocates=True)
 
 
 def _prim_nreverse(x: Any) -> Any:
     from .datum import nreverse
 
-    return nreverse(x)
+    try:
+        return nreverse(x)
+    except TypeError:  # an atom, or a dotted tail
+        raise WrongTypeError(f"nreverse: not a proper list: {x!r}") from None
 
 
 define_primitive("nreverse", _prim_nreverse, 1, 1, pure=False, safe=False)
-define_primitive("length", lambda x: len(to_list(x)), 1, 1,
+define_primitive("length", lambda x: len(_need_list("length", x)), 1, 1,
                  result_rep="SWFIX")
 
 
@@ -905,7 +973,11 @@ def _prim_char_code(c: Any) -> int:
 def _prim_code_char(n: Any):
     from .reader.parser import Char
 
-    return Char(chr(_need_integer("code-char", n)))
+    code = _need_integer("code-char", n)
+    try:
+        return Char(chr(code))
+    except (OverflowError, ValueError) as error:
+        raise _domain_error("code-char", error) from None
 
 
 define_primitive("string=", _prim_string_eq, 2, 2, jump_result=True,

@@ -91,6 +91,23 @@ async def _send(writer: asyncio.StreamWriter, data: bytes) -> bool:
     return True
 
 
+async def _skip_line(reader: asyncio.StreamReader, timeout: float) -> None:
+    """Read and drop the rest of an overlong line: up to its newline or
+    EOF, for at most *timeout* seconds."""
+    async def skip() -> None:
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as overrun:
+                await reader.readexactly(overrun.consumed)
+
+    try:
+        await asyncio.wait_for(skip(), timeout)
+    except (asyncio.IncompleteReadError, asyncio.TimeoutError, OSError):
+        pass    # EOF, a stalled sender or a hang-up: answer anyway
+
+
 def _socket_answers(path: str, timeout: float = 0.5) -> bool:
     """True when something accepts connections on the unix socket *path*
     -- distinguishes a live daemon (refuse to steal its address) from a
@@ -447,13 +464,17 @@ class ReproServer:
                              writer: asyncio.StreamWriter) -> None:
         while True:
             try:
-                line = await reader.readline()
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as eof:
+                line = eof.partial      # the last line may lack its newline
             except ConnectionResetError:
                 break
-            except ValueError:
-                # readline() reports a stream-limit overrun as ValueError
-                # (not LimitOverrunError); the buffered data is unusable,
-                # so answer structurally and drop the connection.
+            except asyncio.LimitOverrunError:
+                # The line is over the limit: drop the rest of it first (a
+                # client still sending it would otherwise read a broken
+                # pipe, not the envelope), then answer structurally and
+                # drop the connection.
+                await _skip_line(reader, self.request_timeout)
                 response = self._answered(error_response(ApiError(
                     "too-large",
                     f"request line exceeds the server's "
@@ -571,17 +592,27 @@ class ReproServer:
                     f"another --socket")
             os.unlink(self.socket_path)          # stale leftover
         await self._loop.run_in_executor(self._executor, self.pool.start)
-        if self.socket_path is not None:
-            server = await asyncio.start_unix_server(
-                functools.partial(self._connection, self._handle_socket),
-                path=self.socket_path, limit=self.max_request_bytes)
-            self._servers.append(server)
-        if self.http_addr is not None:
-            host, port = self.http_addr
-            server = await asyncio.start_server(
-                functools.partial(self._connection, self._handle_http),
-                host=host, port=port, limit=self.max_request_bytes)
-            self._servers.append(server)
+        where = f"unix:{self.socket_path}"
+        try:
+            if self.socket_path is not None:
+                self._servers.append(await asyncio.start_unix_server(
+                    functools.partial(self._connection, self._handle_socket),
+                    path=self.socket_path, limit=self.max_request_bytes))
+            if self.http_addr is not None:
+                host, port = self.http_addr
+                where = f"http://{host}:{port}"
+                self._servers.append(await asyncio.start_server(
+                    functools.partial(self._connection, self._handle_http),
+                    host=host, port=port, limit=self.max_request_bytes))
+        except BaseException as err:
+            # Release what did start (the other listener, the worker
+            # pool, the socket file) so a failed start leaves nothing.
+            await self.shutdown()
+            if isinstance(err, OSError):
+                reason = os.strerror(err.errno) if err.errno else err
+                raise ReproError(
+                    f"cannot listen on {where}: {reason}") from None
+            raise
 
     @property
     def http_port(self) -> Optional[int]:
@@ -637,6 +668,15 @@ class ReproServer:
     async def serve_until_stopped(self) -> None:
         await self.start()
         assert self._stop_event is not None
+        where = []
+        if self.socket_path is not None:
+            where.append(f"unix:{self.socket_path}")
+        if self.http_addr is not None:
+            where.append(f"http://{self.http_addr[0]}:{self.http_port}")
+        print(f"repro serve: api v{API_VERSION}, jobs={self.jobs}, "
+              f"max-queue={self.max_queue}, "
+              f"cache={self.cache_dir or '(memory only)'}, "
+              f"listening on {', '.join(where)}", flush=True)
         try:
             import signal
 
@@ -651,16 +691,8 @@ class ReproServer:
         await self._stop_event.wait()
 
     def run(self) -> int:
-        """Blocking entry point for the CLI."""
-        where = []
-        if self.socket_path is not None:
-            where.append(f"unix:{self.socket_path}")
-        if self.http_addr is not None:
-            where.append(f"http://{self.http_addr[0]}:{self.http_addr[1]}")
-        print(f"repro serve: api v{API_VERSION}, jobs={self.jobs}, "
-              f"max-queue={self.max_queue}, "
-              f"cache={self.cache_dir or '(memory only)'}, "
-              f"listening on {', '.join(where)}", flush=True)
+        """Blocking entry point for the CLI: prints the banner once both
+        listeners are bound, or one error line if either cannot bind."""
         try:
             asyncio.run(self.serve_until_stopped())
         except KeyboardInterrupt:

@@ -500,6 +500,63 @@ class TestReviewRegressions:
         assert machine.catch_stack == []
         assert machine.specials.depth() == 0
 
+    LIFECYCLE = """
+        (defvar *s* 'global)
+        (defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
+        (defun type-trap (x) (list (car x)))
+        (defun deeper (x) (list (type-trap x)))
+        (defun raw-div (x y) (list (/& x y)))
+        (defun throw-away (x) (list (throw 'nowhere x)))
+        (defun spin (n) (do ((i 0 (1+ i))) ((= i n) 'done)))
+        (defun unbound (x) (list *never-bound* x))
+        (defun undefined (x) (list (frobnicate x)))
+        (defun catch-bound (x) (catch 'tag (let ((*s* x)) (list (car x)))))
+    """
+    #: fault -> (function, args, fuel); "type" traps one call deeper.
+    FAULTS = {
+        "type": ("deeper", [5], None),
+        "raw-division": ("raw-div", [1, 0], None),
+        "uncaught-throw": ("throw-away", [1], None),
+        "fuel": ("spin", [10 ** 6], 200),
+        "unbound-special": ("unbound", [1], None),
+        "undefined-function": ("undefined", [1], None),
+        "catch-with-special": ("catch-bound", [5], None),
+    }
+
+    @pytest.mark.parametrize("timing", ["single", "pipelined"])
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_machine_usable_after_each_trap(self, fault, tier, timing):
+        from repro import Compiler, CompilerOptions
+        from repro.errors import ReproError
+
+        compiler = Compiler(CompilerOptions(tier=tier, timing=timing))
+        compiler.compile_source(self.LIFECYCLE)
+        machine = compiler.machine()
+        function, args, fuel = self.FAULTS[fault]
+        entry_serial = machine._serial
+        with pytest.raises(ReproError):
+            machine.run(sym(function), args, fuel=fuel)
+        # Same machine: state restored, later runs unaffected.
+        assert machine.halted and machine.poisoned
+        assert machine.stack == []
+        assert machine.catch_stack == []
+        assert machine.specials.depth() == 0
+        # The frames pushed since entry are dead, not leaked as live.
+        pushed = range(entry_serial + 1, machine._serial + 1)
+        assert len(pushed) >= 1
+        assert not any(machine.frame_alive(serial) for serial in pushed)
+
+        def charge(machine):
+            before = (machine.instructions, machine.cycles,
+                      machine.call_count)
+            assert machine.run(sym("fib"), [10]) == 55
+            return (machine.instructions - before[0],
+                    machine.cycles - before[1],
+                    machine.call_count - before[2])
+
+        assert charge(machine) == charge(compiler.machine())
+
     def test_specials_unwound_after_trap(self):
         from repro import Compiler
         from repro.errors import ReproError
@@ -516,6 +573,58 @@ class TestReviewRegressions:
         with pytest.raises(ReproError):
             machine.run(sym("boom"), [sym("inner")])
         assert machine.run(sym("probe"), []) is sym("global")
+
+
+class TestFinishedMachineFreesItself:
+    """A pdl number left in a register points back at its machine; once
+    its frame is gone, leaving the run drops it (Section 6.3), so
+    reference counting alone frees a finished machine however its last
+    run ended."""
+
+    SOURCE = """
+        (defun testfn (a &optional (b 3.0) (c a))
+          (prog (d (e 0.0))
+            (setq d (*$f 3.0 (sin$f (*$f a b))))
+            (cond ((>$f d e) (setq e (max$f d (abs$f c)))))
+            (return (+$f d e))))
+        (defun drive (n x)
+          (do ((i 0 (1+ i)) (acc 0.0))
+              ((= i n) acc)
+            (setq acc (+$f acc (testfn x 0.25)))))
+        (defun drive-then-fail (n x)
+          (drive n x)
+          (car x))
+    """
+
+    @pytest.mark.parametrize("ending", ["halt", "trap", "step"])
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_freed_without_the_cycle_collector(self, tier, ending):
+        import gc
+        import weakref
+
+        from repro import Compiler, CompilerOptions
+        from repro.errors import ReproError
+
+        compiler = Compiler(CompilerOptions(tier=tier))
+        compiler.compile_source(self.SOURCE)
+        machine = compiler.machine()
+        gc.collect()
+        gc.disable()
+        try:
+            if ending == "halt":
+                machine.run(sym("drive"), [20, 1.5])
+            elif ending == "trap":
+                with pytest.raises(ReproError):
+                    machine.run(sym("drive-then-fail"), [20, 1.5])
+            else:
+                machine.start(sym("drive"), [20, 1.5])
+                while not machine.step(16):
+                    pass
+            finished = weakref.ref(machine)
+            del machine
+            assert finished() is None
+        finally:
+            gc.enable()
 
 
 class TestStartResetsCounters:

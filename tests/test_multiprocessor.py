@@ -197,6 +197,18 @@ class TestFaultAbortsAllProcessors:
             assert cpu.catch_stack == []
             assert cpu.specials.depth() == 0
 
+    def test_task_that_fails_to_start_ends_the_started_ones(self):
+        mm = multi(self.SOURCE, processors=2, quantum=4)
+        with pytest.raises(KeyError, match="undefined function"):
+            mm.run_tasks([(sym("bump-safe"), [10]),
+                          (sym("no-such-task"), [])])
+        started = mm.processors[0]
+        assert started.halted and started.poisoned
+        assert started.stack == []
+        results = mm.run_tasks([(sym("bump-safe"), [10]),
+                                (sym("bump-safe"), [10])])
+        assert results == [sym("done"), sym("done")]
+
     def test_multimachine_usable_after_failure(self):
         from repro.errors import ReproError
 

@@ -164,17 +164,79 @@ class TestFixnumDivision:
         from repro.interp import Interpreter
 
         source = f"(defun f (a b) ({name} a b))"
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(LispError, match="division by zero"):
             call(name, 5, 0)
         interp = Interpreter()
         interp.eval_source(source)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(LispError, match="division by zero"):
             interp.apply_function(interp.global_functions[sym("f")], [5, 0])
         for tier in ("simulate", "native"):
             compiler = Compiler(CompilerOptions(tier=tier))
             compiler.compile_source(source)
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(LispError, match="division by zero"):
                 compiler.machine().run(sym("f"), [5, 0])
+
+
+class TestFaultsAreLispErrors:
+    """A primitive that faults on its arguments raises a Lisp error, never
+    the host's ZeroDivisionError, ValueError, OverflowError or TypeError:
+    the constant folder skips only LispError, so the call still compiles
+    inside an untaken branch, and every executor signals it when reached.
+    A type fault is a WrongTypeError; a domain fault names its primitive,
+    as "/: division by zero" always has."""
+
+    CALLS = [
+        ("(/ 0)", LispError, "/: division by zero"),
+        ("(expt 0 -1)", LispError, "expt: division by zero"),
+        ("(floor 5 0)", LispError, "floor: division by zero"),
+        ("(ceiling 5 0)", LispError, "ceiling: division by zero"),
+        ("(truncate 5 0)", LispError, "truncate: division by zero"),
+        ("(round 5 0)", LispError, "round: division by zero"),
+        ("(mod 5 0)", LispError, "floor: division by zero"),
+        ("(rem 5 0)", LispError, "truncate: division by zero"),
+        ("(log 0)", LispError, "log: argument out of domain"),
+        ("(code-char -1)", LispError, "code-char: argument out of domain"),
+        ("(exp 1000000)", LispError, "exp: result out of range"),
+        ("(atan nil)", WrongTypeError, "atan: not a number"),
+        ("(length 0)", WrongTypeError, "length: not a proper list"),
+        ("(reverse 0)", WrongTypeError, "reverse: not a proper list"),
+        ("(nreverse 0)", WrongTypeError, "nreverse: not a proper list"),
+        ("(append 1 2)", WrongTypeError, "append: not a proper list"),
+    ]
+
+    @staticmethod
+    def executors(source):
+        """Run ``(f arg)`` on the interpreter, simulate and native."""
+        from repro import Compiler
+        from repro.interp import Interpreter
+
+        interp = Interpreter()
+        interp.eval_source(source)
+        yield lambda arg: interp.apply_function(
+            interp.global_functions[sym("f")], [arg])
+        compiler = Compiler()
+        compiler.compile_source(source)
+        for tier in ("simulate", "native"):
+            machine = compiler.machine()
+            machine.tier = tier
+            yield lambda arg, machine=machine: machine.run(sym("f"), [arg])
+
+    @pytest.mark.parametrize("form, error, message", CALLS)
+    def test_compiles_untaken_and_signals_when_reached(self, form, error,
+                                                       message):
+        source = f"(defun f (x) (if x 0 {form}))"
+        for run in self.executors(source):
+            assert run(T) == 0
+            with pytest.raises(error, match=message):
+                run(NIL)
+
+    def test_sqrt_f_of_a_negative_is_the_complex_root_everywhere(self):
+        # sqrt$f computes what FSQRT does: ``(sqrt x)`` on a float is
+        # specialized to sqrt$f, and (sqrt -1.0) is #C(0.0 1.0).
+        assert call("sqrt$f", -1.0) == call("sqrt", -1.0) == 1j
+        source = "(defun f (x) (if x 0 (sqrt$f -1.0)))"
+        for run in self.executors(source):
+            assert run(NIL) == 1j
 
 
 class TestArithmeticEdges:

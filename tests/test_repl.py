@@ -39,10 +39,11 @@ class TestEvaluation:
         assert output.strip() == "(1 2 3)"
 
     def test_error_reported_not_fatal(self):
-        output, alive, _ = session("(car 5)", "(+ 1 1)")
+        output, alive, _ = session("(car 5)", "(floor 5 0)", "(+ 1 1)")
         lines = output.splitlines()
         assert lines[0].startswith("error:")
-        assert lines[1] == "2"
+        assert lines[1].startswith("error:")
+        assert lines[2] == "2"
         assert alive
 
     def test_reader_error_reported(self):

@@ -556,6 +556,53 @@ class TestSocketOwnership:
         assert ServiceClient(handle.server.socket_path).ping()["pong"]
 
 
+class TestListenFailure:
+    """An address that cannot be bound ends the start with one error
+    line: the other listener, the worker pool and the socket file are
+    released, and nothing was announced as listening."""
+
+    @staticmethod
+    def held_port():
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        return holder, holder.getsockname()[1]
+
+    def test_start_releases_everything(self, tmp_path):
+        from repro.errors import ReproError
+
+        holder, port = self.held_port()
+        path = tmp_path / "daemon.sock"
+        children = set(multiprocessing.active_children())
+        server = ReproServer(CompilerOptions(), socket_path=str(path),
+                             http_addr=("127.0.0.1", port), jobs=2)
+        try:
+            with pytest.raises(ReproError,
+                               match=f"cannot listen on http://127.0.0.1:"
+                                     f"{port}: Address already in use"):
+                asyncio.run(server.start())
+        finally:
+            holder.close()
+        assert not path.exists()
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_run_prints_one_error_line(self, tmp_path, capsys):
+        holder, port = self.held_port()
+        path = tmp_path / "daemon.sock"
+        server = ReproServer(CompilerOptions(), socket_path=str(path),
+                             http_addr=("127.0.0.1", port))
+        try:
+            assert server.run() == 1
+        finally:
+            holder.close()
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            f"repro serve: error: cannot listen on http://127.0.0.1:{port}:"
+            f" Address already in use"]
+        assert "Traceback" not in err
+        assert not path.exists()
+
+
 class TestHttpTransport:
     @pytest.fixture
     def http_server(self, server_factory):
@@ -1012,6 +1059,22 @@ class TestEveryEnvelopeCounted:
         assert metrics.requests == {label: 1 for label in answers} \
             | {"stats": 1}
         assert metrics.errors == {label: 1 for label in answers}
+
+    def test_request_far_over_the_limit_gets_the_envelope(
+            self, server_factory):
+        # The client is still sending when the limit trips: the daemon
+        # reads the rest of the line away before it answers, so the
+        # client reads the envelope instead of a broken pipe.
+        handle = server_factory(max_request_bytes=200_000)
+        client = ServiceClient(handle.server.socket_path)
+        with pytest.raises(ServiceError) as refused:
+            client.compile("(defun f (x) x)" + " " * 1_000_000)
+        assert refused.value.code == "too-large"
+        journal = [entry["op"] for entry in
+                   client.stats()["recent_requests"]]
+        assert journal == ["too-large"]
+        assert handle.server.metrics.errors == {"too-large": 1}
+        assert client.ping()["pong"] is True
 
     def test_nesting_deeper_than_the_parser_is_bad_json(self,
                                                          server_factory):

@@ -224,6 +224,11 @@ class TestTrapsConserve:
             machine.run(sym(fn), args)
         assert machine.cycles > 0
         assert machine.telemetry.attributed_cycles() == machine.cycles
+        # The trapped run left through one exit: one span, closed once.
+        (span,) = machine.telemetry.run_spans
+        assert span["duration_s"] is not None
+        assert (span["cycles"], span["instructions"]) == \
+            (machine.cycles, machine.instructions)
         machine.run(sym("spin"), [5])
         assert machine.telemetry.attributed_cycles() == machine.cycles
 
