@@ -5,6 +5,13 @@ Python basic blocks and direct-threading them runs the Table 4 TESTFN
 workloads >= 5x faster (wall clock) than the cycle-honest simulator, with
 identical results and identical accounting totals.
 
+Each round runs on a fresh machine, but a translation is stored on its
+CodeObject and shared by every later machine, so only the first native
+round translates.  The gate judges the best of the rounds (a run of
+code already translated); the record also keeps the first round,
+translation included, as ``native_first_seconds`` and
+``first_round_speedup`` (the simulator's best against it).
+
 Results land in ``BENCH_native.json`` (override the path with the
 ``REPRO_BENCH_NATIVE_JSON`` environment variable).
 """
@@ -20,6 +27,9 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro import Compiler  # noqa: E402
 from repro.datum import lisp_equal, sym  # noqa: E402
+# Imported before any round is timed: the first native round then
+# measures translation and execution, not an import.
+from repro.machine import native  # noqa: E402,F401
 
 _RESULTS_PATH = os.environ.get(
     "REPRO_BENCH_NATIVE_JSON",
@@ -76,9 +86,10 @@ def _merge_results(section: str, data) -> None:
 
 def _time_tier(compiler, tier, fn, args):
     """Best-of-ROUNDS wall clock for one run on a fresh machine; returns
-    (seconds, result, machine-of-last-round).  min-of-N isolates the
-    tiers' real cost from scheduler jitter on shared hosts."""
-    best = None
+    (best seconds, first round's seconds, result, machine-of-last-round).
+    min-of-N isolates the tiers' real cost from scheduler jitter on
+    shared hosts."""
+    times = []
     result = None
     machine = None
     for _ in range(ROUNDS):
@@ -86,10 +97,8 @@ def _time_tier(compiler, tier, fn, args):
         machine.tier = tier
         started = time.perf_counter()
         result = machine.run(sym(fn), list(args))
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result, machine
+        times.append(time.perf_counter() - started)
+    return min(times), times[0], result, machine
 
 
 def test_native_tier_5x_on_testfn_workloads(table):
@@ -99,9 +108,9 @@ def test_native_tier_5x_on_testfn_workloads(table):
     for name, source, fn, args in WORKLOADS:
         compiler = Compiler()
         compiler.compile_source(source)
-        sim_seconds, sim_result, sim = _time_tier(
+        sim_seconds, _, sim_result, sim = _time_tier(
             compiler, "simulate", fn, args)
-        nat_seconds, nat_result, nat = _time_tier(
+        nat_seconds, nat_first, nat_result, nat = _time_tier(
             compiler, "native", fn, args)
 
         # Same CodeObjects, same answer, same accounting -- the speedup
@@ -114,20 +123,26 @@ def test_native_tier_5x_on_testfn_workloads(table):
         assert sim.max_stack == nat.max_stack, name
 
         speedup = sim_seconds / max(nat_seconds, 1e-9)
+        first_speedup = sim_seconds / max(nat_first, 1e-9)
         rows.append([name, f"{sim_seconds * 1e3:.1f}",
-                     f"{nat_seconds * 1e3:.1f}", f"{speedup:.2f}x"])
+                     f"{nat_seconds * 1e3:.1f}", f"{speedup:.2f}x",
+                     f"{nat_first * 1e3:.1f}", f"{first_speedup:.2f}x"])
         recorded[name] = {
             "simulate_seconds": sim_seconds,
             "native_seconds": nat_seconds,
             "speedup": speedup,
+            "native_first_seconds": nat_first,
+            "first_round_speedup": first_speedup,
             "instructions": sim.instructions,
             "cycles": sim.cycles,
         }
         if speedup < 5.0:
             failures.append(f"{name}: only {speedup:.2f}x")
 
-    table(f"P12: native tier vs simulator, best of {ROUNDS}",
-          ["workload", "simulate ms", "native ms", "speedup"], rows)
+    table(f"P12: native tier vs simulator, best of {ROUNDS}"
+          " (first native round: translation included)",
+          ["workload", "simulate ms", "native ms", "speedup",
+           "native first ms", "first speedup"], rows)
     _merge_results("native_tier_vs_simulator", {
         "rounds": ROUNDS,
         "gate": 5.0,

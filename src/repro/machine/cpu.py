@@ -24,7 +24,7 @@ from ..datum.symbols import Symbol, sym
 from ..errors import LispError, MachineError, WrongNumberOfArgumentsError, WrongTypeError
 from ..interp.environment import DeepBindingStack
 from ..options import TIERS
-from ..primitives import Primitive, lookup_primitive
+from ..primitives import Primitive, _domain_error, lookup_primitive
 from ..telemetry import MachineTelemetry
 from .heap import Heap
 from .isa import CYCLES, CodeObject, Instruction, Program, RAW_BINARY_OPS, RAW_UNARY_OPS
@@ -155,10 +155,14 @@ class Machine:
         # Allocation watermark for the automatic-GC trigger: the check
         # runs only on instructions that actually allocated.
         self._gc_alloc_mark = 0
-        # Native tier state: id(CodeObject) -> (code, NativeCode) to pin
-        # identity, plus a per-run block-execution counter that stats()
-        # lazily folds into opcode_counts.
+        # Native tier state: this machine's index of the translations it
+        # runs, id(CodeObject) -> (code, NativeCode) to pin identity (the
+        # translations live on the CodeObjects, shared by every machine
+        # with the same translation key); that key, derived on first use
+        # after each configuration change; and a per-run block-execution
+        # counter that stats() lazily folds into opcode_counts.
         self._native_cache: Dict[int, Tuple[CodeObject, Any]] = {}
+        self._native_key: Optional[Tuple] = None
         self._native_counts: Counter = Counter()
         # statistics
         self.instructions = 0
@@ -259,19 +263,20 @@ class Machine:
 
     def enable_telemetry(self) -> MachineTelemetry:
         """Switch on the machine's observer (a fresh ledger).  The native
-        cache is dropped: translations made with telemetry on carry
+        index is dropped: translations made with telemetry on carry
         per-instruction records and instrumented inline-cache and
-        fallback sites, so the two modes never share generated code."""
+        fallback sites, so the two modes never share generated code (each
+        mode's translations stay stored on the CodeObjects)."""
         self._flush_native_counts()
         self.telemetry = MachineTelemetry(processor_id=self.processor_id)
-        self._native_cache.clear()
+        self._drop_native_index()
         return self.telemetry
 
     def disable_telemetry(self) -> Optional[MachineTelemetry]:
         """Stop telemetry; returns what was collected (if anything)."""
         telemetry, self.telemetry = self.telemetry, None
         if telemetry is not None:
-            self._native_cache.clear()
+            self._drop_native_index()
         return telemetry
 
     def telemetry_report(self, top: int = 20) -> str:
@@ -287,9 +292,10 @@ class Machine:
     def set_timing(self, timing: str,
                    pipeline: Optional[PipelineDescription] = None) -> None:
         """Switch the timing model (the REPL's ``:timing``).  Drops the
-        native cache and the timing profiles: native translations bake
+        native index and the timing profiles: native translations bake
         the pipeline's stall charges into the generated blocks, so the
-        two models never share generated code."""
+        two models never share generated code (switching back finds the
+        first model's translations still stored on the CodeObjects)."""
         if timing not in TIMINGS:
             raise MachineError(
                 f"unknown timing model {timing!r} "
@@ -304,7 +310,7 @@ class Machine:
         else:
             self._pipeline = None
         self._timing_cache.clear()
-        self._native_cache.clear()
+        self._drop_native_index()
         # Pipelined-model bookkeeping: the (code, pc) the front end
         # expects next if the last instruction fell through sequentially;
         # anything else means the pipeline was flushed.
@@ -504,18 +510,30 @@ class Machine:
     # -- the native tier (repro.machine.native) -----------------------------
 
     def _native_code_for(self, code: CodeObject):
-        """The NativeCode for *code*, translating on first use.  Keyed by
-        id() (CodeObjects are unhashable) with the object pinned in the
-        value so a recycled id cannot alias a dead CodeObject."""
+        """The NativeCode for *code* under this machine's cost table,
+        observer and timing model: the translation shared through the
+        CodeObject (repro.machine.native.translate), made on the first
+        use by any machine.  Indexed here by id() (CodeObjects are
+        unhashable) with the object pinned in the value so a recycled id
+        cannot alias a dead CodeObject."""
         cached = self._native_cache.get(id(code))
         if cached is None or cached[0] is not code:
-            from .native import translate
+            from .native import translate, translation_key
 
-            cached = (code, translate(code, self.cycle_costs,
-                                      telemetry=self.telemetry is not None,
-                                      pipeline=self._pipeline))
+            telemetry = self.telemetry is not None
+            if self._native_key is None:
+                self._native_key = translation_key(
+                    self.cycle_costs, telemetry, self._pipeline)
+            cached = (code, translate(code, self.cycle_costs, telemetry,
+                                      self._pipeline, key=self._native_key))
             self._native_cache[id(code)] = cached
         return cached[1]
+
+    def _drop_native_index(self) -> None:
+        """Forget the translations this machine indexed and its key, after
+        a change of observer or timing model selects other ones."""
+        self._native_cache.clear()
+        self._native_key = None
 
     def _native_block(self):
         """The translated block at (code, pc), translating on first use."""
@@ -1277,62 +1295,79 @@ def _boxf(heap: Heap, word: Any) -> Any:
     return heap.allocate_number(word)
 
 
+def _raw_fault(opcode: str, error: Exception) -> LispError:
+    """The Lisp error for a host exception in raw instruction *opcode*
+    (raised from an ``except``, so the common path pays nothing): a
+    complex operand where only a real will do is a type error, anything
+    else lies outside the operation's domain ("FSIN: argument out of
+    domain"), as in the primitives."""
+    if isinstance(error, TypeError):
+        return WrongTypeError(f"{opcode}: not a real number")
+    return _domain_error(opcode, error)
+
+
 def _raw_binary(opcode: str, a: Any, b: Any) -> Any:
-    if opcode in ("ADD", "FADD"):
-        return a + b
-    if opcode in ("SUB", "FSUB"):
-        return a - b
-    if opcode in ("MULT", "FMULT"):
-        return a * b
-    if opcode == "DIV":
-        if b == 0:
-            raise LispError("integer division by zero")
-        quotient = abs(a) // abs(b)
-        return quotient if (a >= 0) == (b >= 0) else -quotient
-    if opcode == "FDIV":
-        if b == 0:
-            raise LispError("float division by zero")
-        return a / b
-    if opcode == "MOD":
-        return a - b * math.floor(a / b)
-    if opcode == "REM":
-        return a - b * math.trunc(a / b)
-    if opcode == "FMAX":
-        return max(a, b)
-    if opcode == "FMIN":
-        return min(a, b)
-    if opcode == "FATAN":
-        return math.atan2(a, b)
+    try:
+        if opcode in ("ADD", "FADD"):
+            return a + b
+        if opcode in ("SUB", "FSUB"):
+            return a - b
+        if opcode in ("MULT", "FMULT"):
+            return a * b
+        if opcode == "DIV":
+            if b == 0:
+                raise LispError("integer division by zero")
+            quotient = abs(a) // abs(b)
+            return quotient if (a >= 0) == (b >= 0) else -quotient
+        if opcode == "FDIV":
+            if b == 0:
+                raise LispError("float division by zero")
+            return a / b
+        if opcode == "MOD":
+            return a - b * math.floor(a / b)
+        if opcode == "REM":
+            return a - b * math.trunc(a / b)
+        if opcode == "FMAX":
+            return max(a, b)
+        if opcode == "FMIN":
+            return min(a, b)
+        if opcode == "FATAN":
+            return math.atan2(a, b)
+    except (ArithmeticError, TypeError, ValueError) as error:
+        raise _raw_fault(opcode, error) from None
     raise MachineError(f"bad raw binary op {opcode}")  # pragma: no cover
 
 
 def _raw_unary(opcode: str, value: Any) -> Any:
-    if opcode in ("NEG", "FNEG"):
-        return -value
-    if opcode == "FSIN":  # argument in cycles, like the S-1 instruction
-        return math.sin(value * 2.0 * math.pi)
-    if opcode == "FCOS":
-        return math.cos(value * 2.0 * math.pi)
-    if opcode == "FSINR":
-        return math.sin(value)
-    if opcode == "FCOSR":
-        return math.cos(value)
-    if opcode == "FSQRT":
-        if isinstance(value, complex) or value < 0:
-            import cmath
+    try:
+        if opcode in ("NEG", "FNEG"):
+            return -value
+        if opcode == "FSIN":  # argument in cycles, like the S-1 instruction
+            return math.sin(value * 2.0 * math.pi)
+        if opcode == "FCOS":
+            return math.cos(value * 2.0 * math.pi)
+        if opcode == "FSINR":
+            return math.sin(value)
+        if opcode == "FCOSR":
+            return math.cos(value)
+        if opcode == "FSQRT":
+            if isinstance(value, complex) or value < 0:
+                import cmath
 
-            return cmath.sqrt(value)
-        return math.sqrt(value)
-    if opcode == "FABS":
-        return abs(value)
-    if opcode == "FEXP":
-        return math.exp(value)
-    if opcode == "FLOG":
-        return math.log(value)
-    if opcode == "FLT":
-        return float(value)
-    if opcode == "FIX":
-        return math.trunc(value)
+                return cmath.sqrt(value)
+            return math.sqrt(value)
+        if opcode == "FABS":
+            return abs(value)
+        if opcode == "FEXP":
+            return math.exp(value)
+        if opcode == "FLOG":
+            return math.log(value)
+        if opcode == "FLT":
+            return float(value)
+        if opcode == "FIX":
+            return math.trunc(value)
+    except (ArithmeticError, TypeError, ValueError) as error:
+        raise _raw_fault(opcode, error) from None
     raise MachineError(f"bad raw unary op {opcode}")  # pragma: no cover
 
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..errors import MachineError
+
 Operand = Tuple[str, Any]
 
 
@@ -181,6 +183,20 @@ class CodeObject:
     #: File the function was read from, when known (reader positions).
     source_file: Optional[str] = None
 
+    #: The native tier's translations of this function, one per
+    #: translation key (see :func:`repro.machine.native.translate`, the
+    #: only code that reads or fills it); None until the native tier first
+    #: runs the function.  Not a field: ``==``, ``repr`` and the pickle
+    #: ignore it, so the cache format does not change.
+    _translations = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Generated code does not pickle; an unpickled (or copied)
+        # CodeObject translates afresh on first native use.
+        state = dict(self.__dict__)
+        state.pop("_translations", None)
+        return state
+
     def rebuild_line_map(self) -> None:
         """Recompute ``line_map`` from the instructions' ``line`` fields
         (callers that reorder or rewrite instructions run this last)."""
@@ -224,6 +240,9 @@ class Program:
         self.functions[symbol] = code
 
     def get(self, symbol: Any) -> CodeObject:
-        if symbol not in self.functions:
-            raise KeyError(f"undefined function {symbol}")
-        return self.functions[symbol]
+        code = self.functions.get(symbol)
+        if code is None:
+            # The class and message a CALL to an undefined function traps
+            # with.
+            raise MachineError(f"undefined function {symbol}")
+        return code

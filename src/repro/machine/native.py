@@ -30,12 +30,18 @@ block entry, and opcode counts are materialized per executed block.
 Totals (``instructions``, ``cycles``) agree exactly with the simulator
 for any run both tiers complete; only *where within a block* fuel runs
 out, GC triggers, and the stack high-water mark is sampled differ.
+
+A function is translated once per translation key (cost-table contents,
+instrumented or plain, pipeline): :func:`translate` stores each
+translation on its CodeObject, and every machine that runs the function
+under that key runs the same generated code.  Generated code holds no
+machine: it reads everything per run through its ``m`` argument.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..datum import NIL, T
 from ..datum.numbers import lisp_eql
@@ -81,6 +87,13 @@ _INLINE_BINARY = {
 _INLINE_UNARY = {
     "NEG": "-_x", "FNEG": "-_x", "FABS": "abs(_x)", "FLT": "float(_x)",
 }
+
+#: Host exceptions an inline raw expression can raise (an integer beyond
+#: the float range, the absolute value of a huge complex, the maximum of
+#: a complex).  Generated code catches them and re-runs the instruction
+#: on the simulator's slow path, which raises the Lisp error; the ``try``
+#: costs nothing until something is raised.
+_HOST_FAULTS = (ArithmeticError, ValueError, TypeError)
 
 #: Two-argument generic primitives whose behaviour on a pair of raw
 #: int/float operands is exactly the Python operator (coerce_pair is the
@@ -136,13 +149,13 @@ class NativeBlock:
 
 
 class NativeCode:
-    """A CodeObject's translation: block functions keyed by leader pc."""
+    """A CodeObject's translation: block functions keyed by leader pc.
+    It keeps no reference to its CodeObject, which holds it (see
+    :func:`translate`)."""
 
-    __slots__ = ("code", "blocks", "source")
+    __slots__ = ("blocks", "source")
 
-    def __init__(self, code: CodeObject, blocks: Dict[int, NativeBlock],
-                 source: str):
-        self.code = code
+    def __init__(self, blocks: Dict[int, NativeBlock], source: str):
         self.blocks = blocks
         self.source = source        # generated Python, for debugging
 
@@ -202,11 +215,8 @@ class _Translator:
             "_rawun_checked": _raw_unary_checked,
             "_unbox": _unbox,
             "_boxf": _boxf,
+            "_HOST_FAULTS": _HOST_FAULTS,
         }
-        if pipeline is not None:
-            # Dynamic transfer checks compare against the block's own
-            # CodeObject (the simulator's ``code_before``).
-            self.ns["_CODE"] = code
         self._kcount = 0
         self._size = len(code.instructions)
         # Per-instruction hoist lines (prepended by emit) and per-block
@@ -313,11 +323,15 @@ class _Translator:
         """The simulator's dynamic transfer test, emitted verbatim for
         sites whose successor is only known at run time (handler
         fallbacks, returns): flush unless execution continues at
-        ``index + 1`` of this same CodeObject."""
+        ``index + 1`` of this same CodeObject.  The instruction's lines
+        first save ``m.code`` (still this CodeObject there, the
+        simulator's ``code_before``) as ``_cb``; naming the CodeObject in
+        the namespace instead would tie it to its own translation."""
         if self.pipeline is None or not self.pipeline.flush_cycles:
             return []
         flush = self.pipeline.flush_cycles
-        return [f"if m.code is not _CODE or m.pc != {index + 1}:",
+        self._hoists.append("_cb = m.code")
+        return [f"if m.code is not _cb or m.pc != {index + 1}:",
                 f"    m.cycles += {flush}",
                 f"    m.stall_control += {flush}"]
 
@@ -559,8 +573,9 @@ class _Translator:
             a, b = read(ops[1]), read(ops[2])
             if not (a and b and write_or_none(ops[0], "_x")):
                 return fallback()
-            fast = _INLINE_BINARY.get(op, f"_rawbin({op!r}, _x, _y)")
-            slow = f"_rawbin_checked({op!r}, _x, _y)"
+            slow = write_or_none(ops[0], f"_rawbin_checked({op!r}, _x, _y)")
+            fast = self._raw_fast(ops[0], _INLINE_BINARY.get(op),
+                                  f"_rawbin({op!r}, _x, _y)", slow)
             # Immediates are known raw at translation time, so only the
             # operands whose type is decided at run time get checked.
             checks = []
@@ -570,25 +585,23 @@ class _Translator:
                 checks.append(_is_raw("_y"))
             lines = [f"_x = {a}", f"_y = {b}"]
             if not checks:
-                return lines + [write_or_none(ops[0], fast)]
-            return lines + [f"if {' and '.join(checks)}:",
-                            f"    {write_or_none(ops[0], fast)}",
-                            "else:",
-                            f"    {write_or_none(ops[0], slow)}"]
+                return lines + fast
+            return (lines + [f"if {' and '.join(checks)}:"]
+                    + ["    " + line for line in fast]
+                    + ["else:", f"    {slow}"])
 
         if op in RAW_UNARY_OPS:
             src = read(ops[1])
             if not (src and write_or_none(ops[0], "_x")):
                 return fallback()
-            fast = _INLINE_UNARY.get(op, f"_rawun({op!r}, _x)")
-            slow = f"_rawun_checked({op!r}, _x)"
+            slow = write_or_none(ops[0], f"_rawun_checked({op!r}, _x)")
+            fast = self._raw_fast(ops[0], _INLINE_UNARY.get(op),
+                                  f"_rawun({op!r}, _x)", slow)
             if _imm_raw(ops[1]):
-                return [f"_x = {src}", write_or_none(ops[0], fast)]
-            return [f"_x = {src}",
-                    f"if {_is_raw('_x')}:",
-                    f"    {write_or_none(ops[0], fast)}",
-                    "else:",
-                    f"    {write_or_none(ops[0], slow)}"]
+                return [f"_x = {src}"] + fast
+            return ([f"_x = {src}", f"if {_is_raw('_x')}:"]
+                    + ["    " + line for line in fast]
+                    + ["else:", f"    {slow}"])
 
         if op == "ARGEXPAND":
             # Mirrors Machine._op_argexpand: slide the frame record up to
@@ -639,18 +652,24 @@ class _Translator:
             push = self._push_frame_lines(index + 1, nargs)
             if target[0] == "global":
                 kname = konst(target[1])
-                # Per-call-site inline cache [callee code, entry block]:
-                # monomorphic call sites skip the dispatch loop's lookup.
-                # Identity-checked, so a redefined function misses and
-                # re-resolves; ns (and thus the cell) is per machine.
+                # Per-call-site inline cache, one cell holding the pair
+                # (callee code, entry block): monomorphic call sites skip
+                # the dispatch loop's lookup.  ns (and thus the cell) is
+                # per translation, so every machine running this
+                # translation shares the cell; the entry block comes from
+                # a translation under the same key, and each call checks
+                # the cell by identity against m.program, so a redefined
+                # function or another program's callee misses and
+                # re-resolves.  The pair is replaced in one store, so a
+                # machine on another thread never reads half an update.
                 cell = f"_cs{index}"
-                self.ns[cell] = [None, None]
+                self.ns[cell] = [(None, None)]
                 if self.telemetry:
                     tel = self._tel_ref()
                     site = konst(f"{self.code.name}:{index}->{target[1]}")
                     probe_hit = [f"    {tel}.ic_hit({site})"]
                     probe_miss = [f"{tel}.ic_miss({site},"
-                                  f" {cell}[0] is not None)"]
+                                  f" _e[0] is not None)"]
                 else:
                     probe_hit = probe_miss = []
                 return ([f"_c = m.program.functions.get({kname})",
@@ -666,14 +685,14 @@ class _Translator:
                         + self._flush_charge()
                         + ["m.code = _c",
                            "m.pc = 0",
-                           f"if _c is {cell}[0]:"]
+                           f"_e = {cell}[0]",
+                           "if _c is _e[0]:"]
                         + probe_hit
-                        + [f"    return {cell}[1]"]
+                        + ["    return _e[1]"]
                         + probe_miss
-                        + ["_native = m._native_code_for(_c)",
-                           f"{cell}[0] = _c",
-                           f"{cell}[1] = _native.blocks.get(0)",
-                           f"return {cell}[1]"])
+                        + ["_b = m._native_code_for(_c).blocks.get(0)",
+                           f"{cell}[0] = (_c, _b)",
+                           "return _b"])
             if target[0] == "label":
                 entry = self.code.resolve_label(target[1])
                 return push + self._goto(entry, index=index)
@@ -733,10 +752,11 @@ class _Translator:
                     "m.pc = _rec.ret_pc"] \
                 + self._flush_check(index) \
                 + ["stack.append(_v)",
-                   # ret_block is this machine's continuation block for
-                   # (ret_code, ret_pc) when the frame was pushed by
-                   # generated code, None when the simulator pushed it
-                   # (the dispatch loop then resolves m.code/m.pc).
+                   # ret_block is the continuation block for (ret_code,
+                   # ret_pc) under this translation's key when the frame
+                   # was pushed by generated code, None when the
+                   # simulator pushed it (the dispatch loop then resolves
+                   # m.code/m.pc).
                    "return _rec.ret_block"]
 
         if op == "GENERIC":
@@ -822,6 +842,20 @@ class _Translator:
             return self._terminator_fallback(instruction, index)
 
         return fallback()
+
+    def _raw_fast(self, dst, inline: Optional[str], call: str,
+                  slow: str) -> List[str]:
+        """The raw-operand path of a raw arithmetic instruction: the
+        *inline* Python expression when there is one, guarded so a host
+        exception re-runs the *slow* statement (which raises the Lisp
+        error), else the simulator's own *call*, which converts its host
+        exceptions itself."""
+        if inline is None:
+            return [self.write(dst, call)]
+        return ["try:",
+                f"    {self.write(dst, inline)}",
+                "except _HOST_FAULTS:",
+                f"    {slow}"]
 
     def _terminator_fallback(self, instruction: Instruction,
                              index: int) -> List[str]:
@@ -909,22 +943,60 @@ class _Translator:
         # to the target NativeBlock through the module namespace.
         for start, block in blocks.items():
             self.ns[f"B{start}"] = block
-        return NativeCode(self.code, blocks, source)
+        return NativeCode(blocks, source)
+
+
+#: Cost tables by content.  Every machine holds its own copy of its
+#: target's table, so equal tables are distinct dicts; they share one
+#: interned frozenset here, which a store probe then matches by identity.
+#: One entry per distinct table.
+_COST_TABLES: Dict[FrozenSet, FrozenSet] = {}
+
+
+def translation_key(cycle_costs: Optional[Dict[str, int]] = None,
+                    telemetry: bool = False,
+                    pipeline: Optional[PipelineDescription] = None) -> Tuple:
+    """The key :func:`translate` stores a translation under: the cost
+    table's contents (default: the S-1 table), instrumented or plain, and
+    the pipeline by identity (a PipelineDescription holds dicts, so it
+    does not hash; the stored entry pins it, so its id is not reused
+    while a translation made under it lives).  A Machine derives it once
+    per configuration."""
+    costs = frozenset((CYCLES if cycle_costs is None
+                       else cycle_costs).items())
+    return (_COST_TABLES.setdefault(costs, costs), telemetry, id(pipeline))
 
 
 def translate(code: CodeObject,
               cycle_costs: Optional[Dict[str, int]] = None,
               telemetry: bool = False,
-              pipeline: Optional[PipelineDescription] = None) -> NativeCode:
-    """Translate *code* into native blocks under *cycle_costs* (default:
-    the S-1 table).  Pure: the CodeObject is never mutated, so one
-    translation serves every machine with the same cost table.  With
+              pipeline: Optional[PipelineDescription] = None,
+              key: Optional[Tuple] = None) -> NativeCode:
+    """*code*'s native translation under *cycle_costs* (default: the S-1
+    table), *telemetry* and *pipeline*: the one way to get a translation.
+
+    It returns the translation stored on *code* under
+    ``translation_key(cycle_costs, telemetry, pipeline)`` (a caller may
+    pass that *key* precomputed), and on a miss translates and stores the
+    result.  Translating never mutates the instructions, and the
+    generated code holds no machine, so one translation serves every
+    machine and every program that runs *code* under the same key.  With
     *telemetry* each block carries the observer's per-instruction record
     and the generated code carries inline-cache probes and per-site cycle
     booking (reading ``m.telemetry`` at run time), so instrumented and
-    plain translations must not share a cache --
-    ``Machine.enable_telemetry`` drops its native cache for this reason.
-    A *pipeline* bakes that timing model's hazard-stall charges into the
-    generated blocks (``Machine.set_timing`` drops the cache likewise).
+    plain translations have different keys; a *pipeline* bakes that
+    timing model's hazard-stall charges into the generated blocks, and
+    is part of the key likewise.  The translation is made from the key's
+    cost table, so it always matches the key it is stored under.
     """
-    return _Translator(code, cycle_costs, telemetry, pipeline).translate()
+    if key is None:
+        key = translation_key(cycle_costs, telemetry, pipeline)
+    store = code._translations
+    if store is None:
+        store = code._translations = {}
+    entry = store.get(key)
+    if entry is None:
+        native = _Translator(code, dict(key[0]), telemetry,
+                             pipeline).translate()
+        entry = store[key] = (pipeline, native)
+    return entry[1]

@@ -614,7 +614,15 @@ def _trunc_div(a: int, b: int) -> int:
     return quotient if (a >= 0) == (b >= 0) else -quotient
 
 
-define_primitive("float", lambda x: float(_need_real("float", x)), 1, 1,
+def _prim_float(x: Any) -> float:
+    _need_real("float", x)
+    try:
+        return float(x)
+    except OverflowError as error:  # an integer beyond the float range
+        raise _domain_error("float", error) from None
+
+
+define_primitive("float", _prim_float, 1, 1,
                  result_rep="SWFLO", pdl_result=True, machine_op="FLT")
 
 

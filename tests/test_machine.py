@@ -8,7 +8,9 @@ specials, closures, and catch/throw.
 import pytest
 
 from repro.datum import NIL, T, sym, to_list
-from repro.errors import LispError, MachineError, WrongNumberOfArgumentsError
+from repro.errors import (
+    LispError, MachineError, WrongNumberOfArgumentsError, WrongTypeError,
+)
 from repro.machine import (
     CodeObject,
     Instruction,
@@ -466,7 +468,6 @@ class TestReviewRegressions:
 
     def test_unbox_of_non_number_is_a_lisp_type_error(self):
         from repro import Compiler
-        from repro.errors import WrongTypeError
 
         compiler = Compiler()
         compiler.compile_source(
@@ -663,3 +664,120 @@ class TestStartResetsCounters:
         after_one = machine.instructions
         machine.run(sym("sq"), [3])
         assert machine.instructions == 2 * after_one
+
+
+class TestUndefinedEntryFunction:
+    """Starting a run at a function the program does not define raises
+    the MachineError a CALL to it raises, before the run touches the
+    machine, which stays usable."""
+
+    def test_run_start_and_compiler_run_raise_machine_error(self):
+        from repro import Compiler
+
+        compiler = Compiler()
+        compiler.compile_source("(defun f (x) (* x 3))")
+        with pytest.raises(MachineError, match="undefined function nope"):
+            compiler.run("nope")
+        for tier in TIERS:
+            machine = compiler.machine()
+            machine.tier = tier
+            with pytest.raises(MachineError,
+                               match="undefined function nope"):
+                machine.run(sym("nope"), [])
+            with pytest.raises(MachineError,
+                               match="undefined function nope"):
+                machine.start(sym("nope"), [])
+            assert machine.run(sym("f"), [4]) == 12
+            assert machine.stack == [] and not machine.poisoned
+
+
+class TestRawOpFaults:
+    """Every raw arithmetic opcode, on operands at the edges of its
+    domain, either computes or raises a ReproError, on both tiers: never
+    the host's ValueError, OverflowError, ZeroDivisionError or
+    TypeError (a complex operand where a real is needed is a
+    WrongTypeError)."""
+
+    OPERANDS = [0, -0.0, 1, -1, 1e308, -1e308, float("inf"), float("-inf"),
+                float("nan"), 10 ** 400, 1 + 2j]
+
+    @staticmethod
+    def program(opcode):
+        # UNBOX the (boxed) arguments into raw registers, apply the
+        # opcode, box the raw result and return it.
+        from repro.machine.isa import RAW_UNARY_OPS
+
+        if opcode in RAW_UNARY_OPS:
+            body = [ins("UNBOX", reg(1), frame_arg(0)),
+                    ins(opcode, reg(0), reg(1))]
+        else:
+            body = [ins("UNBOX", reg(1), frame_arg(0)),
+                    ins("UNBOX", reg(2), frame_arg(1)),
+                    ins(opcode, reg(0), reg(1), reg(2))]
+        code = CodeObject("op", [ins("ALLOCTEMPS", imm(0))] + body
+                          + [ins("BOXF", reg(0), reg(0)),
+                             ins("RET", reg(0))])
+        return make_program(op=code)
+
+    def test_every_raw_op_raises_only_repro_errors(self):
+        from itertools import product
+
+        from repro.errors import ReproError
+        from repro.machine.cpu import _raw_binary_checked, _raw_unary_checked
+        from repro.machine.isa import RAW_BINARY_OPS, RAW_UNARY_OPS
+
+        cases = [(op, (x,)) for op in sorted(RAW_UNARY_OPS)
+                 for x in self.OPERANDS]
+        cases += [(op, pair) for op in sorted(RAW_BINARY_OPS)
+                  for pair in product(self.OPERANDS, repeat=2)]
+        faults = 0
+        for opcode, args in cases:
+            checked = (_raw_unary_checked if len(args) == 1
+                       else _raw_binary_checked)
+            try:
+                checked(opcode, *args)
+            except ReproError:
+                faults += 1
+        assert faults > 100
+        for tier in TIERS:
+            programs = {opcode: self.program(opcode)
+                        for opcode in RAW_UNARY_OPS | RAW_BINARY_OPS}
+            for opcode, args in cases:
+                machine = Machine(programs[opcode], tier=tier)
+                try:
+                    machine.run(sym("op"), list(args))
+                except ReproError:
+                    pass
+
+    @pytest.mark.parametrize("opcode, args, error, message", [
+        ("FSIN", [float("inf")], LispError, "FSIN: argument out of domain"),
+        ("FCOSR", [float("-inf")], LispError,
+         "FCOSR: argument out of domain"),
+        ("FSIN", [1e308], LispError, "FSIN: argument out of domain"),
+        ("FIX", [float("nan")], LispError, "FIX: argument out of domain"),
+        ("FIX", [float("inf")], LispError, "FIX: result out of range"),
+        ("FLOG", [0.0], LispError, "FLOG: argument out of domain"),
+        ("FEXP", [1e308], LispError, "FEXP: result out of range"),
+        ("FLT", [10 ** 400], LispError, "FLT: result out of range"),
+        ("FADD", [10 ** 400, 1.0], LispError, "FADD: result out of range"),
+        ("MOD", [5, 0], LispError, "MOD: division by zero"),
+        ("REM", [5, 0], LispError, "REM: division by zero"),
+        ("FIX", [1 + 2j], WrongTypeError, "FIX: not a real number"),
+        ("FMAX", [1 + 2j, 1.0], WrongTypeError, "FMAX: not a real number"),
+    ])
+    def test_fault_names_its_opcode_on_both_tiers(self, opcode, args, error,
+                                                  message):
+        for tier in TIERS:
+            machine = Machine(self.program(opcode), tier=tier)
+            with pytest.raises(error, match=message):
+                machine.run(sym("op"), args)
+            assert not machine.stack
+
+    def test_immediate_operand_faults_on_both_tiers(self):
+        code = CodeObject("op", [ins("ALLOCTEMPS", imm(0)),
+                                 ins("FLT", reg(0), imm(10 ** 400)),
+                                 ins("BOXF", reg(0), reg(0)),
+                                 ins("RET", reg(0))])
+        for tier in TIERS:
+            with pytest.raises(LispError, match="FLT: result out of range"):
+                Machine(make_program(op=code), tier=tier).run(sym("op"), [])

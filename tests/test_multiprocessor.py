@@ -199,7 +199,7 @@ class TestFaultAbortsAllProcessors:
 
     def test_task_that_fails_to_start_ends_the_started_ones(self):
         mm = multi(self.SOURCE, processors=2, quantum=4)
-        with pytest.raises(KeyError, match="undefined function"):
+        with pytest.raises(MachineError, match="undefined function"):
             mm.run_tasks([(sym("bump-safe"), [10]),
                           (sym("no-such-task"), [])])
         started = mm.processors[0]

@@ -282,6 +282,9 @@ class TestNativeMachineBehaviour:
         assert sum(machine.opcode_counts.values()) == machine.instructions
 
     def test_translation_cached_per_code_object(self):
+        # One translation per CodeObject and key: a second run on the
+        # same machine and a run on a fresh machine both run the very
+        # NativeCode the first run made.
         compiler = Compiler()
         compiler.compile_source(self.LOOP)
         machine = compiler.machine()
@@ -292,6 +295,179 @@ class TestNativeMachineBehaviour:
         assert machine._native_cache.keys() == first.keys()
         for key in first:
             assert machine._native_cache[key][1] is first[key][1]
+        fresh = compiler.machine()
+        fresh.tier = "native"
+        fresh.run(sym("spin"), [5])
+        assert fresh._native_cache.keys() == first.keys()
+        for key in first:
+            assert fresh._native_cache[key][1] is first[key][1]
+
+
+# ---------------------------------------------------------------------------
+# one translation per CodeObject and key, shared by every machine
+
+
+def count_translations(monkeypatch):
+    """Record the name of every CodeObject the translator translates (a
+    translation that translate() finds stored runs no translator)."""
+    from repro.machine import native
+
+    names = []
+    translate_code = native._Translator.translate
+
+    def counting(self):
+        names.append(self.code.name)
+        return translate_code(self)
+
+    monkeypatch.setattr(native._Translator, "translate", counting)
+    return names
+
+
+class TestSharedTranslation:
+    # Calls (inline-cache cells), float arithmetic, closures and funcall
+    # (simulator fallbacks) and a tail call.
+    SOURCE = """
+        (defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
+        (defun hyp (x y) (sqrt$f (+$f (*$f x x) (*$f y y))))
+        (defun twice (f x) (funcall f (funcall f x)))
+        (defun drive (n)
+          (+ (fib n) (fix (hyp 3.0 4.0)) (twice (lambda (v) (* v 2)) n)))
+        (defun count-down (n) (if (= n 0) 'done (count-down (- n 1))))
+    """
+
+    @staticmethod
+    def outcome(machine):
+        result = machine.run(sym("drive"), [10])
+        assert machine.run(sym("count-down"), [30]) is sym("done")
+        return (result, machine.instructions, machine.cycles,
+                dict(machine.opcode_counts), machine.call_count)
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["plain", "observed"])
+    @pytest.mark.parametrize("timing", ["single", "pipelined"])
+    def test_a_fresh_machine_translates_nothing(self, monkeypatch, timing,
+                                                observed):
+        compiler = Compiler(CompilerOptions(tier="native", timing=timing))
+        compiler.compile_source(self.SOURCE)
+        translated = count_translations(monkeypatch)
+        outcomes = []
+        for round_ in range(3):
+            machine = compiler.machine()
+            if observed:
+                machine.enable_telemetry()
+            outcomes.append(self.outcome(machine))
+            if observed:
+                telemetry = machine.telemetry
+                assert telemetry.attributed_cycles() == machine.cycles
+            if round_ == 0:
+                assert sorted(translated) == \
+                    ["count-down", "drive", "fib", "hyp", "twice"]
+        assert len(translated) == 5  # the later machines translated nothing
+        assert outcomes[0][0] == 100
+        assert outcomes[1] == outcomes[0] == outcomes[2]
+        # And the shared translation computes what the simulator does.
+        reference = compiler.machine()
+        reference.tier = "simulate"
+        assert self.outcome(reference) == outcomes[0]
+
+    def test_configurations_never_run_each_other_s_translation(self):
+        from repro.target.machines import get_target
+
+        target = get_target("s1")
+        dearer = dict(target.cycles, CALL=target.cycles["CALL"] + 7,
+                      FMULT=target.cycles["FMULT"] + 3)
+        configs = {
+            "s1": (dict(target.cycles), "single", False),
+            "dearer": (dearer, "single", False),
+            "pipelined": (dict(target.cycles), "pipelined", False),
+            "observed": (dict(target.cycles), "single", True),
+        }
+        compiler = Compiler()
+        compiler.compile_source(self.SOURCE)
+        fib = compiler.program.get(sym("fib"))
+
+        def machine(config, tier):
+            costs, timing, observed = configs[config]
+            made = Machine(compiler.program, cycle_costs=dict(costs),
+                           tier=tier, timing=timing,
+                           pipeline=target.pipeline)
+            if observed:
+                made.enable_telemetry()
+            return made
+
+        natives = {name: set() for name in configs}
+        for _ in range(2):
+            for name in configs:
+                simulated = self.outcome(machine(name, "simulate"))
+                native = machine(name, "native")
+                assert self.outcome(native) == simulated, name
+                natives[name].add(id(native._native_code_for(fib)))
+        assert all(len(ids) == 1 for ids in natives.values()), natives
+        assert len(set().union(*natives.values())) == len(configs)
+        assert len(fib._translations) == len(configs)
+
+    def test_switching_telemetry_back_and_forth_never_retranslates(
+            self, monkeypatch):
+        compiler = Compiler(CompilerOptions(tier="native"))
+        compiler.compile_source(self.SOURCE)
+        machine = compiler.machine()
+        translated = count_translations(monkeypatch)
+        machine.run(sym("drive"), [10])
+        machine.enable_telemetry()
+        machine.run(sym("drive"), [10])
+        assert len(translated) == 8  # drive, fib, hyp, twice; plain, observed
+        for _ in range(2):
+            machine.disable_telemetry()
+            assert not machine._native_cache
+            machine.run(sym("drive"), [10])
+            telemetry = machine.enable_telemetry()
+            before = machine.cycles
+            machine.run(sym("drive"), [10])
+            assert telemetry.attributed_cycles() == machine.cycles - before
+        assert len(translated) == 8
+
+    def test_programs_sharing_a_caller_each_run_their_own_callee(self):
+        # The memory cache hands one CodeObject to every compiler that
+        # compiles the same defun, so two programs can share a caller
+        # (and its translation, inline-cache cells included) while
+        # defining different callees.
+        caller = Compiler()
+        caller.compile_source("(defun f (x) (+ 1 (g x)))")
+        f = caller.program.get(sym("f"))
+        programs = []
+        for body in ("(+ x 1)", "(* x 10)"):
+            callee = Compiler()
+            callee.compile_source(f"(defun g (x) {body})")
+            program = Program()
+            program.add(sym("f"), f)
+            program.add(sym("g"), callee.program.get(sym("g")))
+            programs.append(program)
+        for _ in range(3):
+            for program, want in zip(programs, (7, 51)):
+                machine = Machine(program, tier="native")
+                assert machine.run(sym("f"), [5]) == want
+        assert len(f._translations) == 1
+
+    def test_pickle_and_equality_ignore_the_stored_translation(self):
+        import copy
+        import pickle
+
+        compiler = Compiler(CompilerOptions(tier="native"))
+        compiler.compile_source(self.SOURCE)
+        codes = list(compiler.program.functions.values())
+        pickled = [pickle.dumps(code) for code in codes]
+        shown = [repr(code) for code in codes]
+        clones = [copy.deepcopy(code) for code in codes]
+        compiler.machine().run(sym("drive"), [10])
+        assert all(code._translations for code in codes
+                   if code.name != "count-down")
+        assert [pickle.dumps(code) for code in codes] == pickled
+        assert [repr(code) for code in codes] == shown
+        assert codes == clones
+        restored = pickle.loads(pickled[0])
+        assert restored == codes[0]
+        assert restored._translations is None
+        assert copy.copy(codes[0])._translations is None
 
 
 class TestNativeProfile:

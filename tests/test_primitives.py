@@ -197,6 +197,8 @@ class TestFaultsAreLispErrors:
         ("(log 0)", LispError, "log: argument out of domain"),
         ("(code-char -1)", LispError, "code-char: argument out of domain"),
         ("(exp 1000000)", LispError, "exp: result out of range"),
+        # float's FLT instruction names its opcode on the machine tiers.
+        ("(float (expt 10 400))", LispError, "(float|FLT): result out of range"),
         ("(atan nil)", WrongTypeError, "atan: not a number"),
         ("(length 0)", WrongTypeError, "length: not a proper list"),
         ("(reverse 0)", WrongTypeError, "reverse: not a proper list"),
@@ -229,6 +231,25 @@ class TestFaultsAreLispErrors:
             assert run(T) == 0
             with pytest.raises(error, match=message):
                 run(NIL)
+
+    #: A raw machine instruction faults where the interpreter's
+    #: primitive does: (function body, argument, error).
+    RAW_FAULTS = [
+        ("(sin$f (*$f x 1e300))", 1e300, LispError),
+        ("(cos$f (*$f x 1e300))", -1e300, LispError),
+        ("(fix (*$f x 1e300))", 1e300, LispError),
+        ("(fix (-$f (*$f x 1e300) (*$f x 1e300)))", 1e300, LispError),
+        ("(float (expt x 400))", 10, LispError),
+        ("(exp (*$f x 1.0))", 1e308, LispError),
+        ("(log (*$f x 1.0))", 0.0, LispError),
+    ]
+
+    @pytest.mark.parametrize("body, arg, error", RAW_FAULTS)
+    def test_raw_float_faults_are_lisp_errors_everywhere(self, body, arg,
+                                                         error):
+        for run in self.executors(f"(defun f (x) {body})"):
+            with pytest.raises(error):
+                run(arg)
 
     def test_sqrt_f_of_a_negative_is_the_complex_root_everywhere(self):
         # sqrt$f computes what FSQRT does: ``(sqrt x)`` on a float is

@@ -39,11 +39,17 @@ class TestEvaluation:
         assert output.strip() == "(1 2 3)"
 
     def test_error_reported_not_fatal(self):
-        output, alive, _ = session("(car 5)", "(floor 5 0)", "(+ 1 1)")
+        output, alive, _ = session("(car 5)", "(floor 5 0)",
+                                   "(defun f (x) (sin$f (*$f x 1e300)))",
+                                   "(f 1e300)", "(float (expt 10 400))",
+                                   "(+ 1 1)")
         lines = output.splitlines()
         assert lines[0].startswith("error:")
         assert lines[1].startswith("error:")
-        assert lines[2] == "2"
+        assert lines[2] == "f"
+        assert lines[3].startswith("error:")
+        assert lines[4].startswith("error:")
+        assert lines[5] == "2"
         assert alive
 
     def test_reader_error_reported(self):

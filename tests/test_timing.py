@@ -123,12 +123,25 @@ class TestSetTiming:
         assert machine.cycles > 2 * single_cycles
 
     def test_switch_drops_native_cache(self):
+        # The switch drops the machine's index of translations; the
+        # translations stay stored on the CodeObject, one per model, so
+        # switching back runs the first one again.
         machine = machine_for(FIB, tier="native")
+        fib = machine.program.get(sym("fib"))
         machine.run(sym("fib"), [8])
-        assert machine._native_cache
+        single = machine._native_code_for(fib)
         machine.set_timing("pipelined")
-        assert not machine._native_cache  # retranslation required
+        assert not machine._native_cache
         assert machine.run(sym("fib"), [8]) == 21
+        pipelined = machine._native_code_for(fib)
+        assert pipelined is not single
+        machine.set_timing("single")
+        assert not machine._native_cache
+        assert machine.run(sym("fib"), [8]) == 21
+        assert machine._native_code_for(fib) is single
+        machine.set_timing("pipelined")
+        assert machine._native_code_for(fib) is pipelined
+        assert len(fib._translations) == 2
 
     def test_bogus_timing_rejected(self):
         machine = machine_for(FIB)
