@@ -49,7 +49,7 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 from ._lazy import lazy_attributes
 

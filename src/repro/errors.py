@@ -75,21 +75,89 @@ class VerificationError(ReproError):
 
 
 class LispError(ReproError):
-    """A run-time error signalled by Lisp execution (interpreter or machine):
-    wrong argument types, wrong argument counts, unbound variables, etc."""
+    """A Lisp-level fault.  The interpreter and both machine tiers raise
+    the same subclass for the same fault (README, "Run-time errors"); a
+    plain LispError is a domain fault ("log: argument out of domain") or
+    a fault of one primitive (``error``, a vector index out of bounds)."""
 
 
 class MachineError(ReproError):
-    """The simulated S-1 machine trapped (bad opcode, bad address, ...)."""
+    """A machine limit or an internal fault, never a Lisp-level one: fuel
+    exhausted, a bad opcode or operand, falling off the end of the code,
+    a corrupt frame, a raw operand that is not a machine number (a
+    representation-analysis bug), an unknown GENERIC primitive, and the
+    multiprocessor's limits."""
 
 
 class WrongTypeError(LispError):
-    """Run-time type check failure (e.g. car of a number)."""
-
-
-class UnboundVariableError(LispError):
-    """Reference to an unbound (special) variable."""
+    """Run-time type check failure (car of a number, calling a number)."""
 
 
 class WrongNumberOfArgumentsError(LispError):
-    """Function called with an arity its lambda list does not accept."""
+    """Function or primitive called with an arity it does not accept."""
+
+
+class _WordedFault(LispError):
+    """A fault kind every executor reports from the same fields: the class
+    words the message, so no executor can word it differently."""
+
+    template = ""
+
+    def __init__(self, *fields: object):
+        super().__init__(self.template.format(*fields))
+        self.fields = fields
+
+    def __reduce__(self):
+        return type(self), self.fields, self.__dict__
+
+
+class UnboundVariableError(_WordedFault):
+    """Reference to an unbound variable: ``UnboundVariableError(name)`` for
+    a special variable, and ``UnboundVariableError(name, "lexical")``
+    (the interpreter's environments only)."""
+
+    template = "unbound {1} variable {0}"
+
+    def __init__(self, name: object, kind: str = "special"):
+        super().__init__(name, kind)
+
+
+class UndefinedFunctionError(_WordedFault):
+    """A call to, or the function value of, a name no definition and no
+    primitive has: ``UndefinedFunctionError(name)``."""
+
+    template = "undefined function {}"
+
+
+class DivisionByZeroError(_WordedFault):
+    """Division by zero in a primitive or a raw instruction:
+    ``DivisionByZeroError(name)``, *name* the primitive ("/") or opcode
+    ("FDIV")."""
+
+    template = "{}: division by zero"
+
+
+class UncaughtThrowError(_WordedFault):
+    """A ``throw`` no ``catch`` of its tag is waiting for:
+    ``UncaughtThrowError(tag)``."""
+
+    template = "uncaught throw to tag {!r}"
+
+
+def lisp_fault(name: str, error: BaseException) -> LispError:
+    """The Lisp fault for host exception *error* raised by the primitive or
+    raw instruction *name* on arguments of the right kind: the one mapping
+    (the native tier's inline arithmetic re-runs the primitive or raw
+    instruction, which raises through it).  Raised from an ``except``
+    around the operation, so the common path pays nothing.  A zero divisor
+    is a DivisionByZeroError; a TypeError on numbers is a complex where
+    only a real will do; otherwise the result is out of range ("+: result
+    out of range" for an integer beyond the float range meeting a float)
+    or the argument out of the operation's domain."""
+    if isinstance(error, ZeroDivisionError):
+        return DivisionByZeroError(name)
+    if isinstance(error, TypeError):
+        return WrongTypeError(f"{name}: not a real number")
+    if isinstance(error, OverflowError):
+        return LispError(f"{name}: result out of range")
+    return LispError(f"{name}: argument out of domain")

@@ -55,13 +55,13 @@ class LexicalEnvironment:
     def lookup(self, variable: Variable) -> Any:
         cell = self.cell(variable)
         if cell is None:
-            raise UnboundVariableError(f"unbound lexical variable {variable!r}")
+            raise UnboundVariableError(repr(variable), "lexical")
         return cell.value
 
     def assign(self, variable: Variable, value: Any) -> Any:
         cell = self.cell(variable)
         if cell is None:
-            raise UnboundVariableError(f"unbound lexical variable {variable!r}")
+            raise UnboundVariableError(repr(variable), "lexical")
         cell.value = value
         return value
 
@@ -110,7 +110,7 @@ class DeepBindingStack:
     def lookup(self, name: Symbol) -> Any:
         cell = self.find_cell(name)
         if cell is None:
-            raise UnboundVariableError(f"unbound special variable {name}")
+            raise UnboundVariableError(name)
         return cell.value
 
     def assign(self, name: Symbol, value: Any) -> Any:
@@ -190,7 +190,7 @@ class ShallowBindingStack:
     def lookup(self, name: Symbol) -> Any:
         cell = self.find_cell(name)
         if cell is None:
-            raise UnboundVariableError(f"unbound special variable {name}")
+            raise UnboundVariableError(name)
         return cell.value
 
     def assign(self, name: Symbol, value: Any) -> Any:

@@ -29,8 +29,10 @@ from ..datum import NIL, T, Cons, from_list, to_list
 from ..datum.symbols import Symbol, sym
 from ..errors import (
     LispError,
-    UnboundVariableError,
+    UncaughtThrowError,
+    UndefinedFunctionError,
     WrongNumberOfArgumentsError,
+    WrongTypeError,
 )
 from ..ir.nodes import (
     CallNode,
@@ -51,7 +53,7 @@ from ..ir.nodes import (
     VarRefNode,
 )
 from ..ir.convert import Converter
-from ..primitives import Primitive, lookup_primitive
+from ..primitives import Primitive, _need_list, lookup_primitive
 from ..reader import read, read_all
 from .environment import DeepBindingStack, LexicalEnvironment
 from ..datum.numbers import lisp_eql
@@ -72,11 +74,13 @@ class LispClosure:
         return f"#<closure {self.name or 'anonymous'}>"
 
 
-class _ThrowSignal(LispError):
-    """Internal unwinding signal; escaping uncaught is a Lisp error."""
+class _ThrowSignal(Exception):
+    """Internal unwinding signal.  The public entry points (eval_node,
+    which eval_form, eval_source and evaluate reach, and apply_function)
+    turn one that no catch took into UncaughtThrowError."""
 
     def __init__(self, tag: Any, value: Any):
-        super().__init__(f"uncaught throw to tag {tag!r}")
+        super().__init__(tag)
         self.tag = tag
         self.value = value
 
@@ -153,7 +157,10 @@ class Interpreter:
                   env: Optional[LexicalEnvironment] = None) -> Any:
         if env is None:
             env = LexicalEnvironment()
-        return self._eval(node, env)
+        try:
+            return self._eval(node, env)
+        except _ThrowSignal as signal:
+            raise UncaughtThrowError(signal.tag) from None
 
     def _eval(self, node: Node, env: LexicalEnvironment) -> Any:
         """Iterative evaluator; loops on tail positions."""
@@ -222,7 +229,7 @@ class Interpreter:
         primitive = lookup_primitive(name)
         if primitive is not None:
             return primitive
-        raise UnboundVariableError(f"undefined function {name}")
+        raise UndefinedFunctionError(name)
 
     def _eval_call(self, node: CallNode, env: LexicalEnvironment) -> Any:
         fn = self._callee(node, env)
@@ -247,7 +254,10 @@ class Interpreter:
 
     def apply_function(self, fn: Any, args: Sequence[Any]) -> Any:
         """Public entry: call a Lisp function value with Python-level args."""
-        outcome = self._apply(fn, list(args), tail=False)
+        try:
+            outcome = self._apply(fn, list(args), tail=False)
+        except _ThrowSignal as signal:
+            raise UncaughtThrowError(signal.tag) from None
         assert not isinstance(outcome, _TailCall)
         return outcome
 
@@ -256,7 +266,7 @@ class Interpreter:
         if fn is _APPLY:
             if len(args) < 2:
                 raise WrongNumberOfArgumentsError("apply: needs >= 2 arguments")
-            spread = args[1:-1] + to_list(args[-1])
+            spread = args[1:-1] + _need_list("apply", args[-1])
             return self._apply(args[0], spread, tail=tail)
         if fn is _FUNCALL:
             if not args:
@@ -280,7 +290,7 @@ class Interpreter:
                     self.specials.pop_to(specials_depth)
         if callable(fn):  # host function injected by tests
             return fn(*args)
-        raise LispError(f"not a function: {fn!r}")
+        raise WrongTypeError(f"not a function: {fn!r}")
 
     def _bind_parameters(self, closure: LispClosure, args: List[Any]
                          ) -> Tuple[LexicalEnvironment, Optional[int]]:

@@ -21,10 +21,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..datum import NIL, T
 from ..datum.symbols import Symbol, sym
-from ..errors import LispError, MachineError, WrongNumberOfArgumentsError, WrongTypeError
+from ..errors import (
+    LispError,
+    MachineError,
+    UnboundVariableError,
+    UncaughtThrowError,
+    UndefinedFunctionError,
+    WrongNumberOfArgumentsError,
+    WrongTypeError,
+    lisp_fault,
+)
 from ..interp.environment import DeepBindingStack
 from ..options import TIERS
-from ..primitives import Primitive, _domain_error, lookup_primitive
+from ..primitives import Primitive, _need_list, lookup_primitive
 from ..telemetry import MachineTelemetry
 from .heap import Heap
 from .isa import CYCLES, CodeObject, Instruction, Program, RAW_BINARY_OPS, RAW_UNARY_OPS
@@ -110,7 +119,7 @@ class Machine:
         self.instruction_limit = fuel
         #: Execution engine: "simulate" is the cycle-honest reference
         #: interpreter; "native" runs blocks translated to Python by
-        #: repro.machine.native (same results, block-granular accounting).
+        #: repro.machine.native (same results and counts, traps included).
         self.tier = tier
         # The pipeline tables travel with the machine even under
         # timing="single" so set_timing() can switch models later
@@ -215,7 +224,6 @@ class Machine:
         self.code = code
         self.pc = 0
         self._halted = False
-        self._pipe_code = None  # the pipeline starts a run empty
         if self.telemetry is not None:
             self.telemetry.begin_run(str(function), self)
 
@@ -311,11 +319,6 @@ class Machine:
             self._pipeline = None
         self._timing_cache.clear()
         self._drop_native_index()
-        # Pipelined-model bookkeeping: the (code, pc) the front end
-        # expects next if the last instruction fell through sequentially;
-        # anything else means the pipeline was flushed.
-        self._pipe_code: Optional[CodeObject] = None
-        self._pipe_pc = -1
 
     def stall_cycles(self) -> Dict[str, int]:
         """Hazard stall cycles by category (subset of ``cycles``)."""
@@ -466,34 +469,30 @@ class Machine:
         if pipeline is None:
             handler(self, instruction)
             return
-        # Pipelined model: charge this instruction's structural stall,
-        # its data-hazard stall if it issued back-to-back after its
-        # static predecessor, and a front-end flush if its handler
-        # transferred control (code changed or pc != index + 1).  The
-        # native tier charges the same three categories -- statically
-        # per block plus the identical transfer check at dynamic
-        # sites -- so cycles agree exactly between tiers.
+        # Pipelined model, charged where the native tier charges it, so
+        # the two tiers agree on every count also when a handler raises:
+        # the structural stall before the handler runs; after it, a
+        # front-end flush if the handler transferred control (code
+        # changed or pc != index + 1), else the data-hazard stall of the
+        # back-to-back pair it falls into (unless it halted).
         code_before = self.code
         index = self.pc - 1
         timing_profile = self._timing_profile(code_before)
         structural = timing_profile.structural[index]
-        data = timing_profile.pair[index] \
-            if (self._pipe_code is code_before
-                and self._pipe_pc == index) else 0
+        if structural:
+            self.cycles += structural
+            self.stall_structural += structural
         handler(self, instruction)
         if self.code is code_before and self.pc == index + 1:
-            control = 0
-            self._pipe_code = code_before
-            self._pipe_pc = index + 1
-        else:
-            control = pipeline.flush_cycles
-            self._pipe_code = None
-        stalls = structural + data + control
-        if stalls:
-            self.cycles += stalls
-            self.stall_data += data
-            self.stall_control += control
-            self.stall_structural += structural
+            pair = timing_profile.pair
+            data = pair[index + 1] \
+                if index + 1 < len(pair) and not self._halted else 0
+            if data:
+                self.cycles += data
+                self.stall_data += data
+        elif pipeline.flush_cycles:
+            self.cycles += pipeline.flush_cycles
+            self.stall_control += pipeline.flush_cycles
 
     def _maybe_auto_collect(self) -> None:
         """Automatic collection, allocation-watermark keyed: the live-set
@@ -549,14 +548,18 @@ class Machine:
 
     def step_block(self) -> None:
         """Execute one translated basic block (native tier's unit of
-        progress: fuel, cycles, GC, and the stack high-water mark are
-        all checked at block granularity)."""
+        progress: GC and the stack high-water mark are checked at block
+        granularity; fuel and traps are exact, see _native_trap)."""
         block = self._native_block()
         telemetry = self.telemetry
-        if telemetry is None:
-            block.run(self)
-        else:
-            telemetry.observe_block(self, block)
+        try:
+            if telemetry is None:
+                block.run(self)
+            else:
+                telemetry.observe_block(self, block)
+        except BaseException as error:
+            self._native_trap(block, error)
+            raise
         self._native_counts[block] += 1
         if len(self.stack) > self.max_stack:
             self.max_stack = len(self.stack)
@@ -606,9 +609,35 @@ class Machine:
                 if gc_on:
                     self._maybe_auto_collect()
                 block = nxt
+        except BaseException as error:
+            self._native_trap(block, error)
+            raise
         finally:
             if max_stack > self.max_stack:
                 self.max_stack = max_stack
+
+    def _native_trap(self, block, error: BaseException) -> None:
+        """Leave every count as the simulator leaves it when translated
+        *block* raised *error* (the caller re-raises it).  Out of fuel,
+        nothing in the block ran: step it from its leader on
+        step_instruction until that instruction's fuel check raises.
+        Otherwise the block takes back what its prologue charged for the
+        instructions after the one that raised (NativeBlock.take_back);
+        an error raised outside the block (*block* None, or a collection
+        after it ran) leaves nothing to take back.  Called after the
+        block's frame has unwound, outside the observer's observe_block,
+        which would otherwise book the stepped stalls twice."""
+        if block is None:
+            return
+        from .native import OutOfFuel
+
+        if type(error) is OutOfFuel:
+            try:
+                while True:
+                    self.step_instruction()
+            except BaseException as fault:
+                raise fault from None
+        block.take_back(self, error.__traceback__)
 
     def _flush_native_counts(self) -> None:
         """Fold per-block execution counters into opcode_counts (the
@@ -848,7 +877,7 @@ class Machine:
             if primitive is not None:
                 self._apply_primitive_from_stack(primitive, nargs)
                 return
-            raise MachineError(f"undefined function {name}")
+            raise UndefinedFunctionError(name)
         code, entry = self._target_code(target)
         self._push_frame(self.code, self.pc, nargs)
         self.code = code
@@ -880,7 +909,7 @@ class Machine:
             self.code = fn.code
             self.pc = fn.entry
             return
-        raise MachineError(f"not a function: {fn!r}")
+        raise WrongTypeError(f"not a function: {fn!r}")
 
     def _apply_primitive_from_stack(self, primitive: Primitive,
                                     nargs: int) -> None:
@@ -927,7 +956,7 @@ class Machine:
                 self._apply_primitive_from_stack(primitive, nargs)
                 self._op_ret_value(self.stack.pop())
                 return
-            raise MachineError(f"undefined function {target[1]}")
+            raise UndefinedFunctionError(target[1])
         code, entry = self._target_code(target)
         self._replace_frame(nargs)
         self.cp = None
@@ -936,12 +965,11 @@ class Machine:
 
     def _op_applyf(self, instruction: Instruction) -> None:
         """apply: the last pushed argument is a list to spread."""
-        from ..datum import to_list
-
         fn_src, nargs_op = instruction.operands
         fn = self.read(fn_src)
         spread_list = self.machine_to_lisp(self.stack.pop())
-        items = [self.lisp_to_pointer(v) for v in to_list(spread_list)]
+        items = [self.lisp_to_pointer(v)
+                 for v in _need_list("apply", spread_list)]
         self.stack.extend(items)
         nargs = nargs_op[1] - 1 + len(items)
         self._invoke_value(fn, nargs, tail=False)
@@ -1011,7 +1039,7 @@ class Machine:
         if primitive is not None:
             self.write(dst, PrimitiveFn(primitive))
             return
-        raise MachineError(f"GFUNC: undefined function {name}")
+        raise UndefinedFunctionError(name)
 
     # -- closures ----------------------------------------------------------------------
 
@@ -1077,7 +1105,7 @@ class Machine:
         if cell.value is UNBOUND:
             name = (instruction.operands[2][1]
                     if len(instruction.operands) > 2 else "?")
-            raise LispError(f"unbound special variable {name}")
+            raise UnboundVariableError(name)
         self.write(dst, cell.value)
 
     def _op_specset(self, instruction: Instruction) -> None:
@@ -1089,7 +1117,7 @@ class Machine:
         dst, name_op = instruction.operands
         value = self.specials.lookup(name_op[1])
         if value is UNBOUND:
-            raise LispError(f"unbound special variable {name_op[1]}")
+            raise UnboundVariableError(name_op[1])
         self.write(dst, value)
 
     # -- catch / throw ---------------------------------------------------------------------
@@ -1126,7 +1154,7 @@ class Machine:
                 self._live_serials = set(record.frame_serials)
                 self.stack.append(self.lisp_to_pointer(value))
                 return
-        raise LispError(f"uncaught throw to tag {tag!r}")
+        raise UncaughtThrowError(tag)
 
     # -- vector hardware (Section 3) -------------------------------------------
 
@@ -1135,7 +1163,7 @@ class Machine:
 
         word = self.read(operand)
         if not isinstance(word, LispVector):
-            raise MachineError(f"{opcode}: not a vector: {word!r}")
+            raise WrongTypeError(f"{opcode}: not a vector: {word!r}")
         return word
 
     def _vector_cycles(self, length: int) -> None:
@@ -1295,17 +1323,6 @@ def _boxf(heap: Heap, word: Any) -> Any:
     return heap.allocate_number(word)
 
 
-def _raw_fault(opcode: str, error: Exception) -> LispError:
-    """The Lisp error for a host exception in raw instruction *opcode*
-    (raised from an ``except``, so the common path pays nothing): a
-    complex operand where only a real will do is a type error, anything
-    else lies outside the operation's domain ("FSIN: argument out of
-    domain"), as in the primitives."""
-    if isinstance(error, TypeError):
-        return WrongTypeError(f"{opcode}: not a real number")
-    return _domain_error(opcode, error)
-
-
 def _raw_binary(opcode: str, a: Any, b: Any) -> Any:
     try:
         if opcode in ("ADD", "FADD"):
@@ -1315,13 +1332,9 @@ def _raw_binary(opcode: str, a: Any, b: Any) -> Any:
         if opcode in ("MULT", "FMULT"):
             return a * b
         if opcode == "DIV":
-            if b == 0:
-                raise LispError("integer division by zero")
             quotient = abs(a) // abs(b)
             return quotient if (a >= 0) == (b >= 0) else -quotient
         if opcode == "FDIV":
-            if b == 0:
-                raise LispError("float division by zero")
             return a / b
         if opcode == "MOD":
             return a - b * math.floor(a / b)
@@ -1334,7 +1347,7 @@ def _raw_binary(opcode: str, a: Any, b: Any) -> Any:
         if opcode == "FATAN":
             return math.atan2(a, b)
     except (ArithmeticError, TypeError, ValueError) as error:
-        raise _raw_fault(opcode, error) from None
+        raise lisp_fault(opcode, error) from None
     raise MachineError(f"bad raw binary op {opcode}")  # pragma: no cover
 
 
@@ -1367,7 +1380,7 @@ def _raw_unary(opcode: str, value: Any) -> Any:
         if opcode == "FIX":
             return math.trunc(value)
     except (ArithmeticError, TypeError, ValueError) as error:
-        raise _raw_fault(opcode, error) from None
+        raise lisp_fault(opcode, error) from None
     raise MachineError(f"bad raw unary op {opcode}")  # pragma: no cover
 
 

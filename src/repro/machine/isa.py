@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import MachineError
+from ..errors import UndefinedFunctionError
 
 Operand = Tuple[str, Any]
 
@@ -242,7 +242,5 @@ class Program:
     def get(self, symbol: Any) -> CodeObject:
         code = self.functions.get(symbol)
         if code is None:
-            # The class and message a CALL to an undefined function traps
-            # with.
-            raise MachineError(f"undefined function {symbol}")
+            raise UndefinedFunctionError(symbol)
         return code

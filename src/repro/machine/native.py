@@ -24,12 +24,17 @@ function per basic block, direct-threaded:
   handlers, so the two tiers share one runtime (heap, frames, catch
   stack, specials, locks).
 
-Accounting is **block-granular** in this tier (see DESIGN.md): the
-instruction count, fuel check, and static cycle cost are hoisted to
-block entry, and opcode counts are materialized per executed block.
-Totals (``instructions``, ``cycles``) agree exactly with the simulator
-for any run both tiers complete; only *where within a block* fuel runs
-out, GC triggers, and the stack high-water mark is sampled differ.
+Accounting is hoisted to block entry (see DESIGN.md): the prologue
+checks fuel and then charges the block's instruction count and static
+cycle cost, and opcode counts are materialized per executed block.
+Every count (``instructions``, ``cycles``, stalls, ``opcode_counts``)
+agrees exactly with the simulator, for runs that complete and for runs
+that trap alike: a block that would cross the fuel limit runs on the
+simulator's ``step_instruction`` instead (:class:`OutOfFuel`), and a
+block that raises takes back what its prologue charged for the
+instructions after the one that raised (:meth:`NativeBlock.take_back`).
+Only where GC triggers and the stack high-water mark is sampled stay
+block-granular.
 
 A function is translated once per translation key (cost-table contents,
 instrumented or plain, pipeline): :func:`translate` stores each
@@ -108,6 +113,13 @@ _GENERIC_FAST2_CMP = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 _GENERIC_FAST1 = {"1+": "_a0 + 1", "1-": "_a0 - 1"}
 
 
+class OutOfFuel(Exception):
+    """Raised by a block prologue whose instructions would cross the fuel
+    limit, before the block charges or runs anything; the machine then
+    steps the block on the simulator until fuel runs out exactly where
+    it runs out there (``Machine._native_trap``)."""
+
+
 def _is_terminator(instruction: Instruction) -> bool:
     opcode = instruction.opcode
     if opcode in _TERMINATORS:
@@ -146,6 +158,40 @@ class NativeBlock:
         #: emission calls its simulator handler (guarded inline slow
         #: helpers count as fast path).
         self.observed = observed
+
+    def take_back(self, m: Any, traceback: Any) -> None:
+        """This block raised on machine *m*: take back what its prologue
+        charged for the instructions after the one that raised (their
+        count, table cycles, structural stalls and in-block data stalls)
+        and count the opcodes up to it, so every counter reads as the
+        simulator's.  The instruction is found from the line the block's
+        frame on *traceback* stopped at, through the line table in the
+        translation's namespace (the frame's globals).  No frame of this
+        block on *traceback* means it raised before or after the block
+        ran: nothing to take back."""
+        code = self.run.__code__
+        while traceback is not None and traceback.tb_frame.f_code is not code:
+            traceback = traceback.tb_next
+        if traceback is None:
+            return
+        namespace = traceback.tb_frame.f_globals
+        index = namespace["_lines"][traceback.tb_lineno]
+        charges = namespace["_charges"]
+        cycles = data = structural = 0
+        for _, cost, pair, held in charges[index + 1:self.start + self.count]:
+            cycles += cost
+            data += pair
+            structural += held
+        m.instructions -= self.start + self.count - 1 - index
+        m.cycles -= cycles + data + structural
+        m.stall_data -= data
+        m.stall_structural -= structural
+        opcode_counts = m.opcode_counts
+        for opcode, _, _, _ in charges[self.start:index + 1]:
+            opcode_counts[opcode] += 1
+        if m.telemetry is not None:
+            m.telemetry.note_trap(self, index + 1 - self.start,
+                                  data, structural)
 
 
 class NativeCode:
@@ -216,6 +262,7 @@ class _Translator:
             "_unbox": _unbox,
             "_boxf": _boxf,
             "_HOST_FAULTS": _HOST_FAULTS,
+            "_OutOfFuel": OutOfFuel,
         }
         self._kcount = 0
         self._size = len(code.instructions)
@@ -812,11 +859,18 @@ class _Translator:
             if count == 2 and (arith or cmp):
                 guard = ("(type(_a0) is int or type(_a0) is float)"
                          " and (type(_a1) is int or type(_a1) is float)")
-                expr = (f"_a0 {arith} _a1" if arith
-                        else f"T if _a0 {cmp} _a1 else NIL")
-                lines += [f"if {guard}:",
-                          f"    _r = {expr}",
-                          "else:",
+                lines.append(f"if {guard}:")
+                if arith:
+                    # An integer beyond the float range meeting a float
+                    # overflows: re-run the primitive, which raises the
+                    # Lisp error, as _raw_fast does.
+                    lines += ["    try:",
+                              f"        _r = _a0 {arith} _a1",
+                              "    except _HOST_FAULTS:",
+                              f"        _r = {call}"]
+                else:
+                    lines.append(f"    _r = T if _a0 {cmp} _a1 else NIL")
+                lines += ["else:",
                           f"    _r = {call}"]
             elif count == 1 and fast1:
                 lines += ["if type(_a0) is int or type(_a0) is float:",
@@ -878,6 +932,10 @@ class _Translator:
         n = len(instructions)
         starts = self.leaders()
         module: List[str] = []
+        # The line table NativeBlock.take_back reads: generated line
+        # number -> the instruction that emitted the line (index 0 is
+        # unused: line numbers start at 1).
+        lines: List[int] = [0]
         info = []
         tprof = self._tprof
         for position, start in enumerate(starts):
@@ -896,35 +954,42 @@ class _Translator:
                 stall_data = stall_structural = 0
             static += stall_data + stall_structural
             fname = f"_blk_{start}"
-            module.append(f"def {fname}(m):")
             self._tp_ok = False
             self._fb_ok = False
             self._tel_ok = False
-            core: List[str] = []
+            # (line, emitting instruction): hoisted lines belong to the
+            # instruction that needed them (emit() prepends them), the
+            # fall-through edge to the block's last instruction.
+            core: List[Tuple[str, int]] = []
             for k in range(start, end):
-                core.extend(self.emit(k))
+                core += [(line, k) for line in self.emit(k)]
             if not _is_terminator(instructions[end - 1]):
-                core += self._goto(end, index=end - 1, taken=False)
-            body = []
-            if any("stack" in line for line in core):
-                body.append("stack = m.stack")
-            if any("regs" in line for line in core):
-                body.append("regs = m.regs")
-            body += [f"_ni = m.instructions + {count}",
-                     "m.instructions = _ni",
-                     "if _ni > m.instruction_limit:",
-                     "    raise MachineError('instruction budget"
-                     " exhausted')"]
+                core += [(line, end - 1) for line in
+                         self._goto(end, index=end - 1, taken=False)]
+            # The prologue checks fuel before it charges anything, so a
+            # block that would cross the limit leaves the counters as
+            # they were for the simulator to step it.
+            body = [f"_ni = m.instructions + {count}",
+                    "if _ni > m.instruction_limit:",
+                    "    raise _OutOfFuel",
+                    "m.instructions = _ni"]
             if static:
                 body.append(f"m.cycles += {static}")
             if stall_data:
                 body.append(f"m.stall_data += {stall_data}")
             if stall_structural:
                 body.append(f"m.stall_structural += {stall_structural}")
-            body += core
-            for line in body:
-                module.append("    " + line)
+            if any("stack" in line for line, _ in core):
+                body.append("stack = m.stack")
+            if any("regs" in line for line, _ in core):
+                body.append("regs = m.regs")
+            module.append(f"def {fname}(m):")
+            module += ["    " + line for line in body]
+            lines += [start] * (1 + len(body))
+            module += ["    " + line for line, _ in core]
+            lines += [k for _, k in core]
             module.append("")
+            lines.append(start)
             opcodes = Counter(instructions[k].opcode
                               for k in range(start, end))
             observed = tuple(
@@ -934,6 +999,15 @@ class _Translator:
             info.append((fname, start, count, static, dict(opcodes),
                          observed))
         source = "\n".join(module)
+        self.ns["_lines"] = lines
+        # Per instruction, what a block's prologue charged for it: opcode,
+        # table cycles, data stall (its pair with its predecessor; a
+        # leader's is never taken back) and structural stall.
+        self.ns["_charges"] = [
+            (instruction.opcode, self.costs.get(instruction.opcode, 1),
+             tprof.pair[k] if tprof is not None else 0,
+             tprof.structural[k] if tprof is not None else 0)
+            for k, instruction in enumerate(instructions)]
         exec(compile(source, f"<native:{self.code.name}>", "exec"), self.ns)
         blocks = {start: NativeBlock(self.ns[fname], start, count, static,
                                      opcodes, observed)

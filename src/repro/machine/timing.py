@@ -189,8 +189,9 @@ class TimingProfile:
     """Per-CodeObject static stall tables under one pipeline description.
 
     ``structural[i]`` is instruction *i*'s execute-stage occupancy stall;
-    ``pair[i]`` is the data-hazard stall charged when instruction *i*
-    executes immediately (sequentially) after instruction ``i - 1``.
+    ``pair[i]`` is the data-hazard stall of the back-to-back pair
+    ``(i - 1, i)``, charged when instruction ``i - 1`` falls through
+    into instruction *i*.
     Both tiers consume the same profile: the simulator indexes it per
     dynamic instruction, the native translator sums it per block."""
 

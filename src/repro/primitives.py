@@ -47,7 +47,13 @@ from .datum import (
     sym,
     to_list,
 )
-from .errors import LispError, WrongTypeError
+from .errors import (
+    DivisionByZeroError,
+    LispError,
+    WrongNumberOfArgumentsError,
+    WrongTypeError,
+    lisp_fault,
+)
 
 
 def _bool(value: bool) -> Any:
@@ -77,7 +83,7 @@ class Primitive:
 
     def check_arity(self, count: int) -> None:
         if count < self.min_args or (self.max_args is not None and count > self.max_args):
-            raise LispError(
+            raise WrongNumberOfArgumentsError(
                 f"{self.name}: called with {count} argument(s); expects"
                 f" {self.min_args}"
                 + ("" if self.max_args == self.min_args else
@@ -139,7 +145,10 @@ def _need_cons(name: str, value: Any) -> Cons:
 
 def _need_float(name: str, value: Any) -> float:
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as error:  # an integer beyond the float range
+            raise lisp_fault(name, error) from None
     if not isinstance(value, float):
         raise WrongTypeError(f"{name}: not a float: {value!r}")
     return value
@@ -152,20 +161,11 @@ def _need_list(name: str, value: Any) -> List[Any]:
         raise WrongTypeError(f"{name}: not a proper list: {value!r}") from None
 
 
-def _domain_error(name: str, error: Exception) -> LispError:
-    """The Lisp error for a host arithmetic fault in primitive *name*: its
-    arguments had the right types but lie outside the operation's domain
-    ("/: division by zero").  Raised from an ``except`` around the
-    operation, so the common path pays for no extra test."""
-    if isinstance(error, ZeroDivisionError):
-        return LispError(f"{name}: division by zero")
-    if isinstance(error, OverflowError):
-        return LispError(f"{name}: result out of range")
-    return LispError(f"{name}: argument out of domain")
-
-
 # ---------------------------------------------------------------------------
-# Generic arithmetic
+# Generic arithmetic.  Numeric contagion (coerce_pair) turns an integer
+# beyond the float range that meets a float into the host's
+# OverflowError, and a zero divisor into ZeroDivisionError: each
+# primitive maps them through lisp_fault ("+: result out of range").
 # ---------------------------------------------------------------------------
 
 def _fold(op: Callable[[Any, Any], Any], args: Sequence[Any], unit: Any) -> Any:
@@ -180,40 +180,47 @@ def _fold(op: Callable[[Any, Any], Any], args: Sequence[Any], unit: Any) -> Any:
 def _prim_add(*args: Any) -> Any:
     for a in args:
         _need_number("+", a)
-    return _fold(generic_add, args, 0)
+    try:
+        return _fold(generic_add, args, 0)
+    except ArithmeticError as error:
+        raise lisp_fault("+", error) from None
 
 
 def _prim_sub(first: Any, *rest: Any) -> Any:
     _need_number("-", first)
-    if not rest:
-        return generic_sub(0, first)
-    acc = first
-    for arg in rest:
-        _need_number("-", arg)
-        acc = generic_sub(acc, arg)
-    return acc
+    try:
+        if not rest:
+            return generic_sub(0, first)
+        acc = first
+        for arg in rest:
+            _need_number("-", arg)
+            acc = generic_sub(acc, arg)
+        return acc
+    except ArithmeticError as error:
+        raise lisp_fault("-", error) from None
 
 
 def _prim_mul(*args: Any) -> Any:
     for a in args:
         _need_number("*", a)
-    return _fold(generic_mul, args, 1)
+    try:
+        return _fold(generic_mul, args, 1)
+    except ArithmeticError as error:
+        raise lisp_fault("*", error) from None
 
 
 def _prim_div(first: Any, *rest: Any) -> Any:
     _need_number("/", first)
-    if not rest:
-        try:
+    try:
+        if not rest:
             return generic_div(1, first)
-        except ZeroDivisionError as error:
-            raise _domain_error("/", error) from None
-    acc = first
-    for arg in rest:
-        _need_number("/", arg)
-        if arg == 0:
-            raise LispError("/: division by zero")
-        acc = generic_div(acc, arg)
-    return acc
+        acc = first
+        for arg in rest:
+            _need_number("/", arg)
+            acc = generic_div(acc, arg)
+        return acc
+    except ArithmeticError as error:
+        raise lisp_fault("/", error) from None
 
 
 def _compare_chain(name: str, relation: Callable[[Any, Any], bool],
@@ -294,7 +301,7 @@ def _prim_floor(x: Any, divisor: Any = 1) -> Any:
             isinstance(x, float) or isinstance(divisor, float)
         ) else math.floor(x / divisor)
     except (ArithmeticError, ValueError) as error:
-        raise _domain_error("floor", error) from None
+        raise lisp_fault("floor", error) from None
 
 
 def _prim_ceiling(x: Any, divisor: Any = 1) -> Any:
@@ -307,7 +314,7 @@ def _prim_ceiling(x: Any, divisor: Any = 1) -> Any:
             return math.ceil(x / divisor)
         return math.ceil(Fraction(x) / Fraction(divisor))
     except (ArithmeticError, ValueError) as error:
-        raise _domain_error("ceiling", error) from None
+        raise lisp_fault("ceiling", error) from None
 
 
 def _prim_truncate(x: Any, divisor: Any = 1) -> Any:
@@ -323,7 +330,7 @@ def _prim_truncate(x: Any, divisor: Any = 1) -> Any:
             else Fraction(x) / Fraction(divisor)
         return math.trunc(quotient)
     except (ArithmeticError, ValueError) as error:
-        raise _domain_error("truncate", error) from None
+        raise lisp_fault("truncate", error) from None
 
 
 def _prim_round(x: Any, divisor: Any = 1) -> Any:
@@ -334,7 +341,7 @@ def _prim_round(x: Any, divisor: Any = 1) -> Any:
             else Fraction(x) / Fraction(divisor)
         floor_q = math.floor(quotient)
     except (ArithmeticError, ValueError) as error:
-        raise _domain_error("round", error) from None
+        raise lisp_fault("round", error) from None
     frac = quotient - floor_q
     if frac < Fraction(1, 2) if not isinstance(quotient, float) else frac < 0.5:
         return floor_q
@@ -367,7 +374,7 @@ def _prim_expt(base: Any, power: Any) -> Any:
             return normalize_number(Fraction(1) / Fraction(base) ** (-power))
         return base ** power
     except ArithmeticError as error:
-        raise _domain_error("expt", error) from None
+        raise lisp_fault("expt", error) from None
 
 
 define_primitive("expt", _prim_expt, 2, 2, cycles=10)
@@ -382,15 +389,29 @@ def _real_math(name: str, fn: Callable[[float], float]):
                     if hasattr(cmath, name.rstrip("$fc")) else fn(x)
             return fn(float(x))
         except (ArithmeticError, ValueError) as error:
-            raise _domain_error(name, error) from None
+            raise lisp_fault(name, error) from None
     return wrapper
 
 
 def _prim_sqrt(x: Any) -> Any:
     _need_number("sqrt", x)
-    if isinstance(x, complex) or (not isinstance(x, complex) and x < 0):
-        return cmath.sqrt(complex(x))
-    return math.sqrt(float(x))
+    try:
+        if isinstance(x, complex) or x < 0:
+            return cmath.sqrt(complex(x))
+        return math.sqrt(float(x))
+    except OverflowError as error:  # an integer beyond the float range
+        raise lisp_fault("sqrt", error) from None
+
+
+def _prim_atan(y: Any, x: Any = None) -> Any:
+    _need_real("atan", y)
+    if x is not None:
+        _need_real("atan", x)
+    try:
+        return math.atan(float(y)) if x is None \
+            else math.atan2(float(y), float(x))
+    except OverflowError as error:  # an integer beyond the float range
+        raise lisp_fault("atan", error) from None
 
 
 define_primitive("sqrt", _prim_sqrt, 1, 1, pdl_result=True,
@@ -403,11 +424,8 @@ define_primitive("exp", _real_math("exp", math.exp), 1, 1, pdl_result=True,
                  machine_op="FEXP", cycles=8)
 define_primitive("log", _real_math("log", math.log), 1, 1, pdl_result=True,
                  machine_op="FLOG", cycles=8)
-define_primitive("atan", lambda y, x=None:
-                 math.atan2(float(_need_real("atan", y)),
-                            float(_need_real("atan", x)))
-                 if x is not None else math.atan(float(_need_real("atan", y))),
-                 1, 2, pdl_result=True, machine_op="FATAN", cycles=8)
+define_primitive("atan", _prim_atan, 1, 2, pdl_result=True, machine_op="FATAN",
+                 cycles=8)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +451,7 @@ def _float_math(name: str, fn: Callable[[float], float]):
         try:
             return fn(x)
         except ValueError as error:  # the sine or cosine of an infinity
-            raise _domain_error(name, error) from None
+            raise lisp_fault(name, error) from None
     return wrapper
 
 
@@ -455,7 +473,7 @@ define_primitive("*$f", _float_nary("*$f", lambda a, b: a * b, 1.0), 0, None,
 def _fdiv(a: Any, b: Any) -> float:
     x, y = _need_float("/$f", a), _need_float("/$f", b)
     if y == 0.0:
-        raise LispError("/$f: division by zero")
+        raise DivisionByZeroError("/$f")
     return x / y
 
 
@@ -505,7 +523,10 @@ def _need_complexish(name: str, value: Any) -> complex:
     """Typed complex ops accept any number and coerce to complex."""
     if not is_number(value):
         _raise_type(name, value)
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError as error:  # an integer beyond the float range
+        raise lisp_fault(name, error) from None
 
 
 def _complex_nary(name: str, op: Callable[[complex, complex], complex],
@@ -539,7 +560,7 @@ define_primitive("*$c", _complex_nary("*$c", lambda a, b: a * b, 1 + 0j),
 def _cdiv(a: Any, b: Any) -> complex:
     x, y = _need_complexish("/$c", a), _need_complexish("/$c", b)
     if y == 0:
-        raise LispError("/$c: division by zero")
+        raise DivisionByZeroError("/$c")
     return x / y
 
 
@@ -609,7 +630,7 @@ define_primitive(">=&", lambda a, b: _bool(_need_integer(">=&", a) >= _need_inte
 
 def _trunc_div(a: int, b: int) -> int:
     if b == 0:
-        raise LispError("/&: division by zero")
+        raise DivisionByZeroError("/&")
     quotient = abs(a) // abs(b)
     return quotient if (a >= 0) == (b >= 0) else -quotient
 
@@ -619,7 +640,7 @@ def _prim_float(x: Any) -> float:
     try:
         return float(x)
     except OverflowError as error:  # an integer beyond the float range
-        raise _domain_error("float", error) from None
+        raise lisp_fault("float", error) from None
 
 
 define_primitive("float", _prim_float, 1, 1,
@@ -631,7 +652,7 @@ def _prim_fix(x: Any) -> int:
     try:
         return math.trunc(x)
     except (ArithmeticError, ValueError) as error:  # an infinity or a NaN
-        raise _domain_error("fix", error) from None
+        raise lisp_fault("fix", error) from None
 
 
 define_primitive("fix", _prim_fix, 1, 1, result_rep="SWFIX", machine_op="FIX")
@@ -985,7 +1006,7 @@ def _prim_code_char(n: Any):
     try:
         return Char(chr(code))
     except (OverflowError, ValueError) as error:
-        raise _domain_error("code-char", error) from None
+        raise lisp_fault("code-char", error) from None
 
 
 define_primitive("string=", _prim_string_eq, 2, 2, jump_result=True,

@@ -47,8 +47,10 @@ class _Context:
         self.code = code
         #: Simulate tier: index -> [executions, base cycles].
         self.steps: Dict[int, List[int]] = {}
-        #: Native tier: block leader -> [executions].
-        self.runs: Dict[int, List[int]] = {}
+        #: Native tier: block leader -> [executions]; a block that
+        #: trapped is a run of its executed prefix, keyed (leader,
+        #: instructions executed).
+        self.runs: Dict[Any, List[int]] = {}
         #: Native tier: index -> [handler entries, handler cycles, inline
         #: cycles], the dynamic extras instrumented sites booked.
         self.extras: Dict[int, List[int]] = {}
@@ -197,9 +199,11 @@ class MachineTelemetry:
             self.sample_heap(heap)
 
     def observe_block(self, machine: Any, block: Any) -> None:
-        """Native tier: run one instrumented block and count it, also when
-        it traps.  Its instrumented sites book their dynamic extras on
-        this context as they run."""
+        """Native tier: run one instrumented block and count its run.  Its
+        instrumented sites book their dynamic extras on this context as
+        they run.  A block that raises is booked by note_trap once the
+        machine has taken back its unexecuted suffix, or, out of fuel,
+        not at all: the machine steps it on the simulate tier's path."""
         context = self._here(machine)
         stalls = None if machine._pipeline is None \
             else machine.stall_cycles()
@@ -208,17 +212,31 @@ class MachineTelemetry:
         finally:
             if stalls is not None:
                 self._book_stalls(machine, stalls)
-            # A block that trapped on its fuel check charged nothing.
-            if machine.instructions <= machine.instruction_limit:
-                cell = context.runs.get(block.start)
-                if cell is None:
-                    cell = context.runs[block.start] = [0]
-                    self._units.append((context, block.start,
-                                        block.observed))
-                cell[0] += 1
+        self._book_run(context, block.start, block.observed)
         heap = machine.heap
         if heap.alloc_counter - self._last_heap_mark >= HEAP_SAMPLE_STRIDE:
             self.sample_heap(heap)
+
+    def note_trap(self, block: Any, executed: int, data: int,
+                  structural: int) -> None:
+        """The block observe_block last ran raised after *executed*
+        instructions, the raising one included: book a run of that
+        prefix, each instruction keeping its fast/fallback record, and
+        take back the *data* and *structural* stall cycles the machine
+        took back for the rest."""
+        self._book_run(self._context, (block.start, executed),
+                       block.observed[:executed])
+        if data:
+            self.stall_cycles["data"] -= data
+        if structural:
+            self.stall_cycles["structural"] -= structural
+
+    def _book_run(self, context: _Context, key: Any, record: Any) -> None:
+        cell = context.runs.get(key)
+        if cell is None:
+            cell = context.runs[key] = [0]
+            self._units.append((context, key, record))
+        cell[0] += 1
 
     def note_extra(self, index: int, cycles: int,
                    handler: bool = True) -> None:
@@ -337,7 +355,11 @@ class MachineTelemetry:
     def _rows(self):
         """The ledger, one row per instruction per context, first-executed
         first: (context, block leader or None, index, executions, fast
-        cycles, fallback cycles, fallback?, handler entries)."""
+        cycles, fallback cycles, fallback?, handler entries).  An
+        instruction's dynamic extras are booked per (context, index), so
+        they go on its first row only (a trapped prefix repeats the
+        rows of its block)."""
+        attributed = set()
         for context, key, record in self._units:
             if record is None:
                 executions, cycles = context.steps[key]
@@ -345,15 +367,18 @@ class MachineTelemetry:
                        executions)
                 continue
             runs = context.runs[key][0]
+            leader = key if type(key) is int else key[0]
             for index, cost, fallback in record:
-                entries, handled, inline = context.extras.get(
-                    index, _NO_EXTRAS)
+                entries, handled, inline = _NO_EXTRAS \
+                    if (context, index) in attributed \
+                    else context.extras.get(index, _NO_EXTRAS)
+                attributed.add((context, index))
                 if fallback:
-                    yield (context, key, index, runs, 0,
+                    yield (context, leader, index, runs, 0,
                            runs * cost + handled + inline, True, entries)
                 else:
-                    yield (context, key, index, runs, runs * cost + inline,
-                           handled, False, entries)
+                    yield (context, leader, index, runs,
+                           runs * cost + inline, handled, False, entries)
 
     def _views(self) -> _Views:
         views = _Views()

@@ -8,6 +8,8 @@ from repro.datum import NIL, T, sym, to_list
 from repro.errors import (
     LispError,
     UnboundVariableError,
+    UncaughtThrowError,
+    UndefinedFunctionError,
     WrongNumberOfArgumentsError,
     WrongTypeError,
 )
@@ -178,7 +180,7 @@ class TestFunctions:
             evaluate("(defun f (a b) a) (f 1)")
 
     def test_undefined_function(self):
-        with pytest.raises(UnboundVariableError):
+        with pytest.raises(UndefinedFunctionError):
             evaluate("(no-such-function 1)")
 
     def test_recursion(self):
@@ -326,8 +328,14 @@ class TestCatchThrow:
         """) is sym("escaped")
 
     def test_uncaught_throw_raises(self):
-        with pytest.raises(LispError):
+        with pytest.raises(LispError) as caught:
             evaluate("(throw 'nowhere 1)")
+        assert type(caught.value) is UncaughtThrowError
+        interp = Interpreter()
+        interp.eval_source("(defun g () (throw 'nowhere 1))")
+        with pytest.raises(LispError) as caught:
+            interp.apply_function(interp.global_functions[sym("g")], [])
+        assert type(caught.value) is UncaughtThrowError
 
 
 class TestListPrimitives:

@@ -9,7 +9,8 @@ import pytest
 
 from repro.datum import NIL, T, sym, to_list
 from repro.errors import (
-    LispError, MachineError, WrongNumberOfArgumentsError, WrongTypeError,
+    DivisionByZeroError, LispError, MachineError,
+    WrongNumberOfArgumentsError, WrongTypeError,
 )
 from repro.machine import (
     CodeObject,
@@ -668,23 +669,25 @@ class TestStartResetsCounters:
 
 class TestUndefinedEntryFunction:
     """Starting a run at a function the program does not define raises
-    the MachineError a CALL to it raises, before the run touches the
-    machine, which stays usable."""
+    the UndefinedFunctionError a CALL to it raises, before the run
+    touches the machine, which stays usable."""
 
-    def test_run_start_and_compiler_run_raise_machine_error(self):
+    def test_run_start_and_compiler_run_raise_undefined_function_error(self):
         from repro import Compiler
+        from repro.errors import UndefinedFunctionError
 
         compiler = Compiler()
         compiler.compile_source("(defun f (x) (* x 3))")
-        with pytest.raises(MachineError, match="undefined function nope"):
+        with pytest.raises(UndefinedFunctionError,
+                           match="undefined function nope"):
             compiler.run("nope")
         for tier in TIERS:
             machine = compiler.machine()
             machine.tier = tier
-            with pytest.raises(MachineError,
+            with pytest.raises(UndefinedFunctionError,
                                match="undefined function nope"):
                 machine.run(sym("nope"), [])
-            with pytest.raises(MachineError,
+            with pytest.raises(UndefinedFunctionError,
                                match="undefined function nope"):
                 machine.start(sym("nope"), [])
             assert machine.run(sym("f"), [4]) == 12
@@ -764,6 +767,8 @@ class TestRawOpFaults:
         ("REM", [5, 0], LispError, "REM: division by zero"),
         ("FIX", [1 + 2j], WrongTypeError, "FIX: not a real number"),
         ("FMAX", [1 + 2j, 1.0], WrongTypeError, "FMAX: not a real number"),
+        ("DIV", [5, 0], DivisionByZeroError, "DIV: division by zero"),
+        ("FDIV", [1.0, 0.0], DivisionByZeroError, "FDIV: division by zero"),
     ])
     def test_fault_names_its_opcode_on_both_tiers(self, opcode, args, error,
                                                   message):

@@ -198,8 +198,11 @@ class TestFaultAbortsAllProcessors:
             assert cpu.specials.depth() == 0
 
     def test_task_that_fails_to_start_ends_the_started_ones(self):
+        from repro.errors import UndefinedFunctionError
+
         mm = multi(self.SOURCE, processors=2, quantum=4)
-        with pytest.raises(MachineError, match="undefined function"):
+        with pytest.raises(UndefinedFunctionError,
+                           match="undefined function"):
             mm.run_tasks([(sym("bump-safe"), [10]),
                           (sym("no-such-task"), [])])
         started = mm.processors[0]

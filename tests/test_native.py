@@ -182,13 +182,154 @@ class TestTierParity:
             "    (if (> i 5) (throw 'out i) nil)))",
             "find", [20])
 
+    LOOP = "(defun f (n) (do ((i 0 (+ i 1)) (acc 0 (+ acc i))) ((> i n) acc)))"
+    #: One fault contract, kind by kind: (kind, program, entry function,
+    #: argument, an opcode the fault goes through, fuel).  Every program
+    #: also defines FOLLOW_UP, run after the trap on the same machine.
+    FAULTS = [
+        ("wrong type", "(defun f (x) (car x))", "f", 1, "GENERIC", None),
+        ("wrong type mid-block, after a let",
+         "(defun f (x) (let ((p (* x 2)) (q (+ x 3))) (+ p q (car x))))",
+         "f", 1, "GENERIC", None),
+        ("wrong type seven frames deep",
+         "(defun d0 (x) (car x))" + "".join(
+             f"(defun d{k} (x) (list (d{k - 1} x)))" for k in range(1, 7))
+         + "(defun f (x) (list (d6 x)))", "f", 1, "CALL", None),
+        ("wrong type via a vector instruction", "(defun f (x) (vsum$f x))",
+         "f", 5, "VSUM", None),
+        ("wrong type via APPLYF", "(defun f (x) (apply #'+ 1 x))", "f", 5,
+         "APPLYF", None),
+        ("unbound special", "(defun f (x) (list zz x))", "f", 1,
+         "SPECREF", None),
+        ("undefined function via CALL", "(defun f (x) (list (nope x)))",
+         "f", 1, "CALL", None),
+        ("undefined function via TAILCALL", "(defun f (x) (nope x))",
+         "f", 1, "TAILCALL", None),
+        ("undefined function via GFUNC", "(defun f (x) (list #'nope x))",
+         "f", 1, "GFUNC", None),
+        ("undefined entry function", "", "nope", 1, None, None),
+        ("wrong argument count",
+         "(defun g (a b) (+ a b)) (defun f (x) (funcall #'g x))", "f", 1,
+         "TAILCALL", None),
+        ("wrong argument count to a primitive",
+         "(defun h (g x) (funcall g x x)) (defun f (x) (h #'car x))", "f",
+         1, "GFUNC", None),
+        ("division by zero via a primitive", "(defun f (x) (/ x 0))", "f",
+         1, "GENERIC", None),
+        ("division by zero via DIV", "(defun f (x) (list (/& x 0)))", "f",
+         1, "DIV", None),
+        ("division by zero via FDIV", "(defun f (x) (/$f (float x) 0.0))",
+         "f", 1, "FDIV", None),
+        ("uncaught throw", "(defun f (x) (throw 'tag x))", "f", 1,
+         "GENERIC", None),
+        ("not a function", "(defun f (x) (funcall x 1))", "f", 5,
+         "TAILCALLF", None),
+        ("vector index out of bounds",
+         "(defun f (x) (vref (make-vector 3 0) x))", "f", 7, "GENERIC",
+         None),
+        ("integer beyond the float range", "(defun f (x) (+ (expt x 400) 1.0))",
+         "f", 10, "GENERIC", None),
+        # At fuel 6 the budget runs out on the loop's test, a leader the
+        # block before falls into with an s1 data-hazard stall.
+        ("fuel on a fall-through leader", LOOP, "f", 10 ** 6, None, 6),
+        ("fuel", LOOP, "f", 10 ** 6, None, 1000),
+    ]
+    FOLLOW_UP = "(defun ok (n) (if (< n 2) n (+ (ok (- n 1)) (ok (- n 2)))))"
+
+    @staticmethod
+    def _fault_run(machine, function, arg, fuel, drive):
+        """Run until the fault; (class, message, counts[, observer])."""
+        budget = machine.fuel
+        with pytest.raises(ReproError) as caught:
+            if drive == "run":
+                machine.run(sym(function), [arg], fuel=fuel)
+            else:
+                machine.fuel = fuel or budget
+                machine.start(sym(function), [arg])
+                while not machine.step(3):
+                    pass
+        machine.fuel = budget
+        error = caught.value
+        outcome = (type(error), str(error), machine.instructions,
+                   machine.cycles, machine.stall_cycles(),
+                   dict(machine.opcode_counts))
+        if machine.telemetry is not None:
+            assert machine.telemetry.attributed_cycles() == machine.cycles
+            outcome += (machine.telemetry.instruction_ledger(),)
+        return outcome
+
+    @staticmethod
+    def _follow_up(machine, drive):
+        """The result and counts of ``(ok 6)``: what it adds to a run()
+        machine's totals, or its own counts after start()."""
+        before = (machine.instructions, machine.cycles, machine.call_count)
+        if drive == "run":
+            result = machine.run(sym("ok"), [6])
+        else:
+            machine.start(sym("ok"), [6])
+            while not machine.step(3):
+                pass
+            result = machine.machine_to_lisp(machine.result)
+            before = (0, 0, 0)
+        return (result, machine.instructions - before[0],
+                machine.cycles - before[1], machine.call_count - before[2],
+                machine.stall_cycles() if drive == "step" else None)
+
     def test_machine_trap_agrees(self):
-        source = "(defun boom (n) (car n))"
-        sim, nat = machines_for(source)
-        with pytest.raises(ReproError):
-            sim.run(sym("boom"), [5])
-        with pytest.raises(ReproError):
-            nat.run(sym("boom"), [5])
+        """Every fault kind on s1, vax and pdp10, under both timings,
+        observer off and on, through run() and start()/step(): the tiers
+        raise the same class and message with the same instructions,
+        cycles, stalls and opcode counts (and, observed, the same ledger
+        with every cycle attributed); the interpreter raises the same
+        class; and a follow-up run on the trapped machine matches a fresh
+        machine's."""
+        from itertools import product
+
+        from repro.interp import Interpreter
+
+        disagreements = []
+        for kind, source, function, arg, via, fuel in self.FAULTS:
+            source += self.FOLLOW_UP
+            if fuel is None:
+                interp = Interpreter()
+                interp.eval_source(source)
+                with pytest.raises(ReproError) as interpreted:
+                    interp.eval_source(f"({function} {arg})")
+            for target in ("s1", "vax", "pdp10"):
+                compiler = Compiler(CompilerOptions(target=target))
+                compiler.compile_source(source)
+                if via is not None:
+                    assert via in {instruction.opcode for code in
+                                   compiler.program.functions.values()
+                                   for instruction in code.instructions}
+                for timing, observed, drive in product(
+                        ("single", "pipelined"), (False, True),
+                        ("run", "step")):
+                    outcomes = []
+                    for tier in TIERS:
+                        def machine():
+                            made = compiler.machine()
+                            made.tier = tier
+                            made.set_timing(timing)
+                            if observed:
+                                made.enable_telemetry()
+                            return made
+
+                        trapped = machine()
+                        fault = self._fault_run(trapped, function, arg,
+                                                fuel, drive)
+                        after = self._follow_up(trapped, drive)
+                        assert after == self._follow_up(machine(), drive), (
+                            kind, target, timing, observed, drive, tier)
+                        outcomes.append(fault)
+                    if outcomes[0] != outcomes[1]:
+                        disagreements.append(
+                            (kind, target, timing, observed, drive,
+                             outcomes[0][:5], outcomes[1][:5]))
+                    if fuel is None:
+                        assert type(interpreted.value) is outcomes[0][0], (
+                            kind, interpreted.value, outcomes[0][:2])
+        assert not disagreements, disagreements
 
     def test_tail_recursion_constant_stack(self):
         _, sim, nat = assert_tier_parity(
@@ -229,13 +370,20 @@ class TestNativeMachineBehaviour:
     def test_fuel_never_overshoots_by_more_than_one_block(self):
         compiler = Compiler()
         compiler.compile_source(self.LOOP)
-        machine = compiler.machine(fuel=500)
-        machine.tier = "native"
-        with pytest.raises(MachineError):
-            machine.run(sym("spin"), [100000])
-        # Block granularity: the overshoot is bounded by one block, and
-        # blocks are tiny (a handful of instructions).
-        assert machine.instructions <= 500 + 32
+        machines = []
+        for tier in TIERS:
+            machine = compiler.machine(fuel=500)
+            machine.tier = tier
+            with pytest.raises(MachineError):
+                machine.run(sym("spin"), [100000])
+            machines.append(machine)
+        # No overshoot at all: the block that would cross the budget runs
+        # on the simulator's path, so fuel runs out on the same
+        # instruction with the same counts.
+        sim, nat = machines
+        assert nat.instructions == sim.instructions == 501
+        assert nat.cycles == sim.cycles
+        assert dict(nat.opcode_counts) == dict(sim.opcode_counts)
 
     def test_gc_safepoint_between_blocks(self):
         source = """

@@ -204,6 +204,19 @@ class TestFaultsAreLispErrors:
         ("(reverse 0)", WrongTypeError, "reverse: not a proper list"),
         ("(nreverse 0)", WrongTypeError, "nreverse: not a proper list"),
         ("(append 1 2)", WrongTypeError, "append: not a proper list"),
+        # An integer beyond the float range meeting a float, in the
+        # shared coercions and the native tier's inline generic +.
+        ("(+ (expt 10 400) 1.0)", LispError, r"\+: result out of range"),
+        ("(- (expt 10 400) 1.0)", LispError, "-: result out of range"),
+        ("(* (expt 10 400) 1.0)", LispError, r"\*: result out of range"),
+        ("(/ (expt 10 400) 1.0)", LispError, "/: result out of range"),
+        ("(sqrt (expt 10 400))", LispError, "sqrt: result out of range"),
+        ("(atan (expt 10 400))", LispError, "atan: result out of range"),
+        # +$f and *$f name their opcode on the machine tiers.
+        ("(+$f (expt 10 400) 1.0)", LispError,
+         r"(\+\$f|FADD): result out of range"),
+        ("(*$f (expt 10 400) 2.0)", LispError,
+         r"(\*\$f|FMULT): result out of range"),
     ]
 
     @staticmethod

@@ -42,6 +42,7 @@ class TestEvaluation:
         output, alive, _ = session("(car 5)", "(floor 5 0)",
                                    "(defun f (x) (sin$f (*$f x 1e300)))",
                                    "(f 1e300)", "(float (expt 10 400))",
+                                   "(+ (expt 10 400) 1.0)",
                                    "(+ 1 1)")
         lines = output.splitlines()
         assert lines[0].startswith("error:")
@@ -49,7 +50,8 @@ class TestEvaluation:
         assert lines[2] == "f"
         assert lines[3].startswith("error:")
         assert lines[4].startswith("error:")
-        assert lines[5] == "2"
+        assert lines[5] == "error: +: result out of range"
+        assert lines[6] == "2"
         assert alive
 
     def test_reader_error_reported(self):
