@@ -3,18 +3,17 @@
 "For each node, make a list of other nodes that potentially generate its
 value."
 
-Two decorations are produced:
+:func:`analyze_tail_positions` sets ``tail_position`` on every node: True
+when the node's value is the value of the enclosing lambda body (so a call
+there is "more akin to a parameter-passing goto than to a recursive call,
+and can be implemented ... as a simple unconditional branch", Section 2).
+It also sets ``CallNode.is_tail_call`` for calls in tail position.  Binding
+and pdl-number annotation read both.
 
-* ``tail_position`` on every node: True when the node's value is the value
-  of the enclosing lambda body (so a call there is "more akin to a
-  parameter-passing goto than to a recursive call, and can be implemented
-  ... as a simple unconditional branch", Section 2).
-* ``value_producers`` on every node: the list of descendant nodes that can
-  actually deliver the node's value (if arms, last progn form, returns of a
-  progbody, caseq bodies, ...).  Representation analysis uses this when
-  merging ISREPs across conditional arms (Section 6.2).
-
-``CallNode.is_tail_call`` is set for calls in tail position.
+:func:`value_producers` answers the paper's question for one node: the
+descendant nodes that can actually deliver its value (if arms, last progn
+form, returns of a progbody, caseq bodies, ...).  It is a query; nothing
+is stored on the tree.
 """
 
 from __future__ import annotations
@@ -113,7 +112,6 @@ def value_producers(node: Node) -> List[Node]:
     conditionals and sequencing)."""
     producers: List[Node] = []
     _collect_producers(node, producers)
-    node.value_producers = producers
     return producers
 
 
@@ -136,10 +134,3 @@ def _collect_producers(node: Node, out: List[Node]) -> None:
         _collect_producers(node.fn.body, out)
     else:
         out.append(node)
-
-
-def analyze_tailrec(root: Node) -> None:
-    analyze_tail_positions(root)
-    for node in root.walk():
-        node.value_producers = None
-    value_producers(root if not isinstance(root, LambdaNode) else root.body)

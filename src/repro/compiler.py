@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from .analysis import analyze
+from .analysis import analyze, analyze_light
 from .annotate import annotate
 from .cache import (CachedFunction, CompilationCache, cache_key,
                     canonical_source)
@@ -442,7 +442,7 @@ class Compiler:
                 from .ir import copy_tree
 
                 snapshot = copy_tree(node)
-                analyze(snapshot)
+                analyze_light(snapshot)
                 registry[name] = snapshot
             optimizer = SourceOptimizer(self.options, transcript,
                                         global_functions=registry,
@@ -527,7 +527,7 @@ class Compiler:
                 verifier.check_code(code, "peephole")
 
         diagnostics.record_rules(transcript.rule_counts())
-        diagnostics.record_rewrites(transcript.to_json())
+        diagnostics.record_rewrites(transcript.entries)
 
         compiled = CompiledFunction(
             name=name,

@@ -154,10 +154,9 @@ class Diagnostics:
         #: Free-form event counters (cache hits/misses/stores, batch worker
         #: tallies, ...) -- anything that is a count but not a rule firing.
         self.counters: Dict[str, int] = {}
-        #: Rewrite-trace entries (``TranscriptEntry.to_json`` dicts) merged
-        #: from the optimizer transcript; the trace exporter turns them
-        #: into instant events on the compilation timeline.
-        self.rewrites: List[Dict[str, Any]] = []
+        #: The rewrite trace: transcript entries as recorded, or their
+        #: JSON dicts once read back (see :attr:`rewrites`).
+        self._rewrites: List[Any] = []
 
     # -- recording -----------------------------------------------------------
 
@@ -190,9 +189,11 @@ class Diagnostics:
             if count:
                 self.rule_fires[rule] = self.rule_fires.get(rule, 0) + count
 
-    def record_rewrites(self, entries: Iterable[Mapping[str, Any]]) -> None:
-        """Append transcript-entry JSON dicts to the rewrite trace."""
-        self.rewrites.extend(dict(entry) for entry in entries)
+    def record_rewrites(self, entries: Iterable[Any]) -> None:
+        """Append transcript entries (anything with ``to_json()``, or its
+        JSON dict) to the rewrite trace.  They are stored, not printed:
+        an entry prints its forms when :attr:`rewrites` is first read."""
+        self._rewrites.extend(entries)
 
     def bump(self, counter: str, amount: int = 1) -> int:
         """Increment a named event counter; returns the new value."""
@@ -213,6 +214,14 @@ class Diagnostics:
         return entry
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def rewrites(self) -> List[Dict[str, Any]]:
+        """The rewrite trace as JSON dicts (``TranscriptEntry.to_json``),
+        in firing order; the trace exporter turns them into instant events
+        on the compilation timeline."""
+        return [dict(entry) if isinstance(entry, Mapping)
+                else entry.to_json() for entry in self._rewrites]
 
     @property
     def warnings(self) -> List[DiagnosticMessage]:
@@ -279,7 +288,7 @@ class Diagnostics:
             "rule_fires": dict(self.rule_fires),
             "counters": dict(self.counters),
             "messages": [message.to_json() for message in self.messages],
-            "rewrites": [dict(entry) for entry in self.rewrites],
+            "rewrites": self.rewrites,
             "total_seconds": self.total_seconds(),
         }
 
@@ -292,8 +301,8 @@ class Diagnostics:
         diagnostics.counters = dict(data.get("counters", {}))
         diagnostics.messages = [DiagnosticMessage.from_json(m)
                                 for m in data.get("messages", ())]
-        diagnostics.rewrites = [dict(entry)
-                                for entry in data.get("rewrites", ())]
+        diagnostics._rewrites = [dict(entry)
+                                 for entry in data.get("rewrites", ())]
         return diagnostics
 
 

@@ -29,6 +29,7 @@ from ..datum import NIL, T, Cons, from_list, to_list
 from ..datum.symbols import Symbol, sym
 from ..errors import (
     LispError,
+    MachineError,
     UncaughtThrowError,
     UndefinedFunctionError,
     WrongNumberOfArgumentsError,
@@ -118,6 +119,9 @@ class Interpreter:
         self.specials = DeepBindingStack()
         self.call_count = 0
         self.max_python_depth = 0
+        #: Keys held by ``(lock key)``: the machine's lock table for its
+        #: one processor.
+        self.locks: set = set()
 
     # -- program definition --------------------------------------------------
 
@@ -247,6 +251,11 @@ class Interpreter:
                 return _THROW
             if name is sym("funcall"):
                 return _FUNCALL
+            # (lock key) and (unlock key): the synchronization
+            # instructions, which the code generator emits for these
+            # one-argument calls (Section 3).
+            if name in _SYNCHRONIZATION and len(node.args) == 1:
+                return _SYNCHRONIZATION[name]
             return self._function_value(name)
         if isinstance(fn_node, LambdaNode):
             return LispClosure(fn_node, env)
@@ -276,6 +285,14 @@ class Interpreter:
             if len(args) != 2:
                 raise WrongNumberOfArgumentsError("throw: needs tag and value")
             raise _ThrowSignal(args[0], args[1])
+        if fn is _LOCK:
+            self.locks.add(args[0])
+            return NIL
+        if fn is _UNLOCK:
+            if args[0] not in self.locks:
+                raise MachineError(f"UNLOCK of lock not held: {args[0]!r}")
+            self.locks.remove(args[0])
+            return NIL
         if isinstance(fn, Primitive):
             return fn.apply(args)
         if isinstance(fn, LispClosure):
@@ -372,6 +389,9 @@ class _Marker:
 _APPLY = _Marker("apply")
 _FUNCALL = _Marker("funcall")
 _THROW = _Marker("throw")
+_LOCK = _Marker("lock")
+_UNLOCK = _Marker("unlock")
+_SYNCHRONIZATION = {sym("lock"): _LOCK, sym("unlock"): _UNLOCK}
 
 
 def evaluate(text: str) -> Any:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..datum import NIL, T, from_list
+from ..datum import NIL, T, Cons, from_list
 from ..datum.symbols import Symbol, sym
 from .nodes import (
     CallNode,
@@ -110,7 +110,32 @@ def _quote_literal(value: Any) -> Any:
         return value
     if isinstance(value, _SELF_EVALUATING_TYPES + (Fraction,)) and not isinstance(value, bool):
         return value
-    return from_list([sym("quote"), value])
+    return from_list([sym("quote"), _copy_conses(value, {})])
+
+
+def _copy_conses(value: Any, copies: Dict[int, Cons]) -> Any:
+    """*value* with its list structure copied.  Compiled code shares a
+    quoted constant with the tree and may modify it (``rplaca``), and a
+    back-translated form may be printed after it runs (a transcript entry
+    prints when first read).  Shared and circular structure stay so."""
+    if type(value) is not Cons:
+        return value
+    head = copies.get(id(value))
+    if head is not None:
+        return head
+    head = last = None
+    while type(value) is Cons and id(value) not in copies:
+        cell = Cons(NIL, NIL)
+        copies[id(value)] = cell
+        cell.car = _copy_conses(value.car, copies)
+        if last is None:
+            head = cell
+        else:
+            last.cdr = cell
+        last = cell
+        value = value.cdr
+    last.cdr = copies[id(value)] if type(value) is Cons else value
+    return head
 
 
 def _bt(node: Node, names: _Names) -> Any:

@@ -87,7 +87,7 @@ class Node:
         "source",
         # analysis annotations
         "reads", "writes", "effects", "affected_by", "complexity",
-        "value_producers", "inferred_type", "asserted_type", "tail_position",
+        "inferred_type", "asserted_type", "tail_position",
         # machine-dependent annotations
         "wantrep", "isrep", "pdlokp", "pdlnump",
         "want_tn", "is_tn", "pdl_tn",
@@ -103,7 +103,6 @@ class Node:
         self.effects = None
         self.affected_by = None
         self.complexity = None
-        self.value_producers = None
         self.inferred_type = None
         self.asserted_type = None  # user (the TYPE ...) assertion
         self.tail_position = False

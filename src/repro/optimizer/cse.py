@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis import analyze, may_be_duplicated, may_exit_nonlocally
+from ..analysis import analyze_light, may_be_duplicated, may_exit_nonlocally
 from ..datum import gensym
 from ..ir.nodes import (
     CallNode,
@@ -41,7 +41,7 @@ from ..ir.nodes import (
     VarRefNode,
 )
 from ..options import CompilerOptions, DEFAULT_OPTIONS
-from .transcript import Transcript, render_node
+from .transcript import Transcript, capture, render_node
 from .treeutil import RootHolder, fix_parents, refresh_variable_links, tree_equal
 
 
@@ -59,7 +59,7 @@ def eliminate_common_subexpressions(
     for _round in range(50):
         refresh_variable_links(holder.child)
         fix_parents(holder.child)
-        analyze(holder.child)
+        analyze_light(holder.child)
         if not _hoist_one(holder, options, transcript):
             break
     return holder.child
@@ -79,7 +79,7 @@ def _hoist_one(holder: RootHolder, options: CompilerOptions,
     if not any(_evaluated_on_every_path(n, ancestor) for n in occurrences):
         return False
 
-    before = render_node(ancestor)
+    before = capture(ancestor)
     variable = Variable(gensym("cse"))
     parent = ancestor.parent  # capture before the wrapper re-parents ancestor
     for occurrence in occurrences:
@@ -88,7 +88,7 @@ def _hoist_one(holder: RootHolder, options: CompilerOptions,
     call = CallNode(wrapper, [representative])
     parent.replace_child(ancestor, call)
     fix_parents(call)
-    transcript.record("META-COMMON-SUBEXPRESSION", before, render_node(call),
+    transcript.record("META-COMMON-SUBEXPRESSION", before, call,
                       phase="cse")
     if transcript.trace_rewrites:
         transcript.attach_root(render_node(holder.child))

@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis import analyze, analyze_light, may_be_duplicated, may_be_eliminated
+from ..analysis import (
+    analyze_light,
+    analyze_types,
+    may_be_duplicated,
+    may_be_eliminated,
+)
 from ..datum import NIL, T, gensym, lisp_equal, sym
 from ..diagnostics import Diagnostics
 from ..errors import LispError
@@ -50,7 +55,7 @@ from ..ir.nodes import (
 )
 from ..options import CompilerOptions, DEFAULT_OPTIONS
 from ..primitives import Primitive, lookup_primitive
-from .transcript import Transcript, render_node
+from .transcript import Form, Transcript, capture, render_node
 from .treeutil import (
     RootHolder,
     fix_parents,
@@ -129,7 +134,7 @@ class SourceOptimizer:
             nodes = list(holder.child.walk())
             refresh_variable_links(holder.child, nodes)
             fix_parents(holder.child)
-            analyze(holder.child, nodes)
+            self.analyze_pass(holder.child, nodes)
             changed = self._run_pass(holder, nodes)
             if not changed:
                 break
@@ -153,6 +158,17 @@ class SourceOptimizer:
 
     def rules_fired(self) -> List[str]:
         return self.transcript.rules_fired()
+
+    def analyze_pass(self, root: Node,
+                     nodes: Optional[List[Node]] = None) -> None:
+        """What a pass start analyses: the bottom-up analyses every rule
+        reads, and types only while META-TYPE-SPECIALIZE, their one reader,
+        is enabled.  Within a pass each firing re-runs only the bottom-up
+        analyses, so types stay as the pass start left them.  *nodes* is
+        ``list(root.walk())`` when the caller has it."""
+        analyze_light(root, nodes)
+        if self.options.enable_type_specialization:
+            analyze_types(root)
 
     # -- engine ---------------------------------------------------------------
 
@@ -199,9 +215,9 @@ class SourceOptimizer:
                     return node, replacement
         return None
 
-    def _fire(self, rule: str, before: str, after: Node) -> Node:
+    def _fire(self, rule: str, before: Form, after: Node) -> Node:
         self._fired += 1
-        self.transcript.record(rule, before, render_node(after))
+        self.transcript.record(rule, before, after)
         return after
 
     def _build_rule_table(self) -> None:
@@ -258,7 +274,7 @@ class SourceOptimizer:
         if not isinstance(node, IfNode) or not isinstance(node.test, LiteralNode):
             return None
         chosen = node.else_ if node.test.value is NIL else node.then
-        before = render_node(node)
+        before = capture(node)
         return self._fire("META-IF-CONSTANT", before, chosen)
 
     def _rule_progn_simplify(self, node: Node) -> Optional[Node]:
@@ -279,11 +295,11 @@ class SourceOptimizer:
             else:
                 forms.append(form)
         if len(forms) == 1:
-            before = render_node(node)
+            before = capture(node)
             return self._fire("META-PROGN-SIMPLIFY", before, forms[0])
         if not changed:
             return None
-        before = render_node(node)
+        before = capture(node)
         return self._fire("META-PROGN-SIMPLIFY", before, PrognNode(forms))
 
     def _rule_dead_caseq(self, node: Node) -> Optional[Node]:
@@ -293,7 +309,7 @@ class SourceOptimizer:
         from ..datum.numbers import lisp_eql
 
         key = node.key.value
-        before = render_node(node)
+        before = capture(node)
         for keys, body in node.clauses:
             if any(lisp_eql(key, k) for k in keys):
                 return self._fire("META-DEAD-CASEQ", before, body)
@@ -311,7 +327,7 @@ class SourceOptimizer:
             for n in node.walk()
         )
         if not has_tags and not has_exits:
-            before = render_node(node)
+            before = capture(node)
             forms = [item for item in node.items if isinstance(item, Node)]
             forms.append(LiteralNode(NIL))
             return self._fire("META-PROGBODY-SIMPLIFY", before,
@@ -334,7 +350,7 @@ class SourceOptimizer:
                 dropping = True
         if not changed:
             return None
-        before = render_node(node)
+        before = capture(node)
         replacement = ProgbodyNode([])
         replacement.items = items
         for item in items:
@@ -368,7 +384,7 @@ class SourceOptimizer:
             value = primitive.apply([arg.value for arg in node.args])
         except LispError:
             return None  # fold would signal at run time; leave it alone
-        before = render_node(node)
+        before = capture(node)
         return self._fire("META-EVALUATE-CONSTANT-CALL", before,
                           LiteralNode(value))
 
@@ -388,7 +404,7 @@ class SourceOptimizer:
                     if not (isinstance(a, LiteralNode)
                             and lisp_equal(a.value, primitive.identity))]
             if len(kept) != len(args) and kept:
-                before = render_node(node)
+                before = capture(node)
                 if len(kept) == 1:
                     return self._fire("META-EVALUATE-ASSOC-COMMUT-CALL",
                                       before, kept[0])
@@ -396,7 +412,7 @@ class SourceOptimizer:
                     "META-EVALUATE-ASSOC-COMMUT-CALL", before,
                     CallNode(FunctionRefNode(node.fn.name), kept))
             if not kept and args:
-                before = render_node(node)
+                before = capture(node)
                 return self._fire("META-EVALUATE-ASSOC-COMMUT-CALL", before,
                                   LiteralNode(primitive.identity))
 
@@ -410,7 +426,7 @@ class SourceOptimizer:
                 except LispError:
                     merged = None
                 if merged is not None:
-                    before = render_node(node)
+                    before = capture(node)
                     new_args = [LiteralNode(merged)] + others
                     return self._fire(
                         "META-EVALUATE-ASSOC-COMMUT-CALL", before,
@@ -419,7 +435,7 @@ class SourceOptimizer:
         # Reduce n-ary (n > 2) to nested binary calls.  The paper's example:
         # (+$f a b c) => (+$f (+$f c b) a).
         if len(args) > 2:
-            before = render_node(node)
+            before = capture(node)
             acc: Node = args[-1]
             for arg in args[-2::-1]:
                 acc = CallNode(FunctionRefNode(node.fn.name), [acc, arg])
@@ -437,7 +453,7 @@ class SourceOptimizer:
             return None
         first, second = node.args
         if isinstance(second, LiteralNode) and not isinstance(first, LiteralNode):
-            before = render_node(node)
+            before = capture(node)
             return self._fire(
                 "CONSIDER-REVERSING-ARGUMENTS", before,
                 CallNode(FunctionRefNode(node.fn.name), [second, first]))
@@ -459,7 +475,7 @@ class SourceOptimizer:
         target = _SIN_TO_CYCLES.get(node.fn.name.name)
         if target is None:
             return None
-        before = render_node(node)
+        before = capture(node)
         product = CallNode(FunctionRefNode(sym("*$f")),
                            [node.args[0], LiteralNode(SINC_FACTOR)])
         return self._fire("META-SIN-TO-SINC", before,
@@ -486,7 +502,7 @@ class SourceOptimizer:
                 target_primitive.max_args is not None
                 and count > target_primitive.max_args):
             return None
-        before = render_node(node)
+        before = capture(node)
         return self._fire("META-TYPE-SPECIALIZE", before,
                           CallNode(FunctionRefNode(sym(target)),
                                    list(node.args)))
@@ -508,7 +524,7 @@ class SourceOptimizer:
                 if (isinstance(inner, IfNode)
                         and isinstance(inner.test, VarRefNode)
                         and inner.test.variable is variable):
-                    before = render_node(node)
+                    before = capture(node)
                     chosen = inner.then if truth else inner.else_
                     inner.parent.replace_child(inner, chosen)
                     return self._fire("META-IF-SAME-TEST", before, node)
@@ -517,7 +533,7 @@ class SourceOptimizer:
         # else arm, a bare v is known nil.
         if (isinstance(node.else_, VarRefNode)
                 and node.else_.variable is variable):
-            before = render_node(node)
+            before = capture(node)
             replacement = IfNode(node.test, node.then, LiteralNode(NIL))
             return self._fire("META-IF-SAME-TEST", before, replacement)
         return None
@@ -527,7 +543,7 @@ class SourceOptimizer:
         semi-canonicalizing transformations."""
         if not isinstance(node, IfNode) or not isinstance(node.test, PrognNode):
             return None
-        before = render_node(node)
+        before = capture(node)
         progn = node.test
         inner_if = IfNode(progn.forms[-1], node.then, node.else_)
         replacement = PrognNode(progn.forms[:-1] + [inner_if])
@@ -547,7 +563,7 @@ class SourceOptimizer:
                 and test.fn.is_simple()
                 and len(test.args) == len(test.fn.required)):
             return None
-        before = render_node(node)
+        before = capture(node)
         inner_lambda = test.fn
         new_body = IfNode(inner_lambda.body, node.then, node.else_)
         new_lambda = LambdaNode(inner_lambda.required, [], None, new_body,
@@ -568,7 +584,7 @@ class SourceOptimizer:
         """
         if not isinstance(node, IfNode) or not isinstance(node.test, IfNode):
             return None
-        before = render_node(node)
+        before = capture(node)
         inner = node.test
         x, y, z = inner.test, inner.then, inner.else_
         v, w = node.then, node.else_
@@ -627,7 +643,7 @@ class SourceOptimizer:
         if not target.is_simple() or len(node.args) != len(target.required):
             return None
         if target.complexity is None:
-            analyze(target)
+            analyze_light(target)
         if (target.complexity or 999) > self.options.global_integration_limit:
             return None
         # Per-name fuel: every call site may integrate once; a function may
@@ -637,7 +653,7 @@ class SourceOptimizer:
         if used >= budget:
             return None
         self._integration_counts[name] = used + 1
-        before = render_node(node)
+        before = capture(node)
         clone = copy_tree(target)
         assert isinstance(clone, LambdaNode)
         return self._fire("META-INTEGRATE-GLOBAL", before,
@@ -652,7 +668,7 @@ class SourceOptimizer:
         fn = node.fn
         if fn.required or fn.optionals or fn.rest is not None or node.args:
             return None
-        before = render_node(node)
+        before = capture(node)
         return self._fire("META-CALL-LAMBDA", before, fn.body)
 
     def _rule_drop_unused(self, node: Node) -> Optional[Node]:
@@ -679,7 +695,7 @@ class SourceOptimizer:
             keep_args.append(arg)
         if not dropped:
             return None
-        before = render_node(node)
+        before = capture(node)
         new_lambda = LambdaNode(keep_vars, [], None, fn.body,
                                 name_hint=fn.name_hint)
         return self._fire("META-DROP-UNUSED-ARGUMENT", before,
@@ -750,9 +766,9 @@ class SourceOptimizer:
             ref.parent.replace_child(ref, copy_tree(arg))
         self.transcript.record(
             "META-SUBSTITUTE",
-            f"{count} substitution{'s' if count != 1 else ''} for the variable"
-            f" {variable.name} by {render_node(arg)}",
-            render_node(node))
+            capture(arg, f"{count} substitution{'s' if count != 1 else ''}"
+                         f" for the variable {variable.name} by "),
+            node)
         self._fired += 1
         return node
 

@@ -18,34 +18,79 @@ back-translation per firing, so it is gated by
 mutation).  Every entry always carries a monotonic sequence number and a
 ``perf_counter`` timestamp, which the :mod:`repro.trace` exporter turns
 into Chrome trace instant events.
+
+Nothing reads an entry's text during a compile, so an entry keeps the
+forms its rule back-translated at firing time (the tree changes
+afterwards) and prints each one the first time something reads it:
+:meth:`TranscriptEntry.render`, :meth:`TranscriptEntry.to_json`, the REPL
+or the trace exporter.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..ir.backtranslate import back_translate
+from ..ir.nodes import Node
 from ..reader.printer import write_to_string
 
 
-@dataclass
+class Form:
+    """A back-translated form that prints the first time it is read.
+
+    *prefix* is text printed ahead of the form (META-SUBSTITUTE's "N
+    substitutions for the variable V by ")."""
+
+    __slots__ = ("_datum", "_prefix", "_text")
+
+    def __init__(self, datum: Any, prefix: str = ""):
+        self._datum = datum
+        self._prefix = prefix
+        self._text: Optional[str] = None
+
+    def __str__(self) -> str:
+        # Idempotent, so two threads reading at once agree without a lock.
+        if self._text is None:
+            self._text = self._prefix + write_to_string(self._datum)
+        return self._text
+
+
 class TranscriptEntry:
-    rule: str
-    before: str
-    after: str
-    #: 1-based position of this firing within its compilation.
-    seq: int = 0
-    #: Which pipeline phase fired the rule ("optimizer" | "cse").
-    phase: str = "optimizer"
-    #: ``time.perf_counter()`` at record time (same clock as the
-    #: diagnostics phase records, so the trace exporter can interleave).
-    at_s: float = 0.0
-    #: Whole-function back-translations around the rewrite; populated only
-    #: under ``CompilerOptions.trace_rewrites``.
-    before_source: Optional[str] = None
-    after_source: Optional[str] = None
+    """One rule firing.  ``before`` and ``after`` read as text; each is
+    stored as given (a string, or a :class:`Form` that prints when first
+    read)."""
+
+    __slots__ = ("rule", "_before", "_after", "seq", "phase", "at_s",
+                 "before_source", "after_source")
+
+    def __init__(self, rule: str, before: Union[str, Form],
+                 after: Union[str, Form], seq: int = 0,
+                 phase: str = "optimizer", at_s: float = 0.0,
+                 before_source: Optional[str] = None,
+                 after_source: Optional[str] = None):
+        self.rule = rule
+        self._before = before
+        self._after = after
+        #: 1-based position of this firing within its compilation.
+        self.seq = seq
+        #: Which pipeline phase fired the rule ("optimizer" | "cse").
+        self.phase = phase
+        #: ``time.perf_counter()`` at record time (same clock as the
+        #: diagnostics phase records, so the trace exporter can interleave).
+        self.at_s = at_s
+        #: Whole-function back-translations around the rewrite; populated
+        #: only under ``CompilerOptions.trace_rewrites``.
+        self.before_source = before_source
+        self.after_source = after_source
+
+    @property
+    def before(self) -> str:
+        return str(self._before)
+
+    @property
+    def after(self) -> str:
+        return str(self._after)
 
     def render(self) -> str:
         return (f";**** Optimizing this form: {self.before}\n"
@@ -110,13 +155,14 @@ class Transcript:
             self.entries[-1].after_source = source
         self._root_source = source
 
-    def record(self, rule: str, before: Any, after: Any,
+    def record(self, rule: str, before: Union[str, Form], after: Any,
                phase: str = "optimizer") -> None:
-        """Record one transformation.  *before* is pre-rendered text (the
-        tree is about to mutate, so the caller renders it first); *after*
-        may be a Node or pre-rendered text."""
-        after_text = after if isinstance(after, str) else _render(after)
-        entry = TranscriptEntry(rule=rule, before=before, after=after_text,
+        """Record one transformation.  *before* was captured before the
+        tree mutated (:func:`capture`); *after* is a Node, back-translated
+        now, or already a string or Form."""
+        if isinstance(after, Node):
+            after = capture(after)
+        entry = TranscriptEntry(rule=rule, before=before, after=after,
                                 seq=len(self.entries) + 1, phase=phase,
                                 at_s=time.perf_counter())
         if self.trace_rewrites:
@@ -149,9 +195,11 @@ class Transcript:
         return [entry.to_json() for entry in self.entries]
 
 
-def _render(node: Any) -> str:
+def capture(node: Node, prefix: str = "") -> Form:
+    """Back-translate *node* now; print it when the text is first read."""
+    return Form(back_translate(node), prefix)
+
+
+def render_node(node: Node) -> str:
+    """Back-translate and print *node* at once."""
     return write_to_string(back_translate(node))
-
-
-def render_node(node: Any) -> str:
-    return _render(node)

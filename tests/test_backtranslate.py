@@ -21,6 +21,26 @@ class TestBackTranslation:
     def test_literal_list_quoted(self):
         assert back_translate_to_string(convert_source("'(1 2)")) == "'(1 2)"
 
+    def test_quoted_structure_is_a_copy(self):
+        """A back-translated form shares no conses with the tree, so it
+        reads the same after the constant changes; shared and circular
+        structure stay shared and circular."""
+        from repro.datum import from_list
+        from repro.ir import LiteralNode
+        from repro.reader import write_to_string
+
+        tail = from_list([2, 3])
+        value = from_list([from_list([1]), from_list([1])], tail)
+        tail.cdr.cdr = tail
+        node = LiteralNode(from_list([value.car, value]))
+        form = back_translate(node)
+        text = write_to_string(form)
+        assert text == "'((1) ((1) (1) 2 3 ...circular...))"
+        quoted = form.cdr.car
+        assert quoted.car is quoted.cdr.car.car
+        value.car.car = 9
+        assert write_to_string(form) == text
+
     def test_if(self):
         assert lisp_equal(roundtrip("(if p 1 2)"), read("(if p 1 2)"))
 

@@ -1,0 +1,112 @@
+"""Compile-time work runs where its result is read.
+
+Tail positions feed binding and pdl annotation, types feed
+META-TYPE-SPECIALIZE alone, and a transcript's text feeds its readers
+(``render``, ``to_json``, the REPL, the trace exporter).  These tests
+count the calls a compile makes to each producer, then read the
+transcript and count again.
+"""
+
+import sys
+
+from repro import Compiler, CompilerOptions
+from repro.analysis import tailrec, typeinfo
+from repro.datum import sym
+from repro.optimizer import SourceOptimizer
+from repro.reader import printer
+
+SOURCE = """
+    (defun f (x) (let ((y (+ x 0))) (if nil 1 (* y 2))))
+    (defun g (a b) (+ a b 1 2))
+    (defun h (p q) (if (if p q nil) (g p q) (f 1.0)))
+"""
+DEFUNS = 3
+
+
+def count_calls(monkeypatch, function, record=lambda: None):
+    """Replace every module-level binding of *function* in the loaded
+    ``repro`` modules with a wrapper; each call appends ``record()``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(record())
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attribute, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
+def entries_of(compiler, defined):
+    return [entry for name in defined
+            for entry in compiler.functions[name].transcript.entries]
+
+
+def test_default_compile_runs_only_what_is_read(monkeypatch):
+    types = count_calls(monkeypatch, typeinfo.analyze_types)
+    tails = count_calls(monkeypatch, tailrec.analyze_tail_positions)
+    prints = count_calls(monkeypatch, printer.write_to_string)
+    compiler = Compiler()
+    defined = compiler.compile_source(SOURCE)
+    assert len(defined) == DEFUNS
+    entries = entries_of(compiler, defined)
+    assert len(entries) >= 2 * DEFUNS
+    assert len(types) == 0
+    # The analysis phase and the annotate phase, once each per defun.
+    assert len(tails) == 2 * DEFUNS
+    # optimized_source, once per defun; no transcript text yet.
+    assert len(prints) == DEFUNS
+
+    rendered = [compiler.functions[name].transcript.render()
+                for name in defined]
+    rewrites = compiler.last_diagnostics.to_json()["rewrites"]
+    # Each entry printed its before and after forms once, for both reads.
+    assert len(prints) == DEFUNS + 2 * len(entries)
+    assert len(rewrites) == len(entries)
+    assert "\n".join(rendered) == "\n".join(
+        f";**** Optimizing this form: {rewrite['before']}\n"
+        f";**** to be this form: {rewrite['after']}\n"
+        f";**** courtesy of {rewrite['rule']}" for rewrite in rewrites)
+    # Reading again prints nothing.
+    assert [entry.to_json() for entry in entries] == rewrites
+    assert len(prints) == DEFUNS + 2 * len(entries)
+
+
+def test_type_inference_runs_only_inside_the_optimizer(monkeypatch):
+    depth = [0]
+    per_optimize = []
+    optimize = SourceOptimizer.optimize
+
+    def counted_optimize(self, root):
+        depth[0] += 1
+        start = len(types)
+        try:
+            return optimize(self, root)
+        finally:
+            depth[0] -= 1
+            per_optimize.append(len(types) - start)
+
+    monkeypatch.setattr(SourceOptimizer, "optimize", counted_optimize)
+    types = count_calls(monkeypatch, typeinfo.analyze_types,
+                        record=lambda: depth[0] > 0)
+    compiler = Compiler(CompilerOptions(enable_type_specialization=True))
+    compiler.compile_source(SOURCE)
+    assert len(per_optimize) == DEFUNS
+    assert all(count >= 1 for count in per_optimize)
+    assert types and all(types)
+
+
+def test_a_form_reads_as_it_was_when_the_rule_fired():
+    """A quoted constant the compiled code later modifies still prints as
+    it read when the rule fired."""
+    compiler = Compiler()
+    compiler.compile_source(
+        "(defun f () (let ((l '(1 2))) (rplaca l 9) l))")
+    assert compiler.machine().run(sym("f"), []).car == 9
+    text = compiler.functions[sym("f")].transcript.render()
+    assert "2 substitutions for the variable l by '(1 2)" in text
+    assert "(9 2)" not in text

@@ -370,6 +370,45 @@ class TestCompilerErrors:
             compiler.compile_source("(+ 1 2)")
 
 
+class TestSynchronization:
+    """(lock key) and (unlock key) on one processor: the interpreter and
+    both tiers return the same value, and all three reject an unlock of a
+    lock that is not held with the same class and message."""
+
+    SOURCE = """
+        (defun f (x) (lock x) (unlock x) 'done)
+        (defun g (x) (unlock x))
+    """
+
+    @staticmethod
+    def _outcomes(fn, arg):
+        interp = Interpreter()
+        interp.eval_source(TestSynchronization.SOURCE)
+        outcomes = []
+        calls = [lambda: interp.apply_function(
+            interp.global_functions[sym(fn)], [arg])]
+        for tier in ("simulate", "native"):
+            compiler = Compiler(CompilerOptions(tier=tier))
+            compiler.compile_source(TestSynchronization.SOURCE)
+            calls.append(lambda compiler=compiler:
+                         compiler.machine().run(sym(fn), [arg]))
+        for call in calls:
+            try:
+                outcomes.append(("value", call()))
+            except ReproError as error:
+                outcomes.append((type(error), str(error)))
+        return outcomes
+
+    def test_lock_then_unlock_agrees(self):
+        assert self._outcomes("f", sym("k")) == [("value", sym("done"))] * 3
+
+    def test_unlock_not_held_agrees(self):
+        from repro.errors import MachineError
+
+        assert self._outcomes("g", sym("k")) == \
+            [(MachineError, "UNLOCK of lock not held: k")] * 3
+
+
 class TestCompilerArtifacts:
     def test_listing_is_renderable(self):
         compiler = Compiler()

@@ -376,13 +376,11 @@ class TestRuleTable:
     """
 
     def sample(self):
-        from repro.analysis import analyze
-
         tree = convert_source(self.SAMPLE)
-        analyze(tree)
         optimizer = SourceOptimizer(
             self.OPTIONS, global_functions={sym("h"): convert_source(
                 "(lambda (n) n)")})
+        optimizer.analyze_pass(tree)
         return tree, optimizer
 
     def test_index_holds_each_enabled_rule_once_in_table_order(self):
