@@ -251,14 +251,15 @@ class CompilerService:
     inputs of its compile, and compiles the misses on *pool* (internal:
     only :class:`repro.serve.ReproServer` sets it, to its ``--jobs``
     workers) or inline.  *on_diagnostics*, when given, receives every
-    successful compile's ``Diagnostics.to_json()`` (the daemon folds them
-    into ``/metrics``)."""
+    successful compile's diagnostics: the ``Diagnostics`` of a ``compile``,
+    the ``to_json()`` dict a batch worker sent back for a ``batch`` unit.
+    The daemon folds either into ``/metrics`` without printing the
+    transcript."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,
                  cache: Union[None, str, CompilationCache] = None, *,
                  response_cache_size: int = 128,
-                 on_diagnostics: Optional[
-                     Callable[[Dict[str, Any]], None]] = None,
+                 on_diagnostics: Optional[Callable[[Any], None]] = None,
                  pool: Optional["WorkerPool"] = None):
         self.options = options or CompilerOptions()
         if isinstance(cache, (str, os.PathLike)):
@@ -330,21 +331,18 @@ class CompilerService:
             defined=[str(n) for n in compiled.defined],
             seconds=time.perf_counter() - started)
         diagnostics = compiler.last_diagnostics
-        data = None
         if diagnostics is not None:
             result.counters = dict(diagnostics.counters)
             result.warnings = [m.render() for m in diagnostics.warnings]
-            if want_diagnostics or self._on_diagnostics is not None:
-                data = diagnostics.to_json()
-                if want_diagnostics:
-                    result.diagnostics = data
-        self._finished(result.seconds, load_prelude, data)
+            if want_diagnostics:
+                result.diagnostics = diagnostics.to_json()
+        self._finished(result.seconds, load_prelude, diagnostics)
         if want_listing:
             result.listing = compiled.listing()
         return result
 
     def _finished(self, seconds: float, load_prelude: bool,
-                  diagnostics: Optional[Dict[str, Any]]) -> None:
+                  diagnostics: Any) -> None:
         """Book one successful compile: the stats totals, and its
         diagnostics for the *on_diagnostics* hook."""
         with self._lock:

@@ -162,7 +162,6 @@ class FunctionCodegen:
         self.tnbind_started = 0.0
         self.tns_packed = 0
         self.packing = None
-        self.pack_options = options
         # node id -> [special symbols] whose lookup caches here
         self.cache_triggers: Dict[int, List[Symbol]] = {}
         # variables let-bound to known (jump/fast) lambdas
@@ -1152,24 +1151,15 @@ class FunctionCodegen:
     def _assemble(self) -> CodeObject:
         self._extend_lifetimes_over_loops()
         self._mark_call_crossings()
-        import dataclasses
-
-        pack_options = dataclasses.replace(
-            self.options,
-            registers_available=min(self.options.registers_available,
-                                    self.target.registers))
         # Time the TNBIND/PACK step separately so the diagnostics layer can
         # report it as its own Table 1 phase (it runs inside codegen).
         pack_start = time.perf_counter()
         self.tnbind_started = pack_start
-        packing = pack_tns(self.tns, pack_options)
+        packing = pack_tns(self.tns, self.options, self.target.registers)
         self.tnbind_seconds = time.perf_counter() - pack_start
         self.tns_packed = len(self.tns)
-        # Exposed for the phase-boundary verifier (repro.verify.alloc):
-        # the packing result and the *effective* options it ran under
-        # (registers_available is capped to the target's file size here).
+        # Exposed for the phase-boundary verifier (repro.verify.alloc).
         self.packing = packing
-        self.pack_options = pack_options
         resolved = self._resolve_operands()
         legalized = self._legalize_rt(resolved)
         instructions: List[Instruction] = []

@@ -510,7 +510,7 @@ class Compiler:
         trace.record("code generation")
         if verifier is not None:
             verifier.check_allocation(generator.tns, generator.packing,
-                                      generator.pack_options, "tnbind")
+                                      generator.target.registers, "tnbind")
             verifier.check_code(code, "codegen")
 
         if self.options.enable_peephole:

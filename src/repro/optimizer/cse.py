@@ -40,16 +40,21 @@ from ..ir.nodes import (
     Variable,
     VarRefNode,
 )
-from ..options import CompilerOptions, DEFAULT_OPTIONS
+from ..options import CompilerOptions
 from .transcript import Transcript, capture, render_node
 from .treeutil import RootHolder, fix_parents, refresh_variable_links, tree_equal
+
+#: The least complexity an expression needs to be worth a binding: below
+#: it, recomputing is as cheap as keeping the value.
+MIN_COMPLEXITY = 3
 
 
 def eliminate_common_subexpressions(
         root: Node, options: Optional[CompilerOptions] = None,
         transcript: Optional[Transcript] = None) -> Node:
-    """Hoist repeated pure subexpressions into introduced lambda bindings."""
-    options = options or DEFAULT_OPTIONS
+    """Hoist repeated pure subexpressions into introduced lambda bindings.
+    The phase reads none of *options*: ``enable_cse`` decides whether it
+    runs at all."""
     transcript = transcript or Transcript()
     holder = RootHolder(root)
     if transcript.trace_rewrites:
@@ -60,14 +65,13 @@ def eliminate_common_subexpressions(
         refresh_variable_links(holder.child)
         fix_parents(holder.child)
         analyze_light(holder.child)
-        if not _hoist_one(holder, options, transcript):
+        if not _hoist_one(holder, transcript):
             break
     return holder.child
 
 
-def _hoist_one(holder: RootHolder, options: CompilerOptions,
-               transcript: Transcript) -> bool:
-    groups = _candidate_groups(holder.child, options)
+def _hoist_one(holder: RootHolder, transcript: Transcript) -> bool:
+    groups = _candidate_groups(holder.child)
     if not groups:
         return False
     # Largest (most expensive) expression first.
@@ -95,8 +99,7 @@ def _hoist_one(holder: RootHolder, options: CompilerOptions,
     return True
 
 
-def _candidate_groups(root: Node, options: CompilerOptions
-                      ) -> List[Tuple[Node, List[Node]]]:
+def _candidate_groups(root: Node) -> List[Tuple[Node, List[Node]]]:
     """Group structurally equal pure subexpressions occurring >= 2 times."""
     buckets: Dict[str, List[Node]] = {}
     for node in root.walk():
@@ -104,7 +107,7 @@ def _candidate_groups(root: Node, options: CompilerOptions
             continue
         if not isinstance(node.fn, FunctionRefNode):
             continue
-        if (node.complexity or 0) < options.cse_min_complexity:
+        if (node.complexity or 0) < MIN_COMPLEXITY:
             continue
         if not may_be_duplicated(node):
             continue

@@ -85,6 +85,18 @@ _TYPE_SPECIALIZATIONS = {
 }
 
 
+# "Right now the heuristics for introduction are relatively conservative"
+# (Section 5).  Complexity bounds on the code a rule may copy:
+#: META-SUBSTITUTE duplicates a pure argument into its several use sites
+#: only while the copies cost at most this much in total.
+SUBSTITUTION_SIZE_LIMIT = 2
+#: META-SUBSTITUTE moves a lambda argument with more than one use only
+#: when the lambda is at most this complex.
+INTEGRATION_SIZE_LIMIT = 40
+#: META-INTEGRATE-GLOBAL inlines a known defun at most this complex.
+GLOBAL_INTEGRATION_LIMIT = 30
+
+
 Rule = Callable[[Node], Optional[Node]]
 
 
@@ -112,7 +124,9 @@ class SourceOptimizer:
         self._sin_in_cycles = get_target(self.options.target).sin_in_cycles
         #: The whole table as ``(name, rule, gate)``, gates unapplied: the
         #: rule inventory, enabled or not, for tests and tools to enumerate.
-        self._rules: List[Tuple[str, Rule, str]] = []
+        #: ``gate`` names the option that switches an opt-in rule on; it
+        #: is None for a rule that runs whenever the optimizer runs.
+        self._rules: List[Tuple[str, Rule, Optional[str]]] = []
         #: The engine's resolved table: node class -> the enabled rules
         #: that match it, in table order.
         self._rules_by_class: Dict[type, List[Rule]] = {}
@@ -222,41 +236,36 @@ class SourceOptimizer:
 
     def _build_rule_table(self) -> None:
         # Order matters: cheap structural simplifications first, the
-        # expensive substitution machinery last.  The last column is the
-        # node class each rule matches (its first test is that isinstance
-        # check).
+        # expensive substitution machinery last.  The third column names
+        # the option that switches an opt-in rule on (None: the rule runs
+        # whenever the optimizer does); the last is the node class each
+        # rule matches (its first test is that isinstance check).
         table = [
-            ("META-IF-CONSTANT", self._rule_if_constant, "enable_dead_code",
-             IfNode),
-            ("META-PROGN-SIMPLIFY", self._rule_progn_simplify,
-             "enable_dead_code", PrognNode),
-            ("META-DEAD-CASEQ", self._rule_dead_caseq, "enable_dead_code",
-             CaseqNode),
-            ("META-PROGBODY-SIMPLIFY", self._rule_progbody_simplify,
-             "enable_dead_code", ProgbodyNode),
-            ("META-EVALUATE-CONSTANT-CALL", self._rule_constant_fold,
-             "enable_constant_folding", CallNode),
-            ("META-EVALUATE-ASSOC-COMMUT-CALL", self._rule_assoc_commut,
-             "enable_assoc_commut", CallNode),
-            ("CONSIDER-REVERSING-ARGUMENTS", self._rule_reverse_arguments,
-             "enable_argument_reversal", CallNode),
-            ("META-SIN-TO-SINC", self._rule_sin_to_sinc, "enable_sin_to_sinc",
+            ("META-IF-CONSTANT", self._rule_if_constant, None, IfNode),
+            ("META-PROGN-SIMPLIFY", self._rule_progn_simplify, None,
+             PrognNode),
+            ("META-DEAD-CASEQ", self._rule_dead_caseq, None, CaseqNode),
+            ("META-PROGBODY-SIMPLIFY", self._rule_progbody_simplify, None,
+             ProgbodyNode),
+            ("META-EVALUATE-CONSTANT-CALL", self._rule_constant_fold, None,
              CallNode),
+            ("META-EVALUATE-ASSOC-COMMUT-CALL", self._rule_assoc_commut,
+             None, CallNode),
+            ("CONSIDER-REVERSING-ARGUMENTS", self._rule_reverse_arguments,
+             None, CallNode),
+            ("META-SIN-TO-SINC", self._rule_sin_to_sinc, None, CallNode),
             ("META-TYPE-SPECIALIZE", self._rule_type_specialize,
              "enable_type_specialization", CallNode),
-            ("META-IF-SAME-TEST", self._rule_if_same_test, "enable_dead_code",
-             IfNode),
-            ("META-IF-PROGN-TEST", self._rule_if_progn_test, "enable_beta",
-             IfNode),
-            ("META-IF-LET-TEST", self._rule_if_let_test, "enable_beta", IfNode),
-            ("META-IF-IF", self._rule_if_if, "enable_if_distribution", IfNode),
+            ("META-IF-SAME-TEST", self._rule_if_same_test, None, IfNode),
+            ("META-IF-PROGN-TEST", self._rule_if_progn_test, None, IfNode),
+            ("META-IF-LET-TEST", self._rule_if_let_test, None, IfNode),
+            ("META-IF-IF", self._rule_if_if, None, IfNode),
             ("META-INTEGRATE-GLOBAL", self._rule_integrate_global,
              "enable_global_integration", CallNode),
-            ("META-CALL-LAMBDA", self._rule_call_lambda, "enable_beta",
+            ("META-CALL-LAMBDA", self._rule_call_lambda, None, CallNode),
+            ("META-DROP-UNUSED-ARGUMENT", self._rule_drop_unused, None,
              CallNode),
-            ("META-DROP-UNUSED-ARGUMENT", self._rule_drop_unused,
-             "enable_beta", CallNode),
-            ("META-SUBSTITUTE", self._rule_substitute, "enable_beta", CallNode),
+            ("META-SUBSTITUTE", self._rule_substitute, None, CallNode),
         ]
         self._rules = [(name, rule, gate) for name, rule, gate, _ in table]
         # Gates are read once: options do not change during a compilation.
@@ -264,7 +273,7 @@ class SourceOptimizer:
         # of repro.ir.nodes subclasses another.
         self._rules_by_class = {}
         for _, rule, gate, node_class in table:
-            if getattr(self.options, gate):
+            if gate is None or getattr(self.options, gate):
                 self._rules_by_class.setdefault(node_class, []).append(rule)
 
     # -- simple conditional rules ----------------------------------------------
@@ -644,7 +653,7 @@ class SourceOptimizer:
             return None
         if target.complexity is None:
             analyze_light(target)
-        if (target.complexity or 999) > self.options.global_integration_limit:
+        if (target.complexity or 999) > GLOBAL_INTEGRATION_LIMIT:
             return None
         # Per-name fuel: every call site may integrate once; a function may
         # additionally integrate *itself* self_unroll_depth times.
@@ -721,7 +730,6 @@ class SourceOptimizer:
         if let is None:
             return None
         fn, args = let
-        opts = self.options
         plan: Optional[Tuple[Variable, Node]] = None
         for variable, arg in zip(fn.required, args):
             if variable.is_assigned() or variable.special or not variable.refs:
@@ -736,9 +744,8 @@ class SourceOptimizer:
             elif isinstance(arg, LambdaNode):
                 # Lambdas close over variables (not values), so moving the
                 # lambda-expression past assignments is safe.
-                if opts.enable_procedure_integration and (
-                        refcount == 1
-                        or (arg.complexity or 999) <= opts.integration_size_limit):
+                if refcount == 1 \
+                        or (arg.complexity or 999) <= INTEGRATION_SIZE_LIMIT:
                     substitutable = True
             elif may_be_duplicated(arg) and not arg.writes \
                     and all(not v.is_assigned() for v in (arg.reads or ())):
@@ -751,7 +758,7 @@ class SourceOptimizer:
                 # single use site, but is only *duplicated* into several
                 # sites when the total copied code stays under the limit.
                 copies_cost = (refcount - 1) * (arg.complexity or 999)
-                if refcount == 1 or copies_cost <= opts.substitution_size_limit:
+                if refcount == 1 or copies_cost <= SUBSTITUTION_SIZE_LIMIT:
                     substitutable = True
             if substitutable:
                 plan = (variable, arg)

@@ -3,7 +3,10 @@
 The paper stresses that whole phases are optional ("Like the source-level
 optimization phase, its use is completely optional, for it only affects the
 efficiency of the resulting code").  Every experiment ablation in
-EXPERIMENTS.md flips one of these flags.
+EXPERIMENTS.md flips a phase switch here, or one of the optimizer's two
+opt-in rules (type specialization, global integration).  The optimizer's
+other rules run whenever it runs; its size heuristics are constants beside
+their readers, and the register count comes from the target.
 
 Every field is declared either **semantic** (it changes the generated
 code, so it must perturb the content-addressed cache key and it may be
@@ -47,28 +50,16 @@ class CompilerOptions:
     max_passes: int = semantic(20)         # fixpoint iteration bound
     optimizer_fuel: int = semantic(2000)   # total rule-firing bound (guards
                                            # against self-expanding forms)
-    enable_beta: bool = semantic(True)     # the three beta-conversion rules
-    enable_procedure_integration: bool = semantic(True)
-    enable_constant_folding: bool = semantic(True)   # compile-time evaluation
-    enable_if_distribution: bool = semantic(True)    # (if (if x y z) v w)
-    enable_dead_code: bool = semantic(True)          # constant-predicate if/caseq
-    enable_assoc_commut: bool = semantic(True)       # re-association + identities
-    enable_argument_reversal: bool = semantic(True)  # constants first
-    enable_sin_to_sinc: bool = semantic(True)        # sin$f -> sinc$f
     enable_type_specialization: bool = semantic(False)  # generic -> typed ops
-    substitution_size_limit: int = semantic(2)   # copied-code bound
-    integration_size_limit: int = semantic(40)   # multi-use integration bound
 
     # --- global procedure integration (block compilation; the paper's
     #     loop-unrolling remark in Section 5) ---
     enable_global_integration: bool = semantic(False)  # inline known defuns
-    global_integration_limit: int = semantic(30)       # inlining bound
     self_unroll_depth: int = semantic(0)       # times a fn may inline itself
                                                # ("achieves loop unrolling")
 
     # --- common subexpression elimination (Section 4.3; optional phase) ---
     enable_cse: bool = semantic(False)     # off by default, like the paper
-    cse_min_complexity: int = semantic(3)
 
     # --- machine-dependent annotation (Section 6) ---
     enable_representation_analysis: bool = semantic(True)
@@ -82,7 +73,6 @@ class CompilerOptions:
     enable_peephole: bool = semantic(False)  # linear-block packing (Section 4.5;
                                              # the paper had none -- extension)
     enable_tail_calls: bool = semantic(True)  # False: every call pushes a frame
-    registers_available: int = semantic(32)
 
     # --- execution tier (repro.machine.native) ---
     # How compiled CodeObjects are *run*, never what they contain: the
@@ -150,17 +140,9 @@ DEFAULT_OPTIONS = CompilerOptions()
 
 
 def naive_options() -> CompilerOptions:
-    """Everything off: the baseline configuration for ablation benches."""
+    """Every phase off: the baseline configuration for ablation benches."""
     return CompilerOptions(
         optimize=False,
-        enable_beta=False,
-        enable_procedure_integration=False,
-        enable_constant_folding=False,
-        enable_if_distribution=False,
-        enable_dead_code=False,
-        enable_assoc_commut=False,
-        enable_argument_reversal=False,
-        enable_sin_to_sinc=False,
         enable_cse=False,
         enable_representation_analysis=False,
         enable_pdl_numbers=False,

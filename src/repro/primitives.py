@@ -78,8 +78,9 @@ class Primitive:
     result_rep: str = "POINTER"  # ISREP of the result
     pdl_result: bool = False  # PDLNUMP: result may be a pdl number
     jump_result: bool = False  # predicate usable as a conditional jump
-    machine_op: Optional[str] = None  # in-line instruction mnemonic
-    cycles: int = 1  # abstract cost for the complexity estimate
+    # Abstract cost: the complexity estimate's weight for a call, and what
+    # GENERIC or a primitive applied from the stack charges at run time.
+    cycles: int = 1
 
     def check_arity(self, count: int) -> None:
         if count < self.min_args or (self.max_args is not None and count > self.max_args):
@@ -231,13 +232,11 @@ def _compare_chain(name: str, relation: Callable[[Any, Any], bool],
 
 
 define_primitive("+", _prim_add, 0, None, associative=True, commutative=True,
-                 identity=0, pdl_result=True, machine_op="ADDGEN", cycles=2)
-define_primitive("-", _prim_sub, 1, None, pdl_result=True, machine_op="SUBGEN",
-                 cycles=2)
+                 identity=0, pdl_result=True, cycles=2)
+define_primitive("-", _prim_sub, 1, None, pdl_result=True, cycles=2)
 define_primitive("*", _prim_mul, 0, None, associative=True, commutative=True,
-                 identity=1, pdl_result=True, machine_op="MULGEN", cycles=3)
-define_primitive("/", _prim_div, 1, None, pdl_result=True, machine_op="DIVGEN",
-                 cycles=6)
+                 identity=1, pdl_result=True, cycles=3)
+define_primitive("/", _prim_div, 1, None, pdl_result=True, cycles=6)
 define_primitive("1+", lambda x: generic_add(_need_number("1+", x), 1), 1, 1,
                  pdl_result=True, cycles=1)
 define_primitive("1-", lambda x: generic_sub(_need_number("1-", x), 1), 1, 1,
@@ -351,10 +350,10 @@ def _prim_round(x: Any, divisor: Any = 1) -> Any:
     return floor_q if floor_q % 2 == 0 else floor_q + 1
 
 
-define_primitive("floor", _prim_floor, 1, 2, machine_op="FLOOR")
-define_primitive("ceiling", _prim_ceiling, 1, 2, machine_op="CEIL")
-define_primitive("truncate", _prim_truncate, 1, 2, machine_op="TRUNC")
-define_primitive("round", _prim_round, 1, 2, machine_op="ROUND")
+define_primitive("floor", _prim_floor, 1, 2)
+define_primitive("ceiling", _prim_ceiling, 1, 2)
+define_primitive("truncate", _prim_truncate, 1, 2)
+define_primitive("round", _prim_round, 1, 2)
 define_primitive("mod", lambda x, y: normalize_number(
     _need_real("mod", x) - y * _prim_floor(x, y)), 2, 2)
 define_primitive("rem", lambda x, y: normalize_number(
@@ -414,18 +413,16 @@ def _prim_atan(y: Any, x: Any = None) -> Any:
         raise lisp_fault("atan", error) from None
 
 
-define_primitive("sqrt", _prim_sqrt, 1, 1, pdl_result=True,
-                 machine_op="FSQRT", cycles=8)
+define_primitive("sqrt", _prim_sqrt, 1, 1, pdl_result=True, cycles=8)
 define_primitive("sin", _real_math("sin", math.sin), 1, 1, pdl_result=True,
-                 machine_op="FSIN", cycles=8)
-define_primitive("cos", _real_math("cos", math.cos), 1, 1, pdl_result=True,
-                 machine_op="FCOS", cycles=8)
-define_primitive("exp", _real_math("exp", math.exp), 1, 1, pdl_result=True,
-                 machine_op="FEXP", cycles=8)
-define_primitive("log", _real_math("log", math.log), 1, 1, pdl_result=True,
-                 machine_op="FLOG", cycles=8)
-define_primitive("atan", _prim_atan, 1, 2, pdl_result=True, machine_op="FATAN",
                  cycles=8)
+define_primitive("cos", _real_math("cos", math.cos), 1, 1, pdl_result=True,
+                 cycles=8)
+define_primitive("exp", _real_math("exp", math.exp), 1, 1, pdl_result=True,
+                 cycles=8)
+define_primitive("log", _real_math("log", math.log), 1, 1, pdl_result=True,
+                 cycles=8)
+define_primitive("atan", _prim_atan, 1, 2, pdl_result=True, cycles=8)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +455,16 @@ def _float_math(name: str, fn: Callable[[float], float]):
 define_primitive("+$f", _float_nary("+$f", lambda a, b: a + b, 0.0), 0, None,
                  associative=True, commutative=True, identity=0.0,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FADD", cycles=1)
+                 cycles=1)
 define_primitive("-$f", lambda a, b=None:
                  (-_need_float("-$f", a)) if b is None
                  else _need_float("-$f", a) - _need_float("-$f", b),
                  1, 2, arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FSUB", cycles=1)
+                 cycles=1)
 define_primitive("*$f", _float_nary("*$f", lambda a, b: a * b, 1.0), 0, None,
                  associative=True, commutative=True, identity=1.0,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FMULT", cycles=1)
+                 cycles=1)
 
 
 def _fdiv(a: Any, b: Any) -> float:
@@ -478,45 +475,41 @@ def _fdiv(a: Any, b: Any) -> float:
 
 
 define_primitive("/$f", _fdiv, 2, 2, arg_rep="SWFLO", result_rep="SWFLO",
-                 pdl_result=True, machine_op="FDIV", cycles=4)
+                 pdl_result=True, cycles=4)
 define_primitive("max$f", _float_nary("max$f", max, float("-inf")), 1, None,
                  associative=True, commutative=True, arg_rep="SWFLO",
-                 result_rep="SWFLO", pdl_result=True, machine_op="FMAX")
+                 result_rep="SWFLO", pdl_result=True)
 define_primitive("min$f", _float_nary("min$f", min, float("inf")), 1, None,
                  associative=True, commutative=True, arg_rep="SWFLO",
-                 result_rep="SWFLO", pdl_result=True, machine_op="FMIN")
+                 result_rep="SWFLO", pdl_result=True)
 define_primitive("abs$f", lambda a: abs(_need_float("abs$f", a)), 1, 1,
-                 arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FABS")
+                 arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True)
 # The FSQRT instruction's semantics: a negative argument has a complex
 # root, as it does for ``sqrt``, which the optimizer specializes to
 # ``sqrt$f`` on a float argument.
 define_primitive("sqrt$f", lambda a: _prim_sqrt(_need_float("sqrt$f", a)), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FSQRT", cycles=8)
+                 cycles=8)
 define_primitive("sin$f", _float_math("sin$f", math.sin), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FSINR", cycles=10)
+                 cycles=10)
 define_primitive("cos$f", _float_math("cos$f", math.cos), 1, 1,
                  arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FCOSR", cycles=10)
+                 cycles=10)
 # The S-1's FSIN instruction takes its argument in *cycles* (revolutions);
 # the optimizer rewrites (sin$f x) => (sinc$f (*$f (/ 1 2pi) x)).  Section 7.
 define_primitive("sinc$f", _float_math("sinc$f", lambda a: math.sin(a * 2.0 * math.pi)),
                  1, 1, arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FSIN", cycles=8)
+                 cycles=8)
 define_primitive("cosc$f", _float_math("cosc$f", lambda a: math.cos(a * 2.0 * math.pi)),
                  1, 1, arg_rep="SWFLO", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FCOS", cycles=8)
+                 cycles=8)
 define_primitive("=$f", lambda a, b: _bool(_need_float("=$f", a) == _need_float("=$f", b)),
-                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True,
-                 machine_op="FCMP")
+                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True)
 define_primitive("<$f", lambda a, b: _bool(_need_float("<$f", a) < _need_float("<$f", b)),
-                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True,
-                 machine_op="FCMP")
+                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True)
 define_primitive(">$f", lambda a, b: _bool(_need_float(">$f", a) > _need_float(">$f", b)),
-                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True,
-                 machine_op="FCMP")
+                 2, 2, arg_rep="SWFLO", result_rep="BIT", jump_result=True)
 
 
 def _need_complexish(name: str, value: Any) -> complex:
@@ -545,16 +538,16 @@ def _complex_nary(name: str, op: Callable[[complex, complex], complex],
 define_primitive("+$c", _complex_nary("+$c", lambda a, b: a + b, 0j), 0, None,
                  associative=True, commutative=True, identity=0j,
                  arg_rep="SWCPLX", result_rep="SWCPLX", pdl_result=True,
-                 machine_op="FADD", cycles=2)
+                 cycles=2)
 define_primitive("-$c", lambda a, b=None:
                  (-_need_complexish("-$c", a)) if b is None
                  else _need_complexish("-$c", a) - _need_complexish("-$c", b),
                  1, 2, arg_rep="SWCPLX", result_rep="SWCPLX", pdl_result=True,
-                 machine_op="FSUB", cycles=2)
+                 cycles=2)
 define_primitive("*$c", _complex_nary("*$c", lambda a, b: a * b, 1 + 0j),
                  0, None, associative=True, commutative=True, identity=1 + 0j,
                  arg_rep="SWCPLX", result_rep="SWCPLX", pdl_result=True,
-                 machine_op="FMULT", cycles=2)
+                 cycles=2)
 
 
 def _cdiv(a: Any, b: Any) -> complex:
@@ -565,10 +558,10 @@ def _cdiv(a: Any, b: Any) -> complex:
 
 
 define_primitive("/$c", _cdiv, 2, 2, arg_rep="SWCPLX", result_rep="SWCPLX",
-                 pdl_result=True, machine_op="FDIV", cycles=6)
+                 pdl_result=True, cycles=6)
 define_primitive("abs$c", lambda a: abs(_need_complexish("abs$c", a)), 1, 1,
                  arg_rep="SWCPLX", result_rep="SWFLO", pdl_result=True,
-                 machine_op="FABS", cycles=2)
+                 cycles=2)
 define_primitive("complex", lambda re, im=0.0:
                  complex(_need_float("complex", re),
                          _need_float("complex", im)),
@@ -599,33 +592,26 @@ def _fixnum_nary(name: str, op: Callable[[int, int], int], unit: int):
 
 define_primitive("+&", _fixnum_nary("+&", lambda a, b: a + b, 0), 0, None,
                  associative=True, commutative=True, identity=0,
-                 arg_rep="SWFIX", result_rep="SWFIX", machine_op="ADD")
+                 arg_rep="SWFIX", result_rep="SWFIX")
 define_primitive("-&", lambda a, b=None:
                  (-_need_integer("-&", a)) if b is None
                  else _need_integer("-&", a) - _need_integer("-&", b),
-                 1, 2, arg_rep="SWFIX", result_rep="SWFIX", machine_op="SUB")
+                 1, 2, arg_rep="SWFIX", result_rep="SWFIX")
 define_primitive("*&", _fixnum_nary("*&", lambda a, b: a * b, 1), 0, None,
                  associative=True, commutative=True, identity=1,
-                 arg_rep="SWFIX", result_rep="SWFIX", machine_op="MULT",
-                 cycles=3)
+                 arg_rep="SWFIX", result_rep="SWFIX", cycles=3)
 define_primitive("/&", _fixnum_binop("/&", lambda a, b: _trunc_div(a, b)), 2, 2,
-                 arg_rep="SWFIX", result_rep="SWFIX", machine_op="DIV",
-                 cycles=6)
+                 arg_rep="SWFIX", result_rep="SWFIX", cycles=6)
 define_primitive("=&", lambda a, b: _bool(_need_integer("=&", a) == _need_integer("=&", b)),
-                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True,
-                 machine_op="CMP")
+                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True)
 define_primitive("<&", lambda a, b: _bool(_need_integer("<&", a) < _need_integer("<&", b)),
-                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True,
-                 machine_op="CMP")
+                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True)
 define_primitive(">&", lambda a, b: _bool(_need_integer(">&", a) > _need_integer(">&", b)),
-                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True,
-                 machine_op="CMP")
+                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True)
 define_primitive("<=&", lambda a, b: _bool(_need_integer("<=&", a) <= _need_integer("<=&", b)),
-                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True,
-                 machine_op="CMP")
+                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True)
 define_primitive(">=&", lambda a, b: _bool(_need_integer(">=&", a) >= _need_integer(">=&", b)),
-                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True,
-                 machine_op="CMP")
+                 2, 2, arg_rep="SWFIX", result_rep="BIT", jump_result=True)
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -644,7 +630,7 @@ def _prim_float(x: Any) -> float:
 
 
 define_primitive("float", _prim_float, 1, 1,
-                 result_rep="SWFLO", pdl_result=True, machine_op="FLT")
+                 result_rep="SWFLO", pdl_result=True)
 
 
 def _prim_fix(x: Any) -> int:
@@ -655,7 +641,7 @@ def _prim_fix(x: Any) -> int:
         raise lisp_fault("fix", error) from None
 
 
-define_primitive("fix", _prim_fix, 1, 1, result_rep="SWFIX", machine_op="FIX")
+define_primitive("fix", _prim_fix, 1, 1, result_rep="SWFIX")
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +670,9 @@ def _prim_rplacd(pair: Any, value: Any) -> Any:
     return pair
 
 
-define_primitive("cons", cons, 2, 2, allocates=True, machine_op="CONS",
-                 cycles=4)
-define_primitive("car", _prim_car, 1, 1, machine_op="CAR")
-define_primitive("cdr", _prim_cdr, 1, 1, machine_op="CDR")
+define_primitive("cons", cons, 2, 2, allocates=True, cycles=4)
+define_primitive("car", _prim_car, 1, 1)
+define_primitive("cdr", _prim_cdr, 1, 1)
 define_primitive("caar", lambda x: _prim_car(_prim_car(x)), 1, 1)
 define_primitive("cadr", lambda x: _prim_car(_prim_cdr(x)), 1, 1)
 define_primitive("cdar", lambda x: _prim_cdr(_prim_car(x)), 1, 1)
@@ -797,15 +782,13 @@ define_primitive("memq", _prim_member, 2, 2)
 from .datum.symbols import Symbol  # noqa: E402  (import order is deliberate)
 
 define_primitive("eq", lambda a, b: _bool(lisp_eq(a, b)), 2, 2,
-                 jump_result=True, machine_op="CMP")
+                 jump_result=True)
 define_primitive("eql", lambda a, b: _bool(lisp_eql(a, b)), 2, 2,
                  jump_result=True)
 define_primitive("equal", lambda a, b: _bool(lisp_equal(a, b)), 2, 2,
                  jump_result=True)
-define_primitive("not", lambda x: _bool(x is NIL), 1, 1, jump_result=True,
-                 machine_op="CMP")
-define_primitive("null", lambda x: _bool(x is NIL), 1, 1, jump_result=True,
-                 machine_op="CMP")
+define_primitive("not", lambda x: _bool(x is NIL), 1, 1, jump_result=True)
+define_primitive("null", lambda x: _bool(x is NIL), 1, 1, jump_result=True)
 define_primitive("atom", lambda x: _bool(not isinstance(x, Cons)), 1, 1,
                  jump_result=True)
 define_primitive("consp", lambda x: _bool(isinstance(x, Cons)), 1, 1,
@@ -913,10 +896,8 @@ def _prim_vset(vector: Any, index: Any, value: Any) -> Any:
 
 define_primitive("make-vector", _prim_make_vector, 1, 2, pure=False,
                  allocates=True)
-define_primitive("vref", _prim_vref, 2, 2, pure=False,  # reads mutable state
-                 machine_op="VREF")
-define_primitive("vset", _prim_vset, 3, 3, pure=False, safe=False,
-                 machine_op="VSET")
+define_primitive("vref", _prim_vref, 2, 2, pure=False)  # reads mutable state
+define_primitive("vset", _prim_vset, 3, 3, pure=False, safe=False)
 define_primitive("vector-length",
                  lambda v: len(v.data) if isinstance(v, LispVector)
                  else _raise_type("vector-length", v),
@@ -1009,18 +990,15 @@ def _prim_code_char(n: Any):
         raise lisp_fault("code-char", error) from None
 
 
-define_primitive("string=", _prim_string_eq, 2, 2, jump_result=True,
-                 machine_op="STRCMP")
-define_primitive("string<", _prim_string_lt, 2, 2, jump_result=True,
-                 machine_op="STRCMP")
+define_primitive("string=", _prim_string_eq, 2, 2, jump_result=True)
+define_primitive("string<", _prim_string_lt, 2, 2, jump_result=True)
 define_primitive("string-length", _prim_string_length, 1, 1,
                  result_rep="SWFIX")
 define_primitive("char", _prim_char, 2, 2)
 define_primitive("substring", _prim_substring, 2, 3, allocates=True)
 define_primitive("string-append", _prim_string_append, 0, None,
                  allocates=True, associative=True, identity="")
-define_primitive("string-search", _prim_string_search, 2, 2,
-                 machine_op="STRSRCH", cycles=4)
+define_primitive("string-search", _prim_string_search, 2, 2, cycles=4)
 define_primitive("string-upcase", _prim_string_upcase, 1, 1, allocates=True)
 define_primitive("string-downcase", _prim_string_downcase, 1, 1,
                  allocates=True)
@@ -1068,15 +1046,13 @@ def _prim_vscale(k: Any, v: Any) -> LispVector:
 
 
 define_primitive("vdot$f", _prim_vdot, 2, 2, pure=False,  # reads mutable
-                 result_rep="SWFLO", pdl_result=True, machine_op="VDOT",
-                 cycles=4)
+                 result_rep="SWFLO", pdl_result=True, cycles=4)
 define_primitive("vsum$f", _prim_vsum, 1, 1, pure=False,
-                 result_rep="SWFLO", pdl_result=True, machine_op="VSUM",
-                 cycles=3)
+                 result_rep="SWFLO", pdl_result=True, cycles=3)
 define_primitive("vadd$f", _prim_vadd, 2, 2, pure=False, allocates=True,
-                 machine_op="VADD", cycles=4)
+                 cycles=4)
 define_primitive("vscale$f", _prim_vscale, 2, 2, pure=False, allocates=True,
-                 machine_op="VSCALE", cycles=4)
+                 cycles=4)
 
 
 # "immutable mathematical functions" the paper's Section 7 optimizer relies

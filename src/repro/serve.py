@@ -178,7 +178,9 @@ class ServerMetrics:
         with self._lock:
             self.timeouts += 1
 
-    def merge_diagnostics(self, diagnostics: Mapping[str, Any]) -> None:
+    def merge_diagnostics(self, diagnostics: Any) -> None:
+        """Fold one compile's ``Diagnostics`` (or a batch unit's JSON of
+        one) into the ``/metrics`` totals."""
         with self._lock:
             merge_diagnostics_totals(self.diagnostics_totals, diagnostics)
 

@@ -38,10 +38,8 @@ from .registers import (
     HP,
     REGISTER_FILE_SIZE,
     REGISTER_NAMES,
-    RESERVED,
-    RTA,
-    RTB,
     SP,
+    allocatable_registers,
 )
 from .reps import ALL_REPS, REP_WORDS
 
@@ -75,9 +73,7 @@ class MachineDescription:
 
     def allocatable(self) -> Tuple[int, ...]:
         """This target's general register pool."""
-        return tuple(index for index in range(self.registers)
-                     if index not in RESERVED
-                     and index not in (RTA, RTB))
+        return tuple(allocatable_registers(self.registers))
 
 
 def _named(overrides: Mapping[int, str], stem: str = "R"

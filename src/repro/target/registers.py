@@ -3,7 +3,9 @@
 The simulated machine has a 32-register file.  A handful of registers have
 fixed roles shared by every target model (the runtime and the calling
 sequence depend on them); the rest form the allocatable pool TNBIND packs
-values into.
+values into.  A target's ``registers`` count bounds that pool: the packer
+and the allocation verifier both take it from
+:func:`allocatable_registers`.
 
 Two registers deserve their paper names:
 
@@ -58,9 +60,11 @@ def register_name(index: int, names: Optional[Mapping[int, str]] = None
     return (names or REGISTER_NAMES).get(index, f"R{index}")
 
 
-def allocatable_registers() -> List[int]:
-    """The general register pool, in allocation order: every register that
-    is neither fixed-role nor an RT staging register.  Callers cap the pool
-    to a target's file size via ``CompilerOptions.registers_available``."""
-    return [index for index in range(REGISTER_FILE_SIZE)
-            if index not in RESERVED and index not in (RTA, RTB)]
+def allocatable_registers(registers: int = REGISTER_FILE_SIZE) -> List[int]:
+    """The general register pool of a file of *registers* registers, in
+    allocation order: every register below that count that is neither
+    fixed-role nor an RT staging register.  The pool is never empty: a file
+    too small for any keeps the first general register."""
+    general = [index for index in range(REGISTER_FILE_SIZE)
+               if index not in RESERVED and index not in (RTA, RTB)]
+    return [index for index in general if index < registers] or general[:1]

@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..options import CompilerOptions, DEFAULT_OPTIONS
-from ..target.registers import RTA, RTB, allocatable_registers
+from ..target.registers import REGISTER_FILE_SIZE, RTA, RTB, \
+    allocatable_registers
 from .tn import Location, TN
 
 
@@ -36,8 +37,10 @@ class Packing:
         self.registers_used: set = set()
 
 
-def pack_tns(tns: List[TN], options: CompilerOptions = DEFAULT_OPTIONS
-             ) -> Packing:
+def pack_tns(tns: List[TN], options: CompilerOptions = DEFAULT_OPTIONS,
+             registers: int = REGISTER_FILE_SIZE) -> Packing:
+    """Pack *tns* into the pool of a *registers*-register file (the
+    target's ``registers``) and the frame's temp slots."""
     packing = Packing()
     live = [tn for tn in tns if tn.first is not None]
 
@@ -48,10 +51,7 @@ def pack_tns(tns: List[TN], options: CompilerOptions = DEFAULT_OPTIONS
             _assign_temp_slot(tn, packing)
         return packing
 
-    register_pool = [r for r in allocatable_registers()
-                     if r < options.registers_available or r >= 32]
-    if not register_pool:
-        register_pool = allocatable_registers()[:1]
+    register_pool = allocatable_registers(registers)
     # reg -> list of TNs already packed there (disjoint lifetimes)
     occupancy: Dict[int, List[TN]] = {}
 

@@ -374,19 +374,28 @@ def new_metric_totals() -> Dict[str, Any]:
 def merge_diagnostics_totals(totals: Dict[str, Any],
                              diagnostics: Any) -> Dict[str, Any]:
     """Fold one compilation's diagnostics (object or ``to_json()`` dict)
-    into a running *totals* accumulator; returns *totals*."""
-    data = _as_json(diagnostics)
+    into a running *totals* accumulator; returns *totals*.  Only phases,
+    rule fires and counters are read, so an object's transcript is never
+    printed."""
+    if isinstance(diagnostics, Mapping):
+        phases = [(record["phase"], record.get("duration_s", 0.0))
+                  for record in diagnostics.get("phases", ())]
+        fires = diagnostics.get("rule_fires", {})
+        counts = diagnostics.get("counters", {})
+    else:
+        phases = [(record.phase, record.duration_s)
+                  for record in diagnostics.phases]
+        fires = diagnostics.rule_fires
+        counts = diagnostics.counters
     totals["compilations"] += 1
     phase_seconds = totals["phase_seconds"]
-    for record in data.get("phases", ()):
-        phase = record["phase"]
-        phase_seconds[phase] = phase_seconds.get(phase, 0.0) \
-            + record.get("duration_s", 0.0)
+    for phase, seconds in phases:
+        phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
     rule_fires = totals["rule_fires"]
-    for rule, count in data.get("rule_fires", {}).items():
+    for rule, count in fires.items():
         rule_fires[rule] = rule_fires.get(rule, 0) + count
     counters = totals["counters"]
-    for counter, value in data.get("counters", {}).items():
+    for counter, value in counts.items():
         counters[counter] = counters.get(counter, 0) + value
     return totals
 

@@ -90,10 +90,11 @@ class PipelineVerifier:
         self._report(check_roundtrip(root, phase, proclaimed_specials),
                      phase)
 
-    def check_allocation(self, tns, packing, options, phase: str) -> None:
+    def check_allocation(self, tns, packing, registers: int,
+                         phase: str) -> None:
         from .alloc import check_allocation
 
-        self._report(check_allocation(tns, packing, options, phase), phase)
+        self._report(check_allocation(tns, packing, registers, phase), phase)
 
     def check_code(self, code, phase: str) -> None:
         from .code import check_code

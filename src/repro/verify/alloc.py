@@ -2,7 +2,7 @@
 
 The packing contract: every live TN gets exactly one storage location; two
 TNs may share a register only when their live intervals are disjoint;
-registers come from the configured pool (RTA/RTB are "allocated only
+registers come from the target's pool (RTA/RTB are "allocated only
 through the packer's explicit RT-preference path, never from the general
 pool"); values live across a call -- and pdl numbers -- must be in the
 frame ("all allocatable registers are caller-saved"); and a temp slot is
@@ -13,20 +13,18 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..options import CompilerOptions
 from ..target.registers import RTA, RTB, allocatable_registers
 from ..target.reps import REP_WORDS
 from . import Violation
 
 
-def check_allocation(tns, packing, options: CompilerOptions,
+def check_allocation(tns, packing, registers: int,
                      phase: str) -> List[Violation]:
+    """Check *packing* of *tns* against the pool of a *registers*-register
+    file (the count the packer was given)."""
     violations: List[Violation] = []
     live = [tn for tn in tns if tn.first is not None]
-    pool = set(r for r in allocatable_registers()
-               if r < options.registers_available or r >= 32)
-    if not pool:
-        pool = set(allocatable_registers()[:1])
+    pool = set(allocatable_registers(registers))
 
     by_register: Dict[int, list] = {}
     for tn in live:
@@ -51,8 +49,7 @@ def check_allocation(tns, packing, options: CompilerOptions,
                 violations.append(Violation(
                     "register-pool", phase,
                     f"{tn!r} packed into register {location.index}, "
-                    f"outside the configured pool "
-                    f"(registers_available={options.registers_available})",
+                    f"outside the pool of a {registers}-register file",
                     subject=repr(tn)))
 
     for register, holders in by_register.items():

@@ -124,10 +124,26 @@ class TestOptionSplit:
         assert err.value.code == "bad-options"
         assert "non-semantic" in str(err.value)
 
+    #: Fields the options no longer have: the optimizer's rule-family
+    #: switches and size limits, and the register count (the target's).
+    REMOVED_FIELDS = (
+        "enable_beta", "enable_procedure_integration",
+        "enable_constant_folding", "enable_if_distribution",
+        "enable_dead_code", "enable_assoc_commut",
+        "enable_argument_reversal", "enable_sin_to_sinc",
+        "substitution_size_limit", "integration_size_limit",
+        "global_integration_limit", "cse_min_complexity",
+        "registers_available")
+
     def test_override_unknown_field_rejected(self):
-        with pytest.raises(ApiError) as err:
-            options_from_wire(CompilerOptions(), {"enable_warp_drive": 1})
-        assert err.value.code == "bad-options"
+        for name in ("enable_warp_drive",) + self.REMOVED_FIELDS:
+            with pytest.raises(ApiError) as err:
+                options_from_wire(CompilerOptions(), {name: 1})
+            assert err.value.code == "bad-options", name
+            assert f"unknown option(s): {name}" in str(err.value)
+        fingerprint = options_fingerprint(CompilerOptions())
+        assert not [name for name in self.REMOVED_FIELDS
+                    if f"{name}=" in fingerprint]
 
     def test_override_bad_value_rejected(self):
         with pytest.raises(ApiError) as err:

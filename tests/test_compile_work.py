@@ -76,6 +76,40 @@ def test_default_compile_runs_only_what_is_read(monkeypatch):
     assert len(prints) == DEFUNS + 2 * len(entries)
 
 
+def test_the_daemon_metrics_hook_prints_no_transcript(monkeypatch):
+    """``repro serve`` folds every compile into ``/metrics`` through the
+    service's diagnostics hook, which reads phases, rule fires and
+    counters only."""
+    from repro.api import CompilerService
+    from repro.serve import ServerMetrics
+
+    metrics = ServerMetrics()
+    handed = []
+
+    def hook(diagnostics):
+        handed.append(diagnostics)
+        metrics.merge_diagnostics(diagnostics)
+
+    prints = count_calls(monkeypatch, printer.write_to_string)
+    result = CompilerService(on_diagnostics=hook).compile(SOURCE)
+    assert len(result.defined) == DEFUNS
+    # optimized_source, once per defun: the same as with no hook.
+    assert len(prints) == DEFUNS
+
+    (diagnostics,) = handed
+    totals = metrics.diagnostics_totals
+    assert totals["compilations"] == 1
+    assert sum(diagnostics.rule_fires.values()) >= 2 * DEFUNS
+    assert totals["rule_fires"] == diagnostics.rule_fires
+    seconds = {}
+    for record in diagnostics.phases:
+        seconds[record.phase] = seconds.get(record.phase, 0.0) \
+            + record.duration_s
+    assert totals["phase_seconds"] == seconds
+    assert totals["counters"] == result.counters
+    assert len(prints) == DEFUNS
+
+
 def test_type_inference_runs_only_inside_the_optimizer(monkeypatch):
     depth = [0]
     per_optimize = []

@@ -11,6 +11,7 @@ from repro.datum import T, lisp_equal, sym
 from repro.ir import back_translate_to_string, convert_source
 from repro.options import CompilerOptions
 from repro.optimizer import Transcript, eliminate_common_subexpressions
+from repro.optimizer import cse as cse_module
 
 
 def cse(text, **overrides):
@@ -72,9 +73,9 @@ class TestCse:
             "(lambda (x) (+ (sqrt (* x x)) (sqrt (* x x))))")
         assert text.count("(sqrt") == 1
 
-    def test_min_complexity_respected(self):
-        text, transcript = cse("(lambda (x) (+ (1+ x) (1+ x)))",
-                               cse_min_complexity=50)
+    def test_min_complexity_respected(self, monkeypatch):
+        monkeypatch.setattr(cse_module, "MIN_COMPLEXITY", 50)
+        text, transcript = cse("(lambda (x) (+ (1+ x) (1+ x)))")
         assert transcript.rules_fired() == []
 
     def test_semantics_preserved_simple(self):

@@ -4,6 +4,7 @@ self-integration (loop unrolling) -- the Section 5 remark made real."""
 
 from repro import Compiler, CompilerOptions, Interpreter
 from repro.datum import sym
+from repro.optimizer import meta
 
 
 def options(**overrides):
@@ -33,9 +34,10 @@ class TestGlobalIntegration:
                    for i in code.instructions)
         assert compiler.run("f", [3]) == 9 + 16
 
-    def test_large_callee_not_inlined(self):
+    def test_large_callee_not_inlined(self, monkeypatch):
         big_body = "(list " + " ".join(f"(+ x {i})" for i in range(20)) + ")"
-        compiler = Compiler(options(global_integration_limit=10))
+        monkeypatch.setattr(meta, "GLOBAL_INTEGRATION_LIMIT", 10)
+        compiler = Compiler(options())
         compiler.compile_source(f"""
             (defun big (x) {big_body})
             (defun f (a) (big a))
@@ -134,7 +136,7 @@ class TestSelfUnrolling:
             compiler.compile_source(self.SOURCE)
             assert compiler.run("countdown", [17, 5]) == expected
 
-    def test_exptl_unrolls(self):
+    def test_exptl_unrolls(self, monkeypatch):
         source = """
             (defun exptl (x n a)
               (cond ((zerop n) a)
@@ -146,8 +148,8 @@ class TestSelfUnrolling:
         m0 = plain.machine()
         assert m0.run(sym("exptl"), [2, 20, 1]) == 2 ** 20
 
-        unrolled = Compiler(options(self_unroll_depth=1,
-                                    global_integration_limit=60))
+        monkeypatch.setattr(meta, "GLOBAL_INTEGRATION_LIMIT", 60)
+        unrolled = Compiler(options(self_unroll_depth=1))
         unrolled.compile_source(source)
         m1 = unrolled.machine()
         assert m1.run(sym("exptl"), [2, 20, 1]) == 2 ** 20

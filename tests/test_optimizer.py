@@ -14,7 +14,7 @@ from repro.ir import (
     convert_source,
 )
 from repro.options import CompilerOptions
-from repro.optimizer import SourceOptimizer, Transcript
+from repro.optimizer import SourceOptimizer, Transcript, meta
 
 
 def opt(text, **option_overrides):
@@ -98,9 +98,9 @@ class TestBetaRule3Substitution:
         text, _ = opt_text("(lambda (a) ((lambda (d) (list d d)) (* a 2)))")
         assert "(lambda (d)" in text
 
-    def test_multi_use_duplicated_with_liberal_limit(self):
-        text, _ = opt_text("(lambda (a) ((lambda (d) (list d d)) (* a 2)))",
-                           substitution_size_limit=20)
+    def test_multi_use_duplicated_with_liberal_limit(self, monkeypatch):
+        monkeypatch.setattr(meta, "SUBSTITUTION_SIZE_LIMIT", 20)
+        text, _ = opt_text("(lambda (a) ((lambda (d) (list d d)) (* a 2)))")
         assert "(lambda (d)" not in text
         assert text.count("(* 2 a)") == 2
 
@@ -193,8 +193,7 @@ class TestDeadCode:
 class TestAssocCommut:
     def test_nary_reduced_to_binary_paper_order(self):
         # Section 7: (+$f a b c) => (+$f (+$f c b) a)
-        text, optimizer = opt_text(
-            "(lambda (a b c) (+$f a b c))", enable_sin_to_sinc=False)
+        text, optimizer = opt_text("(lambda (a b c) (+$f a b c))")
         assert "(+$f (+$f c b) a)" in text
         assert "META-EVALUATE-ASSOC-COMMUT-CALL" in optimizer.rules_fired()
 
@@ -235,7 +234,8 @@ class TestSinToSinc:
         assert "META-SIN-TO-SINC" in optimizer.rules_fired()
 
     def test_disabled(self):
-        text, _ = opt_text("(lambda (e) (sin$f e))", enable_sin_to_sinc=False)
+        # The VAX's sine takes radians: the rewrite would be useless there.
+        text, _ = opt_text("(lambda (e) (sin$f e))", target="vax")
         assert "sinc$f" not in text
 
 
@@ -398,12 +398,20 @@ class TestRuleTable:
         assert sorted(map(position.get, indexed)) == list(range(17))
 
     def test_gates_are_applied_when_the_index_is_built(self):
-        optimizer = SourceOptimizer(CompilerOptions(enable_beta=False))
-        indexed = [rule for rules in optimizer._rules_by_class.values()
-                   for rule in rules]
-        assert optimizer._rule_call_lambda not in indexed
-        assert optimizer._rule_type_specialize not in indexed
-        assert optimizer._rule_if_constant in indexed
+        def indexed(options):
+            optimizer = SourceOptimizer(options)
+            return optimizer, [rule for rules
+                               in optimizer._rules_by_class.values()
+                               for rule in rules]
+
+        optimizer, rules = indexed(CompilerOptions())
+        assert optimizer._rule_type_specialize not in rules
+        assert optimizer._rule_integrate_global not in rules
+        assert optimizer._rule_call_lambda in rules
+        assert optimizer._rule_if_constant in rules
+        optimizer, rules = indexed(self.OPTIONS)
+        assert optimizer._rule_type_specialize in rules
+        assert optimizer._rule_integrate_global in rules
 
     def test_each_rule_fires_on_its_own_class_in_the_sample(self):
         _, optimizer = self.sample()

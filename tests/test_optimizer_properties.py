@@ -8,6 +8,8 @@ optimizer bug.
 """
 
 
+from unittest.mock import patch
+
 from hypothesis import given, settings, strategies as st
 
 from repro.datum import NIL, T, from_list, lisp_equal, sym
@@ -17,6 +19,7 @@ from repro.interp.environment import LexicalEnvironment
 from repro.ir import Converter
 from repro.options import CompilerOptions
 from repro.optimizer import SourceOptimizer, eliminate_common_subexpressions
+from repro.optimizer import meta
 
 VARS = [sym("a"), sym("b"), sym("c")]
 
@@ -142,9 +145,9 @@ def test_liberal_duplication_preserves_semantics(form, a, b, c):
     reference = run_with_inputs(tree, [a, b, c])
 
     tree2 = build_lambda(form)
-    options = CompilerOptions(substitution_size_limit=50,
-                              integration_size_limit=200)
-    optimized = SourceOptimizer(options).optimize(tree2)
+    with patch.object(meta, "SUBSTITUTION_SIZE_LIMIT", 50), \
+            patch.object(meta, "INTEGRATION_SIZE_LIMIT", 200):
+        optimized = SourceOptimizer(CompilerOptions()).optimize(tree2)
     outcome = run_with_inputs(optimized, [a, b, c])
 
     assert results_agree(reference, outcome)

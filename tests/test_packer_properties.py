@@ -4,7 +4,7 @@ the conversion tables."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.options import CompilerOptions, naive_options
+from repro.options import naive_options
 from repro.target.registers import RESERVED, RTA, RTB
 from repro.target.reps import (
     ALL_REPS,
@@ -84,8 +84,7 @@ def test_naive_packing_all_stack(tns):
 @given(tns=tn_sets(),
        registers=st.integers(min_value=1, max_value=32))
 def test_packing_respects_register_budget(tns, registers):
-    options = CompilerOptions(registers_available=registers)
-    pack_tns(tns, options)
+    pack_tns(tns, registers=registers)
     used = {tn.location.index for tn in tns if tn.location.kind == "reg"}
     # Beyond the budget, only the RT registers may appear (for prefer_rt).
     over_budget = {r for r in used if r >= registers}

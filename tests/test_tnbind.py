@@ -141,17 +141,15 @@ class TestPreferencePoolGate:
         assert b.location.index not in (RTA, RTB)
 
     def test_preference_does_not_follow_partner_out_of_pool(self):
-        from repro.options import CompilerOptions
         from repro.target.registers import allocatable_registers
         from repro.tnbind import Location
 
-        options = CompilerOptions(registers_available=8)
-        pool = {r for r in allocatable_registers() if r < 8 or r >= 32}
+        pool = set(allocatable_registers(8))
         a = make_tn(0, 3)
         a.location = Location("reg", 20)  # outside the configured pool
         assert 20 not in pool
         b = make_tn(4, 8)
         b.prefer(a)
-        pack_tns([a, b], options)
+        pack_tns([a, b], registers=8)
         assert b.location.kind == "reg"
         assert b.location.index in pool

@@ -11,6 +11,7 @@ from repro.fuzz import run_fuzz
 from repro.ir import convert_source
 from repro.ir.nodes import GoNode
 from repro.machine.isa import Instruction
+from repro.target.registers import REGISTER_FILE_SIZE
 from repro.tnbind import TN, Location, pack_tns
 from repro.verify import PipelineVerifier, Violation
 from repro.verify.alloc import check_allocation
@@ -77,7 +78,7 @@ class TestAllocationChecks:
     def test_clean_packing_passes(self):
         tns = [make_tn(0, 3), make_tn(1, 6), make_tn(4, 9, prefer_rt=True)]
         packing = pack_tns(tns)
-        assert check_allocation(tns, packing, CompilerOptions(),
+        assert check_allocation(tns, packing, REGISTER_FILE_SIZE,
                                 "tnbind") == []
 
     def test_overlapping_tns_in_one_register(self):
@@ -86,22 +87,22 @@ class TestAllocationChecks:
         packing = pack_tns([a, b])
         b.location = a.location  # force the collision
         assert "register-overlap" in checks(
-            check_allocation([a, b], packing, CompilerOptions(), "tnbind"))
+            check_allocation([a, b], packing, REGISTER_FILE_SIZE,
+                             "tnbind"))
 
     def test_register_outside_configured_pool(self):
         a = make_tn(0, 5)
         packing = pack_tns([a])
         a.location = Location("reg", 20)
-        options = CompilerOptions(registers_available=8)
         assert "register-pool" in checks(
-            check_allocation([a], packing, options, "tnbind"))
+            check_allocation([a], packing, 8, "tnbind"))
 
     def test_call_crossing_tn_in_register(self):
         a = make_tn(0, 5, crosses_call=True)
         packing = pack_tns([a])
         a.location = Location("reg", 0)
         assert "register-pool" in checks(
-            check_allocation([a], packing, CompilerOptions(), "tnbind"))
+            check_allocation([a], packing, REGISTER_FILE_SIZE, "tnbind"))
 
     def test_wide_temp_slot_overlap(self):
         a = make_tn(0, 5, must_stack=True)
@@ -110,7 +111,8 @@ class TestAllocationChecks:
         packing = pack_tns([a, b])
         b.location = Location("temp-slot", a.location.index + 1)
         assert "temp-widths" in checks(
-            check_allocation([a, b], packing, CompilerOptions(), "tnbind"))
+            check_allocation([a, b], packing, REGISTER_FILE_SIZE,
+                             "tnbind"))
 
 
 class TestCodeChecks:
