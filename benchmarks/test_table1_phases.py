@@ -7,6 +7,7 @@ optional ones we implemented: data-type analysis and CSE) has a counterpart.
 """
 
 from repro import Compiler, CompilerOptions
+from repro.compiler import table1_phases
 
 SOURCE = """
     (defun representative (a &optional (b 3.0))
@@ -43,7 +44,7 @@ def test_table1_phase_structure(benchmark, table):
     from conftest import log_phase_timings
 
     log_phase_timings(compiler, "representative")
-    executed = compiler.last_trace.phases
+    executed = table1_phases(compiler.last_diagnostics)
     rows = []
     for paper_name, our_name in PAPER_PHASES:
         ran = "yes" if our_name in executed else "MISSING"

@@ -30,16 +30,17 @@ Public API highlights:
 * :func:`repro.connect` / :class:`repro.ServiceClient` /
   ``python -m repro client`` -- talk to a running daemon
 * :mod:`repro.trace` -- Chrome trace-event / Prometheus exporters over the
-  diagnostics layer (``build_chrome_trace``, ``prometheus_metrics``)
+  diagnostics layer (``build_chrome_trace``, ``prometheus_metrics``); one
+  Chrome-trace document holds compile tracks and the execution track
 * :class:`repro.MachineTelemetry` / ``Machine.enable_telemetry()`` --
   the machine's one observer: a per-instruction cycle ledger (profile
   tables, ``fast + fallback + stalls == Machine.cycles``), inline-cache
-  hit rates, GC events, heap occupancy, run spans; exported as Chrome
-  execution tracks
-  (``repro.trace.write_machine_trace``), ``repro_machine_*`` Prometheus
-  families, collapsed-stack flamegraphs (``write_flamegraph``), and
-  end-to-end request traces over the daemon wire
-  (``ServiceClient.compile_traced`` + ``build_request_trace``)
+  hit rates, GC events, heap occupancy, run spans; exported as the Chrome
+  execution track (``build_chrome_trace((), telemetry)`` alone, or beside
+  compile tracks), ``repro_machine_*`` Prometheus families,
+  collapsed-stack flamegraphs (``write_flamegraph``), and end-to-end
+  request traces over the daemon wire (``ServiceClient.compile_traced`` +
+  ``build_request_trace``)
 * :mod:`repro.verify` / ``CompilerOptions(verify_ir=True)`` -- the
   phase-boundary IR sanitizer (:class:`repro.PipelineVerifier`); violations
   raise :class:`repro.VerificationError`
@@ -49,7 +50,7 @@ Public API highlights:
 
 # Defined before any submodule import: repro.api reports this version in
 # ping responses and would hit a partially-initialized package otherwise.
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 from ._lazy import lazy_attributes
 
@@ -81,10 +82,9 @@ _EXPORTS = {
         (".target", ("MachineDescription", "get_target")),
         (".telemetry", ("MachineTelemetry",)),
         (".verify", ("PipelineVerifier", "Violation")),
-        (".trace", ("build_chrome_trace", "build_machine_trace",
-                    "build_request_trace", "parse_prometheus_text",
-                    "prometheus_metrics", "write_chrome_trace",
-                    "write_flamegraph", "write_machine_trace",
+        (".trace", ("build_chrome_trace", "build_request_trace",
+                    "parse_prometheus_text", "prometheus_metrics",
+                    "write_chrome_trace", "write_flamegraph",
                     "write_metrics")),
     )
     for name in names

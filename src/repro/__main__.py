@@ -1,10 +1,10 @@
 """The CLI: ``python -m repro [repl|batch|fuzz|serve|client]``.
 
 Each subcommand takes only the flags it honours: the shared ones
-(``--cache-dir``, ``--trace``, ``--metrics``, ``--machine-trace``,
-``--verify``, ``--target``, ``--tier``, ``--timing``, ``--jobs``) have one
-spelling and help text in :func:`shared_flags`, and the machine axes are
-checked against their vocabularies by argparse.  Every subcommand drives
+(``--cache-dir``, ``--trace``, ``--metrics``, ``--verify``, ``--target``,
+``--tier``, ``--timing``, ``--jobs``) have one spelling and help text in
+:func:`shared_flags`, and the machine axes are checked against their
+vocabularies by argparse.  Every subcommand drives
 the compiler through the :class:`repro.api.CompilerService` facade -- the
 same object the daemon serves over its wire protocol.
 
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .api import CompilerService
 from .datum import Cons, sym
@@ -73,6 +73,7 @@ from .reader import read_all, write_to_string
 from .target.machines import TARGETS
 
 if TYPE_CHECKING:
+    from .diagnostics import Diagnostics
     from .machine.cpu import Machine
 
 #: Subcommand names; anything else routes to the REPL (the historical
@@ -88,15 +89,12 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
              "across workers, runs, and the daemon)"),
     "--trace": dict(
         default=None, metavar="PATH",
-        help="write a Chrome trace-event JSON on exit (open in Perfetto "
+        help="write a Chrome trace-event JSON on exit: compile spans and, "
+             "where a machine ran, its execution track (open in Perfetto "
              "/ chrome://tracing)"),
     "--metrics": dict(
         default=None, metavar="PATH",
         help="write a Prometheus text metrics dump on exit"),
-    "--machine-trace": dict(
-        default=None, metavar="PATH",
-        help="write a Chrome trace of machine execution telemetry on exit "
-             "(run spans, GC pauses, heap occupancy; open in Perfetto)"),
     "--verify": dict(
         action="store_true",
         help="run the phase-boundary IR sanitizer (repro.verify) after "
@@ -146,17 +144,17 @@ class Repl:
         self.machine: Optional[Machine] = None
         self.out = out
         self._counter = 0
-        #: to_json() of every compilation this session, in order (dumped by
-        #: --diagnostics-json).
-        self.diagnostics_log: List[Dict[str, Any]] = []
+        #: (entry text, Diagnostics) of every compilation this session, in
+        #: order: the source of --diagnostics-json, --trace and --metrics.
+        self.diagnostics_log: List[Tuple[str, Diagnostics]] = []
 
     def _session_machine(self) -> Machine:
         """Keep one session machine so specials persist between entries;
         new definitions only swap in the updated program."""
         if self.machine is None:
             self.machine = self.compiler.machine()
-            # The observer is on for the whole session so :profile, :hot
-            # and --machine-trace can answer at any point.
+            # The observer is on for the whole session so :profile, :hot,
+            # --trace and --metrics can answer at any point.
             self.machine.enable_telemetry()
         else:
             self.machine.program = self.compiler.program
@@ -177,8 +175,7 @@ class Repl:
     def _log_diagnostics(self, entry: str) -> None:
         diagnostics = self.compiler.last_diagnostics
         if diagnostics is not None:
-            self.diagnostics_log.append(
-                {"entry": entry, "diagnostics": diagnostics.to_json()})
+            self.diagnostics_log.append((entry, diagnostics))
 
     def _say(self, text: str) -> None:
         print(text, file=self.out)
@@ -308,36 +305,34 @@ class Repl:
     def dump_diagnostics(self, path: str) -> None:
         import json
 
+        session = [{"entry": entry, "diagnostics": diagnostics.to_json()}
+                   for entry, diagnostics in self.diagnostics_log]
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"session": self.diagnostics_log}, handle, indent=2)
+            json.dump({"session": session}, handle, indent=2)
 
     def trace_entries(self):
         """(diagnostics, pid, tid, label) tuples for the trace exporter:
         the whole session on one track, one compile span per entry."""
-        return [(record["diagnostics"], 0, 0, record["entry"])
-                for record in self.diagnostics_log]
+        return [(diagnostics, 0, 0, entry)
+                for entry, diagnostics in self.diagnostics_log]
+
+    def _telemetry(self) -> Optional[Dict[str, Any]]:
+        return self.machine.telemetry_data() \
+            if self.machine is not None else None
 
     def dump_trace(self, path: str) -> None:
+        """The session's compile tracks and the session machine's
+        execution track, in one Chrome trace."""
         from .trace import write_chrome_trace
 
-        write_chrome_trace(path, self.trace_entries())
+        write_chrome_trace(path, self.trace_entries(), self._telemetry())
 
     def dump_metrics(self, path: str) -> None:
         from .trace import write_metrics
 
-        telemetry = self.machine.telemetry_data() \
-            if self.machine is not None else None
-        write_metrics(path, [record["diagnostics"]
-                             for record in self.diagnostics_log], telemetry)
-
-    def dump_machine_trace(self, path: str) -> None:
-        from .telemetry import MachineTelemetry
-        from .trace import write_machine_trace
-
-        telemetry = self.machine.telemetry_data() \
-            if self.machine is not None else None
-        write_machine_trace(path, telemetry if telemetry is not None
-                            else MachineTelemetry())
+        write_metrics(path, [diagnostics
+                             for _, diagnostics in self.diagnostics_log],
+                      self._telemetry())
 
 
 def batch_main(argv) -> int:
@@ -414,7 +409,7 @@ def fuzz_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
         parents=[shared_flags("--target", "--tier", "--timing",
-                              "--machine-trace", sweep=True)],
+                              "--trace", sweep=True)],
         description="Drive the seeded program generator through "
                     "verify-enabled compilation plus an "
                     "interpreter==compiled differential check over every "
@@ -438,7 +433,7 @@ def fuzz_main(argv) -> int:
     parser.add_argument("--telemetry", action="store_true",
                         help="run every machine with execution telemetry "
                              "on and assert cycle conservation per run "
-                             "(implied by --machine-trace)")
+                             "(implied by --trace)")
     args = parser.parse_args(argv)
     targets = tuple(args.target or ALL_TARGETS)
     tiers = tuple(args.tier or TIERS)
@@ -446,20 +441,19 @@ def fuzz_main(argv) -> int:
 
     options = CompilerOptions(enable_cse=args.cse,
                               enable_peephole=args.peephole)
-    want_telemetry = bool(args.telemetry or args.machine_trace)
+    want_telemetry = bool(args.telemetry or args.trace)
     report = run_fuzz(base_seed=args.seed, count=args.count,
                       targets=targets, tiers=tiers,
                       verify=not args.no_verify, options=options,
                       max_depth=args.max_depth, timings=timings,
                       telemetry=want_telemetry)
     print(report.render())
-    if args.machine_trace and report.telemetry is not None:
-        from .trace import write_machine_trace
+    if args.trace and report.telemetry is not None:
+        from .trace import write_chrome_trace
 
-        count = write_machine_trace(args.machine_trace,
-                                    report.telemetry["merged"])
-        print(f"machine trace: wrote {count} event(s) to "
-              f"{args.machine_trace}")
+        count = write_chrome_trace(args.trace, (),
+                                   report.telemetry["merged"])
+        print(f"trace: wrote {count} event(s) to {args.trace}")
     return 0 if report.ok else 1
 
 
@@ -599,8 +593,8 @@ def repl_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         parents=[shared_flags("--cache-dir", "--trace", "--metrics",
-                              "--machine-trace", "--verify", "--target",
-                              "--tier", "--timing")],
+                              "--verify", "--target", "--tier",
+                              "--timing")],
         description="Compile-and-go REPL for the S-1 Lisp compiler "
                     "reproduction.  (See also: python -m repro batch / "
                     "fuzz / serve / client, each with --help.)")
@@ -632,8 +626,6 @@ def repl_main(argv) -> int:
             repl.dump_trace(args.trace)
         if args.metrics:
             repl.dump_metrics(args.metrics)
-        if args.machine_trace:
-            repl.dump_machine_trace(args.machine_trace)
 
 
 def main(argv=None) -> int:

@@ -251,9 +251,9 @@ class CompilerService:
     inputs of its compile, and compiles the misses on *pool* (internal:
     only :class:`repro.serve.ReproServer` sets it, to its ``--jobs``
     workers) or inline.  *on_diagnostics*, when given, receives every
-    successful compile's diagnostics: the ``Diagnostics`` of a ``compile``,
-    the ``to_json()`` dict a batch worker sent back for a ``batch`` unit.
-    The daemon folds either into ``/metrics`` without printing the
+    successful compile's ``Diagnostics``, a ``batch`` unit's as its worker
+    returned it (pickled from a pool process, transcript forms unprinted).
+    The daemon folds them into ``/metrics`` without printing the
     transcript."""
 
     def __init__(self, options: Optional[CompilerOptions] = None,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -34,6 +34,7 @@ from .options import CompilerOptions
 
 if TYPE_CHECKING:
     from .compiler import Compiler
+    from .diagnostics import Diagnostics
 
 #: One work unit: a filesystem path, or an explicit (label, source) pair.
 BatchItem = Union[str, "os.PathLike[str]", Tuple[str, str]]
@@ -75,9 +76,11 @@ class BatchFileResult:
     served_from: Optional[str] = None
     #: Worker process id (all equal under jobs=1; several under a pool).
     pid: int = 0
-    #: Full ``Diagnostics.to_json()`` of this file's compile (phase spans,
-    #: rewrites, counters) -- the trace exporter's per-worker track data.
-    diagnostics: Optional[Dict[str, Any]] = None
+    #: This file's compile ``Diagnostics`` (phase spans, rewrites,
+    #: counters) when something downstream reads it: the trace and metrics
+    #: exporters, a daemon's ``/metrics`` hook.  A pool worker returns it
+    #: pickled, transcript forms unprinted.
+    diagnostics: Optional["Diagnostics"] = None
 
     @classmethod
     def failure(cls, path: str, err: BaseException,
@@ -90,7 +93,11 @@ class BatchFileResult:
         return self.status == "ok"
 
     def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The record as ``--json`` writes it; its diagnostics print here."""
+        data = asdict(replace(self, diagnostics=None))
+        if self.diagnostics is not None:
+            data["diagnostics"] = self.diagnostics.to_json()
+        return data
 
     def to_wire(self) -> Dict[str, Any]:
         """The record as a daemon's batch op answers it (``served_from``
@@ -138,12 +145,12 @@ class BatchResult:
                 totals[counter] = totals.get(counter, 0) + amount
         return totals
 
-    def trace_entries(self) -> List[Tuple[Dict[str, Any], int, int, str]]:
+    def trace_entries(self) -> List[Tuple["Diagnostics", int, int, str]]:
         """(diagnostics, pid, tid, label) tuples for
         :func:`repro.trace.build_chrome_trace`: one pid track per worker
         process, one tid lane per file that worker compiled."""
         lanes: Dict[int, int] = {}
-        entries: List[Tuple[Dict[str, Any], int, int, str]] = []
+        entries: List[Tuple["Diagnostics", int, int, str]] = []
         for result in self.files:
             if result.diagnostics is None:
                 continue
@@ -221,13 +228,12 @@ def compile_unit(compiler: "Compiler", label: str,
         record.counters = dict(diagnostics.counters)
         record.warnings = [message.render()
                            for message in diagnostics.warnings]
-        # Full diagnostics JSON (phase spans, rewrites) can dwarf the
-        # actual outcome; when nothing downstream wants it (no trace/
-        # metrics export), keep the cross-process payload lean --
-        # compiled artifacts already live in the shared cache, so
-        # nothing heavy needs to cross the pool boundary at all.
+        # The whole record (phase spans, rewrites) can dwarf the outcome;
+        # when nothing downstream reads it (no trace, metrics or hook),
+        # keep the cross-process payload lean -- compiled artifacts
+        # already live in the shared cache.
         if want_diagnostics:
-            record.diagnostics = diagnostics.to_json()
+            record.diagnostics = diagnostics
     record.pid = os.getpid()
     record.seconds = time.perf_counter() - started
     return record
@@ -327,7 +333,7 @@ def compile_batch(items: Sequence[BatchItem], *,
     units per request -- the daemon compiles with its own workers, cache and
     verification settings, a repeated unit is answered from its response
     cache, and only names and counters come back.
-    *want_diagnostics=False* drops the per-file diagnostics JSON from the
+    *want_diagnostics=False* drops the per-file ``Diagnostics`` from the
     results (counters and warnings are always kept), keeping the
     cross-process payload lean when no trace/metrics export needs it."""
     options = options or CompilerOptions()

@@ -16,7 +16,8 @@
 :class:`Compiler` holds a program under construction: ``compile_source``
 accepts ``defun`` / ``defvar`` / expression forms, and ``machine()`` wraps
 the result in a ready-to-run simulator.  ``phase_report`` reproduces
-Table 1 as the pipeline actually executed.
+Table 1 as the pipeline actually executed, read from the compile's
+``Diagnostics`` phase records through :data:`TABLE1_NAMES`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .annotate import annotate
 from .cache import (CachedFunction, CompilationCache, cache_key,
                     canonical_source)
 from .codegen.generator import FunctionCodegen
-from .datum import NIL, Cons, to_list
+from .datum import NIL, Cons, from_list, to_list
 from .datum.symbols import Symbol, sym
 from .diagnostics import Diagnostics, count_nodes
 from .errors import ConversionError, ReaderError
@@ -83,20 +84,38 @@ class CompiledFunction:
         return self.code.listing()
 
 
-@dataclass
-class PhaseTrace:
-    """Which phases ran for one function (reproduces Table 1)."""
+#: Table 1's names for the ``Diagnostics`` phase keys a function's
+#: compile records, in pipeline order.  One ``annotate`` phase runs the
+#: paper's four annotation passes; ``reader`` is per call, not per function.
+TABLE1_NAMES: Dict[str, Tuple[str, ...]] = {
+    "ir conversion": ("preliminary conversion",),
+    "analysis": ("source-program analysis",),
+    "optimizer": ("source-level optimization",),
+    "cse": ("common subexpression elimination",),
+    "annotate": ("binding annotation", "special variable lookups",
+                 "representation annotation", "pdl number annotation"),
+    "tnbind": ("target annotation (TNBIND/PACK)",),
+    "codegen": ("code generation",),
+    "peephole": ("peephole (linear-block packing)",),
+}
 
-    phases: List[str] = field(default_factory=list)
 
-    def record(self, name: str) -> None:
-        self.phases.append(name)
-
-    def report(self) -> str:
-        lines = ["Phase structure (as executed):"]
-        for index, phase in enumerate(self.phases, 1):
-            lines.append(f"  {index}. {phase}")
-        return "\n".join(lines)
+def table1_phases(diagnostics: Diagnostics) -> List[str]:
+    """Table 1 as executed: the paper's names for the phases that ran for
+    the last function *diagnostics* records.  A function's records start
+    at its cache probe or, with no probe, at its conversion; a probe that
+    nothing follows was a hit, and the pipeline did not run."""
+    last: List[str] = []
+    for record in diagnostics.phases:
+        phase = record.phase
+        if phase == "cache" or (phase == "ir conversion"
+                                and last != ["cache"]):
+            last = []
+        if phase == "cache" or phase in TABLE1_NAMES:
+            last.append(phase)
+    if last == ["cache"]:
+        return ["cache hit (pipeline skipped)"]
+    return [name for phase in last for name in TABLE1_NAMES.get(phase, ())]
 
 
 @dataclass
@@ -113,8 +132,6 @@ class CompilationResult:
     defined: List[Symbol] = field(default_factory=list)
     #: The functions compiled by this call, keyed by name.
     functions: Dict[Symbol, "CompiledFunction"] = field(default_factory=dict)
-    #: Phase pipeline of the last function compiled (Table 1).
-    trace: Optional[PhaseTrace] = None
     #: Phase timings, node counts, rule fires, warnings for this call.
     diagnostics: Optional[Diagnostics] = None
 
@@ -159,10 +176,17 @@ class CompilationResult:
                            if name in self.functions)
 
     def phase_report(self) -> str:
-        if self.trace is None:
+        """Table 1 as executed for the last function this call compiled,
+        then the call's phase timings."""
+        if self.diagnostics is None:
             return "(nothing compiled yet)"
-        lines = [self.trace.report()]
-        if self.diagnostics is not None and self.diagnostics.phases:
+        phases = table1_phases(self.diagnostics)
+        lines = ["Phase structure (as executed):"]
+        lines.extend(f"  {index}. {phase}"
+                     for index, phase in enumerate(phases, 1))
+        if not phases:
+            lines.append("  (no function compiled)")
+        if self.diagnostics.phases:
             lines.extend(self.diagnostics.timing_lines())
         return "\n".join(lines)
 
@@ -184,7 +208,6 @@ class Compiler:
         # Lambda trees of compiled defuns, for global procedure integration
         # (block compilation, enable_global_integration).
         self.function_trees: Dict[Symbol, LambdaNode] = {}
-        self.last_trace: Optional[PhaseTrace] = None
         #: Diagnostics of the most recent compile() call (kept here as well
         #: as on the CompilationResult so errored compiles stay inspectable).
         self.last_diagnostics: Optional[Diagnostics] = None
@@ -222,11 +245,12 @@ class Compiler:
         expression_forms: List[Any] = []
         try:
             for form in forms:
-                if expression is not True \
-                        and self._toplevel_definition_kind(form):
-                    defined = self._compile_definition(form, result,
-                                                       diagnostics)
-                    result.defined.append(defined)
+                kind = None if expression is True \
+                    else self._toplevel_definition_kind(form)
+                if kind == "defun":
+                    self._compile_function(form, result, diagnostics)
+                elif kind == "defvar":
+                    result.defined.append(self._define_variable(form))
                 elif expression is False:
                     raise ConversionError(
                         f"only defun/defvar forms can be compiled at top "
@@ -234,39 +258,49 @@ class Compiler:
                 else:
                     expression_forms.append(form)
             if expression_forms:
-                from .datum import from_list
-
                 body = expression_forms[0] if len(expression_forms) == 1 \
                     else from_list([sym("progn")] + expression_forms)
-                lambda_form = from_list([sym("lambda"), NIL, body])
-                key: Optional[str] = None
-                compiled: Optional[CompiledFunction] = None
-                if self._cache_active():
-                    # The wrapper name lands in the CodeObject, so it is
-                    # part of the address.
-                    key = self._cache_key_for(lambda_form, f"wrapper:{name}")
-                    compiled = self._cache_lookup(key, diagnostics)
-                elif self.cache is not None:
-                    diagnostics.bump("cache_bypass")
-                if compiled is None:
-                    timer = diagnostics.start_phase("ir conversion",
-                                                    function=name)
-                    node = self.converter.convert_lambda(lambda_form)
-                    size = count_nodes(node)
-                    timer.finish(nodes_after=size)
-                    compiled = self.compile_lambda(sym(name), node,
-                                                   diagnostics=diagnostics,
-                                                   size=size)
-                    if key is not None:
-                        self._cache_store(key, compiled, diagnostics)
-                result.defined.append(compiled.name)
-                result.functions[compiled.name] = compiled
+                self._compile_function(
+                    from_list([sym("lambda"), NIL, body]), result,
+                    diagnostics, wrapper=name)
         except ConversionError as err:
             diagnostics.error(str(err), phase="ir conversion",
                               location=err.location)
             raise
-        result.trace = self.last_trace
         return result
+
+    def _compile_function(self, form: Any, result: CompilationResult,
+                          diagnostics: Diagnostics,
+                          wrapper: Optional[str] = None) -> None:
+        """Compile one function into *result*: the cache probe, conversion,
+        :meth:`compile_lambda` and the cache store.  *form* is a ``defun``
+        or, with *wrapper*, the ``lambda`` that wraps a bare expression as
+        the zero-argument function named *wrapper*."""
+        key: Optional[str] = None
+        compiled: Optional[CompiledFunction] = None
+        if self._cache_active():
+            # A wrapper's name lands in its CodeObject, so it is part of
+            # the address.
+            extra = () if wrapper is None else (f"wrapper:{wrapper}",)
+            key = self._cache_key_for(form, *extra)
+            compiled = self._cache_lookup(key, diagnostics)
+        elif self.cache is not None:
+            diagnostics.bump("cache_bypass")
+        if compiled is None:
+            timer = diagnostics.start_phase("ir conversion",
+                                            function=wrapper or "")
+            if wrapper is None:
+                name, node = self.converter.convert_defun(form)
+                timer.record.function = str(name)
+            else:
+                name, node = sym(wrapper), self.converter.convert_lambda(form)
+            size = count_nodes(node)
+            timer.finish(nodes_after=size)
+            compiled = self.compile_lambda(name, node, diagnostics, size=size)
+            if key is not None:
+                self._cache_store(key, compiled, diagnostics)
+        result.defined.append(compiled.name)
+        result.functions[compiled.name] = compiled
 
     # -- the compilation cache ---------------------------------------------------
 
@@ -308,9 +342,6 @@ class Compiler:
         )
         self.program.add(name, cached.code)
         self.functions[name] = compiled
-        trace = PhaseTrace()
-        trace.record("cache hit (pipeline skipped)")
-        self.last_trace = trace
         return compiled
 
     def _cache_store(self, key: str, compiled: CompiledFunction,
@@ -334,31 +365,9 @@ class Compiler:
             return "defvar"
         return None
 
-    def _compile_definition(self, form: Any, result: CompilationResult,
-                            diagnostics: Optional[Diagnostics] = None
-                            ) -> Symbol:
-        diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-        if self._toplevel_definition_kind(form) == "defun":
-            key: Optional[str] = None
-            if self._cache_active():
-                key = self._cache_key_for(form)
-                cached = self._cache_lookup(key, diagnostics)
-                if cached is not None:
-                    result.functions[cached.name] = cached
-                    return cached.name
-            elif self.cache is not None:
-                diagnostics.bump("cache_bypass")
-            timer = diagnostics.start_phase("ir conversion")
-            name, node = self.converter.convert_defun(form)
-            timer.record.function = str(name)
-            size = count_nodes(node)
-            timer.finish(nodes_after=size)
-            compiled = self.compile_lambda(name, node,
-                                           diagnostics=diagnostics, size=size)
-            result.functions[name] = compiled
-            if key is not None:
-                self._cache_store(key, compiled, diagnostics)
-            return name
+    def _define_variable(self, form: Any) -> Symbol:
+        """A top-level ``defvar``/``defparameter``: proclaim the name
+        special and evaluate its initial value now."""
         parts = to_list(form.cdr)
         name = parts[0]
         self.converter.proclaimed_specials.add(name)
@@ -403,16 +412,11 @@ class Compiler:
     # -- the pipeline ---------------------------------------------------------------
 
     def compile_lambda(self, name: Symbol, node: LambdaNode,
-                       diagnostics: Optional[Diagnostics] = None,
+                       diagnostics: Diagnostics,
                        size: Optional[int] = None) -> CompiledFunction:
         """Run the pipeline after conversion on one lambda.  *size* is
         ``count_nodes(node)`` when the caller has already counted it."""
-        if diagnostics is None:
-            diagnostics = Diagnostics()
-            self.last_diagnostics = diagnostics
         fname = str(name)
-        trace = PhaseTrace()
-        trace.record("preliminary conversion")
         verifier = None
         if self.options.verify_ir:
             from .verify import PipelineVerifier
@@ -429,7 +433,6 @@ class Compiler:
                                         nodes_before=size)
         analyze(node)
         timer.finish(nodes_after=size)
-        trace.record("source-program analysis")
         if verifier is not None:
             verifier.check_tree(node, "analysis")
 
@@ -455,7 +458,6 @@ class Compiler:
             if not isinstance(node, LambdaNode):
                 raise ConversionError(
                     f"{name}: optimization did not preserve the lambda")
-            trace.record("source-level optimization")
             if verifier is not None:
                 verifier.check_tree(node, "optimizer")
                 verifier.check_roundtrip(
@@ -466,13 +468,11 @@ class Compiler:
 
             timer = diagnostics.start_phase("cse", function=fname,
                                             nodes_before=size)
-            node = eliminate_common_subexpressions(
-                node, self.options, transcript)
+            node = eliminate_common_subexpressions(node, transcript)
             size = count_nodes(node)
             timer.finish(nodes_after=size)
             if not isinstance(node, LambdaNode):
                 raise ConversionError(f"{name}: CSE did not preserve lambda")
-            trace.record("common subexpression elimination")
             if verifier is not None:
                 verifier.check_tree(node, "cse")
                 verifier.check_roundtrip(
@@ -483,10 +483,6 @@ class Compiler:
         analyze(node)
         plans = annotate(node, self.options)
         timer.finish(nodes_after=size)
-        trace.record("binding annotation")
-        trace.record("special variable lookups")
-        trace.record("representation annotation")
-        trace.record("pdl number annotation")
         if verifier is not None:
             verifier.check_tree(node, "annotate")
 
@@ -506,8 +502,6 @@ class Compiler:
             function=fname, nodes_before=size,
             nodes_after=len(code.instructions),
             started_s=codegen_start)
-        trace.record("target annotation (TNBIND/PACK)")
-        trace.record("code generation")
         if verifier is not None:
             verifier.check_allocation(generator.tns, generator.packing,
                                       generator.target.registers, "tnbind")
@@ -522,7 +516,6 @@ class Compiler:
             code, peephole_stats = optimize_code(code)
             timer.finish(nodes_after=len(code.instructions))
             diagnostics.record_rules(peephole_stats.as_rule_counts())
-            trace.record("peephole (linear-block packing)")
             if verifier is not None:
                 verifier.check_code(code, "peephole")
 
@@ -539,7 +532,6 @@ class Compiler:
         self.program.add(name, code)
         self.functions[name] = compiled
         self.function_trees[name] = node
-        self.last_trace = trace
         return compiled
 
     def load_prelude(self) -> List[Symbol]:
@@ -573,11 +565,10 @@ class Compiler:
         return self.machine(fuel).run(sym(name), list(args))
 
     def phase_report(self) -> str:
-        """Render the executed phase pipeline (Table 1 reproduction), with
-        the last compilation's wall-clock timings when available."""
-        return CompilationResult(trace=self.last_trace,
-                                 diagnostics=self.last_diagnostics
-                                 ).phase_report()
+        """Render the last compile() call's phase pipeline (Table 1
+        reproduction) with its wall-clock timings."""
+        return CompilationResult(
+            diagnostics=self.last_diagnostics).phase_report()
 
 
 def compile_and_run(source: str, call: str, args: Sequence[Any] = (),

@@ -15,6 +15,10 @@ function.  This module is the measurement substrate for that story:
   round-trippable via :meth:`Diagnostics.from_json`) so benchmark runs can
   emit ``BENCH_*.json`` phase-timing trajectories.
 
+Phase records carry the driver's short keys (``ir conversion``,
+``annotate``, ...); :func:`repro.compiler.table1_phases` maps the last
+function's records to the paper's Table 1 names.
+
 The module is deliberately dependency-free (stdlib only) so every other
 package -- including :mod:`repro.errors` -- may import it without cycles.
 """
@@ -24,21 +28,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
-
-#: Canonical phase keys, in Table 1 pipeline order.  ``Diagnostics`` accepts
-#: any phase name, but the compiler driver sticks to these.
-TABLE1_PHASES = (
-    "reader",
-    "ir conversion",
-    "analysis",
-    "optimizer",
-    "cse",
-    "annotate",
-    "tnbind",
-    "codegen",
-    "peephole",
-)
-
 
 @dataclass(frozen=True)
 class SourceLocation:
@@ -145,7 +134,10 @@ class _PhaseTimer:
 
 
 class Diagnostics:
-    """Everything one compilation reported about itself."""
+    """Everything one compilation reported about itself: the one record of
+    a compile, read as an object everywhere in the process.  It pickles
+    whole with its transcript entries unprinted (a pool worker returns it
+    that way); :meth:`to_json` runs only where text leaves the process."""
 
     def __init__(self) -> None:
         self.phases: List[PhaseRecord] = []

@@ -40,7 +40,6 @@ from ..ir.nodes import (
     Variable,
     VarRefNode,
 )
-from ..options import CompilerOptions
 from .transcript import Transcript, capture, render_node
 from .treeutil import RootHolder, fix_parents, refresh_variable_links, tree_equal
 
@@ -50,11 +49,9 @@ MIN_COMPLEXITY = 3
 
 
 def eliminate_common_subexpressions(
-        root: Node, options: Optional[CompilerOptions] = None,
-        transcript: Optional[Transcript] = None) -> Node:
+        root: Node, transcript: Optional[Transcript] = None) -> Node:
     """Hoist repeated pure subexpressions into introduced lambda bindings.
-    The phase reads none of *options*: ``enable_cse`` decides whether it
-    runs at all."""
+    No option tunes the phase: ``enable_cse`` decides whether it runs."""
     transcript = transcript or Transcript()
     holder = RootHolder(root)
     if transcript.trace_rewrites:

@@ -96,6 +96,13 @@ INTEGRATION_SIZE_LIMIT = 40
 #: META-INTEGRATE-GLOBAL inlines a known defun at most this complex.
 GLOBAL_INTEGRATION_LIMIT = 30
 
+# Bounds on the whole fixpoint, against rule-interaction cycles
+# (self-expanding forms); running out of either records a warning.
+#: Scans of the tree before the optimizer stops looking for a fixpoint.
+MAX_PASSES = 20
+#: Rule firings one optimize() call may make in total.
+OPTIMIZER_FUEL = 2000
+
 
 Rule = Callable[[Node], Optional[Node]]
 
@@ -140,11 +147,10 @@ class SourceOptimizer:
         holder = RootHolder(root)
         if self.transcript.trace_rewrites:
             self.transcript.begin_root(render_node(holder.child))
-        # Hard bound against rule-interaction cycles (self-expanding forms).
-        self._fuel = self.options.optimizer_fuel
+        self._fuel = OPTIMIZER_FUEL
         self.hit_pass_limit = False
         changed = False
-        for _pass in range(self.options.max_passes):
+        for _pass in range(MAX_PASSES):
             nodes = list(holder.child.walk())
             refresh_variable_links(holder.child, nodes)
             fix_parents(holder.child)
@@ -161,10 +167,10 @@ class SourceOptimizer:
             self.hit_pass_limit = True
             if self.diagnostics is not None:
                 if self._fuel <= 0:
-                    detail = (f"fuel exhausted after "
-                              f"{self.options.optimizer_fuel} rule firings")
+                    detail = (f"fuel exhausted after {OPTIMIZER_FUEL} rule "
+                              f"firings")
                 else:
-                    detail = f"stopped at max_passes={self.options.max_passes}"
+                    detail = f"stopped at max_passes={MAX_PASSES}"
                 self.diagnostics.warn(
                     f"optimizer did not reach a fixpoint ({detail})",
                     phase="optimizer")

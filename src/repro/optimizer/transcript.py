@@ -23,7 +23,8 @@ Nothing reads an entry's text during a compile, so an entry keeps the
 forms its rule back-translated at firing time (the tree changes
 afterwards) and prints each one the first time something reads it:
 :meth:`TranscriptEntry.render`, :meth:`TranscriptEntry.to_json`, the REPL
-or the trace exporter.
+or the trace exporter.  A form pickles unprinted, so a pool worker's
+transcript prints only where something reads it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..datum import Cons
 from ..ir.backtranslate import back_translate
 from ..ir.nodes import Node
 from ..reader.printer import write_to_string
@@ -54,6 +56,38 @@ class Form:
         if self._text is None:
             self._text = self._prefix + write_to_string(self._datum)
         return self._text
+
+    def __reduce__(self):
+        # Pickling recurses through every cons, and a form the compiler
+        # takes can nest past the recursion limit, so the datum travels as
+        # a flat postorder list.
+        flat: List[Any] = []
+        stack = [self._datum]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Cons):
+                stack += (_ConsMark, item.cdr, item.car)
+            else:
+                flat.append(item)
+        return _unflatten_form, (flat, self._prefix, self._text)
+
+
+class _ConsMark:
+    """In a flattened form: build a cons of the two values before it."""
+
+
+def _unflatten_form(flat: List[Any], prefix: str,
+                    text: Optional[str]) -> Form:
+    stack: List[Any] = []
+    for item in flat:
+        if item is _ConsMark:
+            cdr = stack.pop()
+            stack[-1] = Cons(stack[-1], cdr)
+        else:
+            stack.append(item)
+    form = Form(stack[0], prefix)
+    form._text = text
+    return form
 
 
 class TranscriptEntry:

@@ -5,8 +5,9 @@ optimization phase, its use is completely optional, for it only affects the
 efficiency of the resulting code").  Every experiment ablation in
 EXPERIMENTS.md flips a phase switch here, or one of the optimizer's two
 opt-in rules (type specialization, global integration).  The optimizer's
-other rules run whenever it runs; its size heuristics are constants beside
-their readers, and the register count comes from the target.
+other rules run whenever it runs; its size heuristics and fixpoint bounds
+are constants beside their readers, and the register count comes from the
+target.
 
 Every field is declared either **semantic** (it changes the generated
 code, so it must perturb the content-addressed cache key and it may be
@@ -47,9 +48,6 @@ def non_semantic(default):
 class CompilerOptions:
     # --- source-level optimization (Section 5) ---
     optimize: bool = semantic(True)        # master switch for the meta-evaluator
-    max_passes: int = semantic(20)         # fixpoint iteration bound
-    optimizer_fuel: int = semantic(2000)   # total rule-firing bound (guards
-                                           # against self-expanding forms)
     enable_type_specialization: bool = semantic(False)  # generic -> typed ops
 
     # --- global procedure integration (block compilation; the paper's

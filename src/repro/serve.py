@@ -179,8 +179,8 @@ class ServerMetrics:
             self.timeouts += 1
 
     def merge_diagnostics(self, diagnostics: Any) -> None:
-        """Fold one compile's ``Diagnostics`` (or a batch unit's JSON of
-        one) into the ``/metrics`` totals."""
+        """Fold one compile's ``Diagnostics`` into the ``/metrics``
+        totals."""
         with self._lock:
             merge_diagnostics_totals(self.diagnostics_totals, diagnostics)
 

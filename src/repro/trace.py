@@ -1,9 +1,9 @@
 """Trace exporters: Chrome trace-event JSON and Prometheus text metrics.
 
-The diagnostics layer (PR 2) records *what* each compilation did --
-per-phase wall-clock spans (now with ``started_s`` start stamps), rewrite
-transcript entries (with ``at_s`` stamps on the same ``perf_counter``
-clock), counters, and messages.  This module turns those records into two
+The diagnostics layer records *what* each compilation did -- per-phase
+wall-clock spans (with ``started_s`` start stamps), rewrite transcript
+entries (with ``at_s`` stamps on the same ``perf_counter`` clock),
+counters, and messages.  This module turns those records into two
 standard observability formats:
 
 * :func:`build_chrome_trace` / :func:`write_chrome_trace` -- the Chrome
@@ -13,33 +13,32 @@ standard observability formats:
   (``"ph": "i"``), and every compilation source gets its own pid/tid track
   (the batch driver passes one track per worker process).  Because
   ``perf_counter`` epochs differ across processes, timestamps are
-  normalized per track to a zero base.
+  normalized per track to a zero base.  This is the one Chrome-trace
+  document: with *telemetry* it also carries the machine's execution
+  track (the REPL's ``--trace``), and ``build_chrome_trace((),
+  telemetry)`` is the execution-only document (``fuzz --trace``).
 
 * :func:`prometheus_metrics` / :func:`write_metrics` -- a Prometheus text
   exposition dump of phase seconds, rule firings, and counters, for diffing
   runs or scraping from CI artifacts.
 
-Both accept :class:`repro.diagnostics.Diagnostics` objects or their
-``to_json()`` dicts (the batch driver ships the latter across the process
-boundary).
-
-PR 9 adds the *machine* side of the story, fed by
+Both read :class:`repro.diagnostics.Diagnostics` objects (batch workers
+return theirs pickled).  The machine side of the story is fed by
 :class:`repro.telemetry.MachineTelemetry` (objects or ``to_json()``
 dicts):
 
-* :func:`machine_trace_events` / :func:`build_machine_trace` /
-  :func:`write_machine_trace` -- execution-track Chrome events: one span
+* :func:`machine_trace_events` -- execution-track Chrome events: one span
   per ``Machine.run()``, one span per GC pause, and a ``heap live``
-  counter track sampled on an allocation stride.  ``build_chrome_trace``
-  takes the same telemetry as an optional argument and appends the
-  execution track next to the compile tracks.
+  counter track sampled on an allocation stride; ``build_chrome_trace``
+  places them on their own pid next to the compile tracks.
 * :func:`build_request_trace` / :func:`write_request_trace` -- one
-  Perfetto-loadable trace for a daemon round trip: the client wall-clock
-  span, the server's reported queue wait and execute windows, the compile
-  phases, and the execution spans, every event tagged with the request's
-  ``trace_id``.  Client and server clocks are unrelated ``perf_counter``
-  epochs, so the server window is centred inside the client span (the
-  residue is symmetric transport time).
+  Perfetto-loadable trace for a daemon round trip, built from what the
+  wire returns: the client wall-clock span, the server's reported queue
+  wait and execute windows, the compile phases of the response's
+  ``diagnostics`` JSON, and the execution spans, every event tagged with
+  the request's ``trace_id``.  Client and server clocks are unrelated
+  ``perf_counter`` epochs, so the server window is centred inside the
+  client span (the residue is symmetric transport time).
 * :func:`collapsed_stacks` / :func:`write_flamegraph` -- the telemetry
   stack profile in Brendan Gregg's collapsed-stack format
   (``main;loop;leaf 1234`` -- one line per stack, cycles as the weight),
@@ -59,28 +58,20 @@ import json
 import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-#: One trace source: (diagnostics | diagnostics-json, pid, tid, label).
+#: One trace source: (diagnostics, pid, tid, label).
 TraceEntry = Tuple[Any, int, int, str]
-
-
-def _as_json(diagnostics: Any) -> Mapping[str, Any]:
-    if hasattr(diagnostics, "to_json"):
-        return diagnostics.to_json()
-    return diagnostics
 
 
 def _entry_events(diagnostics: Any, pid: int, tid: int, label: str
                   ) -> List[Dict[str, Any]]:
     """Raw events for one compilation, ts/dur still in perf_counter
     *seconds* (the builder converts to normalized microseconds)."""
-    data = _as_json(diagnostics)
     events: List[Dict[str, Any]] = []
-    phases = [p for p in data.get("phases", ())
-              if p.get("started_s") is not None]
+    phases = [p for p in diagnostics.phases if p.started_s is not None]
     if not phases:
         return events
-    start = min(p["started_s"] for p in phases)
-    end = max(p["started_s"] + p.get("duration_s", 0.0) for p in phases)
+    start = min(p.started_s for p in phases)
+    end = max(p.started_s + p.duration_s for p in phases)
     # The enclosing compile span guarantees every phase nests inside it
     # (tnbind runs *inside* the codegen wall-clock window, so sibling
     # phase spans may overlap; the parent is the containment invariant).
@@ -90,17 +81,16 @@ def _entry_events(diagnostics: Any, pid: int, tid: int, label: str
     })
     for record in phases:
         events.append({
-            "name": record["phase"], "cat": "phase", "ph": "X",
-            "ts": record["started_s"],
-            "dur": max(record.get("duration_s", 0.0), 0.0),
+            "name": record.phase, "cat": "phase", "ph": "X",
+            "ts": record.started_s, "dur": max(record.duration_s, 0.0),
             "pid": pid, "tid": tid,
             "args": {
-                "function": record.get("function", ""),
-                "nodes_before": record.get("nodes_before"),
-                "nodes_after": record.get("nodes_after"),
+                "function": record.function,
+                "nodes_before": record.nodes_before,
+                "nodes_after": record.nodes_after,
             },
         })
-    for rewrite in data.get("rewrites", ()):
+    for rewrite in diagnostics.rewrites:
         at = rewrite.get("at_s")
         if at is None:
             continue
@@ -113,7 +103,7 @@ def _entry_events(diagnostics: Any, pid: int, tid: int, label: str
                      "before": rewrite.get("before"),
                      "after": rewrite.get("after")},
         })
-    for counter, value in sorted(data.get("counters", {}).items()):
+    for counter, value in sorted(diagnostics.counters.items()):
         events.append({
             "name": counter, "cat": "counter", "ph": "i", "s": "t",
             "ts": end, "pid": pid, "tid": tid,
@@ -124,7 +114,7 @@ def _entry_events(diagnostics: Any, pid: int, tid: int, label: str
 
 def build_chrome_trace(entries: Iterable[TraceEntry],
                        telemetry: Any = None) -> Dict[str, Any]:
-    """Assemble the trace dict from (diagnostics, pid, tid, label) tuples.
+    """Assemble the trace dict from (Diagnostics, pid, tid, label) tuples.
 
     Timestamps are normalized per (pid, tid) track to a zero base and
     converted to microseconds (the format's unit), so tracks recorded on
@@ -133,7 +123,7 @@ def build_chrome_trace(entries: Iterable[TraceEntry],
     With *telemetry* (a :class:`repro.telemetry.MachineTelemetry` or its
     ``to_json()`` dict), an "execution" track -- run spans, GC pauses, a
     heap-occupancy counter -- is appended on its own pid next to the
-    compile tracks.
+    compile tracks; with no *entries* it is the whole document.
     """
     events: List[Dict[str, Any]] = []
     track_labels: Dict[Tuple[int, int], str] = {}
@@ -236,22 +226,8 @@ def machine_trace_events(telemetry: Any, pid: int = 1, tid: int = 1,
     return events
 
 
-def build_machine_trace(telemetry: Any) -> Dict[str, Any]:
-    """A standalone Chrome trace holding just the execution track."""
-    return build_chrome_trace((), telemetry)
-
-
-def write_machine_trace(path: str, telemetry: Any) -> int:
-    """Write the execution-only trace; returns the number of events."""
-    trace = build_machine_trace(telemetry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, indent=1, default=str)
-        handle.write("\n")
-    return len(trace["traceEvents"])
-
-
 def build_request_trace(record: Mapping[str, Any],
-                        diagnostics: Any = None,
+                        diagnostics: Optional[Mapping[str, Any]] = None,
                         telemetry: Any = None) -> Dict[str, Any]:
     """One Perfetto trace for one daemon round trip.
 
@@ -261,9 +237,10 @@ def build_request_trace(record: Mapping[str, Any],
     "execute_s"}}``.  The client span anchors at zero; the server window
     (queue wait, then execute) is centred inside it because the two
     perf_counter clocks share no epoch -- the symmetric residue is
-    transport time.  *diagnostics* (the compile's) and *telemetry* (the
-    resulting execution's) nest inside the execute window on their own
-    threads.  Every event's args carry the ``trace_id``."""
+    transport time.  *diagnostics* (the response's ``diagnostics`` JSON)
+    and *telemetry* (the resulting execution's) nest inside the execute
+    window on their own threads.  Every event's args carry the
+    ``trace_id``."""
     trace_id = str(record.get("trace_id", ""))
     client = record.get("client") or {}
     client_dur = max(float(client.get("duration_s", 0.0) or 0.0), 0.0)
@@ -289,8 +266,7 @@ def build_request_trace(record: Mapping[str, Any],
         })
     server_start = offset + queue_wait
     if diagnostics is not None:
-        data = _as_json(diagnostics)
-        phases = [p for p in data.get("phases", ())
+        phases = [p for p in diagnostics.get("phases", ())
                   if p.get("started_s") is not None]
         if phases:
             base = min(p["started_s"] for p in phases)
@@ -324,7 +300,7 @@ def build_request_trace(record: Mapping[str, Any],
 
 
 def write_request_trace(path: str, record: Mapping[str, Any],
-                        diagnostics: Any = None,
+                        diagnostics: Optional[Mapping[str, Any]] = None,
                         telemetry: Any = None) -> int:
     trace = build_request_trace(record, diagnostics, telemetry)
     with open(path, "w", encoding="utf-8") as handle:
@@ -373,29 +349,19 @@ def new_metric_totals() -> Dict[str, Any]:
 
 def merge_diagnostics_totals(totals: Dict[str, Any],
                              diagnostics: Any) -> Dict[str, Any]:
-    """Fold one compilation's diagnostics (object or ``to_json()`` dict)
-    into a running *totals* accumulator; returns *totals*.  Only phases,
-    rule fires and counters are read, so an object's transcript is never
-    printed."""
-    if isinstance(diagnostics, Mapping):
-        phases = [(record["phase"], record.get("duration_s", 0.0))
-                  for record in diagnostics.get("phases", ())]
-        fires = diagnostics.get("rule_fires", {})
-        counts = diagnostics.get("counters", {})
-    else:
-        phases = [(record.phase, record.duration_s)
-                  for record in diagnostics.phases]
-        fires = diagnostics.rule_fires
-        counts = diagnostics.counters
+    """Fold one compilation's ``Diagnostics`` into a running *totals*
+    accumulator; returns *totals*.  Only phases, rule fires and counters
+    are read, so the transcript is never printed."""
     totals["compilations"] += 1
     phase_seconds = totals["phase_seconds"]
-    for phase, seconds in phases:
-        phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
+    for record in diagnostics.phases:
+        phase_seconds[record.phase] = \
+            phase_seconds.get(record.phase, 0.0) + record.duration_s
     rule_fires = totals["rule_fires"]
-    for rule, count in fires.items():
+    for rule, count in diagnostics.rule_fires.items():
         rule_fires[rule] = rule_fires.get(rule, 0) + count
     counters = totals["counters"]
-    for counter, value in counts.items():
+    for counter, value in diagnostics.counters.items():
         counters[counter] = counters.get(counter, 0) + value
     return totals
 

@@ -125,7 +125,8 @@ class TestOptionSplit:
         assert "non-semantic" in str(err.value)
 
     #: Fields the options no longer have: the optimizer's rule-family
-    #: switches and size limits, and the register count (the target's).
+    #: switches, size limits and fixpoint bounds, and the register count
+    #: (the target's).
     REMOVED_FIELDS = (
         "enable_beta", "enable_procedure_integration",
         "enable_constant_folding", "enable_if_distribution",
@@ -133,7 +134,7 @@ class TestOptionSplit:
         "enable_argument_reversal", "enable_sin_to_sinc",
         "substitution_size_limit", "integration_size_limit",
         "global_integration_limit", "cse_min_complexity",
-        "registers_available")
+        "registers_available", "max_passes", "optimizer_fuel")
 
     def test_override_unknown_field_rejected(self):
         for name in ("enable_warp_drive",) + self.REMOVED_FIELDS:

@@ -175,7 +175,7 @@ class TestOptionsSpec:
                                   tier="native", timing="pipelined",
                                   verify_ir=True, trace_rewrites=True)
         assert pickle.loads(pickle.dumps(options)) == options
-        assert len(dataclasses.fields(CompilerOptions)) == 19
+        assert len(dataclasses.fields(CompilerOptions)) == 17
 
 
 class TestBatchCli:

@@ -106,7 +106,7 @@ class TestCacheKey:
             assert key_of(source, variant) != base_key, \
                 f"option {f.name} did not perturb the cache key"
             checked += 1
-        assert checked == len(SEMANTIC_OPTION_FIELDS) == 15
+        assert checked == len(SEMANTIC_OPTION_FIELDS) == 13
 
     def test_non_semantic_fields_do_not_perturb(self):
         source = "(defun f (x) x)"
@@ -282,7 +282,7 @@ class TestCompilerIntegration:
         Compiler(cache=CompilationCache(directory=store)).compile_source(
             "(defun f (x) x)")
         assert [path.name for path in store.iterdir()] == [
-            "16ad438444176d5b912d91168fd4710c7076be461c2b7ca92b4f8b061374e171"
+            "71694db6b04aaf03fc02e0ddd4da6f058b1f0ee76d2bb117f2766b8d3acbcd9e"
             ".pkl"]
 
     def test_phase_report_shows_cache_hit(self, tmp_path):

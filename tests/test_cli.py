@@ -2,8 +2,9 @@
 honours, and the machine axes are checked by argparse.
 
 A flag a subcommand would accept and then ignore is refused at parse
-time (exit code 2), before anything runs."""
+time (exit code 2), before anything runs, and so is a removed flag."""
 
+import json
 import re
 
 import pytest
@@ -12,13 +13,12 @@ from repro.__main__ import main
 
 #: Every option each subcommand lists in its usage line.
 FLAGS = {
-    "repl": {"--cache-dir", "--trace", "--metrics", "--machine-trace",
-             "--verify", "--target", "--tier", "--timing",
-             "--diagnostics-json"},
+    "repl": {"--cache-dir", "--trace", "--metrics", "--verify",
+             "--target", "--tier", "--timing", "--diagnostics-json"},
     "batch": {"--cache-dir", "--trace", "--metrics", "--verify", "--target",
               "--jobs", "--server", "--prelude", "--json",
               "--trace-rewrites"},
-    "fuzz": {"--target", "--tier", "--timing", "--machine-trace", "--seed",
+    "fuzz": {"--target", "--tier", "--timing", "--trace", "--seed",
              "--count", "--max-depth", "--no-verify", "--cse", "--peephole",
              "--telemetry"},
     "serve": {"--cache-dir", "--verify", "--target", "--jobs", "--socket",
@@ -28,13 +28,14 @@ FLAGS = {
 }
 
 #: The (subcommand, shared flag) pairs that used to be accepted and do
-#: nothing, and ``client --jobs``, whose connection fan-out is gone (a
-#: daemon compiles on its own ``--jobs`` workers).
+#: nothing, ``client --jobs``, whose connection fan-out is gone (a daemon
+#: compiles on its own ``--jobs`` workers), and ``--machine-trace``
+#: everywhere: ``--trace`` writes the one Chrome trace.
 INERT = [
-    ("repl", "--jobs"),
+    ("repl", "--jobs"), ("repl", "--machine-trace"),
     ("batch", "--tier"), ("batch", "--timing"), ("batch", "--machine-trace"),
-    ("fuzz", "--cache-dir"), ("fuzz", "--trace"), ("fuzz", "--metrics"),
-    ("fuzz", "--jobs"), ("fuzz", "--verify"),
+    ("fuzz", "--cache-dir"), ("fuzz", "--metrics"), ("fuzz", "--jobs"),
+    ("fuzz", "--verify"), ("fuzz", "--machine-trace"),
     ("serve", "--trace"), ("serve", "--metrics"), ("serve", "--machine-trace"),
     ("serve", "--tier"), ("serve", "--timing"),
     ("client", "--cache-dir"), ("client", "--trace"), ("client", "--metrics"),
@@ -111,6 +112,20 @@ class TestSubcommandFlags:
         err = refused(argv_for(subcommand, *extra), capsys)
         assert "unrecognized arguments" in err
         assert flag in err
+
+    def test_fuzz_trace_writes_the_execution_document(self, tmp_path,
+                                                      capsys):
+        # fuzz --trace turns the observer on and writes the execution-only
+        # Chrome trace: one "execution" track, no compile tracks.
+        path = tmp_path / "fuzz-trace.json"
+        assert main(["fuzz", "--count", "1", "--target", "s1", "--tier",
+                     "native", "--trace", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert {e["args"]["name"] for e in events
+                if e.get("ph") == "M"} == {"execution"}
+        assert any(e.get("cat") == "execution" for e in events)
+        assert f"trace: wrote {len(events)} event(s) to {path}" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--cache-dir", "--verify",
                                       "--trace-rewrites", "--trace",

@@ -7,13 +7,18 @@ count the calls a compile makes to each producer, then read the
 transcript and count again.
 """
 
+import os
 import sys
 
 from repro import Compiler, CompilerOptions
 from repro.analysis import tailrec, typeinfo
 from repro.datum import sym
 from repro.optimizer import SourceOptimizer
+from repro.optimizer import transcript as transcript_module
 from repro.reader import printer
+
+POLYNOMIAL = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "examples", "polynomial.lisp")
 
 SOURCE = """
     (defun f (x) (let ((y (+ x 0))) (if nil 1 (* y 2))))
@@ -76,10 +81,22 @@ def test_default_compile_runs_only_what_is_read(monkeypatch):
     assert len(prints) == DEFUNS + 2 * len(entries)
 
 
-def test_the_daemon_metrics_hook_prints_no_transcript(monkeypatch):
-    """``repro serve`` folds every compile into ``/metrics`` through the
-    service's diagnostics hook, which reads phases, rule fires and
-    counters only."""
+def count_form_prints(monkeypatch):
+    """Every transcript form this process prints, as it prints."""
+    forms = []
+    write = transcript_module.write_to_string
+
+    def counted(datum):
+        forms.append(datum)
+        return write(datum)
+
+    monkeypatch.setattr(transcript_module, "write_to_string", counted)
+    return forms
+
+
+def hooked_service(**kwargs):
+    """A service with the daemon's ``/metrics`` hook; returns it, the
+    metrics and the list of Diagnostics the hook received."""
     from repro.api import CompilerService
     from repro.serve import ServerMetrics
 
@@ -90,8 +107,16 @@ def test_the_daemon_metrics_hook_prints_no_transcript(monkeypatch):
         handed.append(diagnostics)
         metrics.merge_diagnostics(diagnostics)
 
+    return CompilerService(on_diagnostics=hook, **kwargs), metrics, handed
+
+
+def test_the_daemon_metrics_hook_prints_no_transcript(monkeypatch):
+    """``repro serve`` folds every compile into ``/metrics`` through the
+    service's diagnostics hook, which reads phases, rule fires and
+    counters only."""
     prints = count_calls(monkeypatch, printer.write_to_string)
-    result = CompilerService(on_diagnostics=hook).compile(SOURCE)
+    service, metrics, handed = hooked_service()
+    result = service.compile(SOURCE)
     assert len(result.defined) == DEFUNS
     # optimized_source, once per defun: the same as with no hook.
     assert len(prints) == DEFUNS
@@ -108,6 +133,75 @@ def test_the_daemon_metrics_hook_prints_no_transcript(monkeypatch):
     assert totals["phase_seconds"] == seconds
     assert totals["counters"] == result.counters
     assert len(prints) == DEFUNS
+
+
+def test_the_batch_op_hook_prints_no_transcript_form(monkeypatch):
+    """The daemon's ``batch`` op hands its hook each unit's Diagnostics as
+    the compile left it: none of the transcript forms print."""
+    forms = count_form_prints(monkeypatch)
+    service, metrics, handed = hooked_service()
+    with open(POLYNOMIAL, encoding="utf-8") as handle:
+        unit = {"label": "polynomial.lisp", "source": handle.read()}
+    response = service.handle_op("batch", {"units": [unit]})
+    assert response["ok"] == 1
+    assert forms == []
+
+    (diagnostics,) = handed
+    totals = metrics.diagnostics_totals
+    assert totals["compilations"] == 1
+    assert totals["rule_fires"] == diagnostics.rule_fires
+    # The forms were there to print: a reader of the rewrites prints them.
+    rewrites = diagnostics.rewrites
+    assert len(forms) == 2 * len(rewrites) == 10
+
+
+def test_pool_records_arrive_unprinted_and_fold_into_the_hook(monkeypatch):
+    """A ``jobs=2`` pool returns each unit's Diagnostics pickled, its
+    transcript forms unprinted, and the hook folds every one."""
+    from repro.batch import WorkerPool
+
+    forms = count_form_prints(monkeypatch)
+    pool = WorkerPool(2)
+    service, metrics, handed = hooked_service(pool=pool)
+    units = [{"label": f"unit-{index}.lisp", "source": source}
+             for index, source in enumerate(SOURCE.strip().split("\n"))]
+    try:
+        response = service.handle_op("batch", {"units": units})
+    finally:
+        pool.close()
+    assert pool.executor in ("process", "thread")     # not inline
+    assert response["ok"] == len(units) == len(handed) == DEFUNS
+    totals = metrics.diagnostics_totals
+    assert totals["compilations"] == DEFUNS
+    assert totals["phase_seconds"]["optimizer"] > 0
+    assert sum(totals["rule_fires"].values()) == sum(
+        sum(diagnostics.rule_fires.values()) for diagnostics in handed)
+    assert forms == []
+
+    rewrites = [rewrite for diagnostics in handed
+                for rewrite in diagnostics.rewrites]
+    assert len(rewrites) >= 2 * DEFUNS
+    assert len(forms) == 2 * len(rewrites)
+
+
+def test_a_deep_transcript_pickles_unprinted(monkeypatch):
+    """A pool worker returns its Diagnostics pickled: a form nested as deep
+    as the compiler takes crosses flat and unprinted, and prints on the
+    other side as it prints here."""
+    import pickle
+
+    deep = "x"
+    for _ in range(200):
+        deep = f"(+ 0 {deep})"
+    compiler = Compiler()
+    compiler.compile_source(f"(defun deep (x) {deep})")
+    forms = count_form_prints(monkeypatch)
+    copy = pickle.loads(pickle.dumps(compiler.last_diagnostics))
+    assert forms == []
+    rewrites = copy.rewrites
+    assert len(rewrites) == 200
+    assert len(forms) == 2 * len(rewrites)
+    assert rewrites == compiler.last_diagnostics.rewrites
 
 
 def test_type_inference_runs_only_inside_the_optimizer(monkeypatch):

@@ -14,11 +14,9 @@ from repro.optimizer import Transcript, eliminate_common_subexpressions
 from repro.optimizer import cse as cse_module
 
 
-def cse(text, **overrides):
-    options = CompilerOptions(enable_cse=True, **overrides)
+def cse(text):
     transcript = Transcript()
-    result = eliminate_common_subexpressions(
-        convert_source(text), options, transcript)
+    result = eliminate_common_subexpressions(convert_source(text), transcript)
     return back_translate_to_string(result), transcript
 
 
@@ -84,8 +82,7 @@ class TestCse:
         from repro.ir import convert_source as conv
 
         tree = eliminate_common_subexpressions(
-            conv("(lambda (x) (+ (* x x) (* x x)))"),
-            CompilerOptions(enable_cse=True))
+            conv("(lambda (x) (+ (* x x) (* x x)))"))
         interp = Interpreter()
         closure = LispClosure(tree, LexicalEnvironment())
         assert interp.apply_function(closure, [5]) == 50

@@ -18,6 +18,7 @@ from repro import Compiler, CompilerOptions, Diagnostics, SourceLocation
 from repro.compiler import prelude_source
 from repro.diagnostics import PhaseRecord, count_nodes
 from repro.errors import ConversionError, ReaderError
+from repro.optimizer import meta
 
 
 class TestPhaseRecords:
@@ -186,14 +187,17 @@ class TestSourceLocations:
 
 
 class TestOptimizerTermination:
-    def test_self_expanding_form_stops_with_warning(self):
+    """The fixpoint bounds are constants in ``repro.optimizer.meta``;
+    these tests patch them down to reach the warnings quickly."""
+
+    def test_self_expanding_form_stops_with_warning(self, monkeypatch):
         """A function allowed to integrate itself (loop unrolling) far past
         the fuel bound must stop -- with a diagnostics warning, not a hang
         or unbounded rule firing."""
+        monkeypatch.setattr(meta, "OPTIMIZER_FUEL", 60)
+        monkeypatch.setattr(meta, "MAX_PASSES", 3)
         options = CompilerOptions(enable_global_integration=True,
-                                  self_unroll_depth=400,
-                                  optimizer_fuel=60,
-                                  max_passes=3)
+                                  self_unroll_depth=400)
         compiler = Compiler(options)
         compiler.compile_source("(defun f (x) (f (+ x 1)))")
         diagnostics = compiler.last_diagnostics
@@ -201,26 +205,25 @@ class TestOptimizerTermination:
                     if "fixpoint" in m.message]
         assert warnings, "expected a non-fixpoint warning"
         total_fires = sum(diagnostics.rule_fires.values())
-        assert total_fires <= options.optimizer_fuel + len(
-            diagnostics.rule_fires)
+        assert total_fires <= 60 + len(diagnostics.rule_fires)
 
-    def test_fuel_exhaustion_still_compiles_correct_code(self):
+    def test_fuel_exhaustion_still_compiles_correct_code(self, monkeypatch):
         """Fuel running out mid-integration leaves a valid tree: it passes
         the phase-boundary sanitizer and computes the right answer."""
-        options = CompilerOptions(optimizer_fuel=1,
-                                  enable_global_integration=True,
+        monkeypatch.setattr(meta, "OPTIMIZER_FUEL", 1)
+        options = CompilerOptions(enable_global_integration=True,
                                   self_unroll_depth=3,
                                   verify_ir=True)
         compiler = Compiler(options)
         compiler.compile_source(
             "(defun f (n acc) (if (zerop n) acc (f (- n 1) (+ acc n))))")
-        assert any("fixpoint" in m.message
+        assert any("fuel exhausted after 1 rule firings" in m.message
                    for m in compiler.last_diagnostics.warnings)
         assert compiler.run("f", [5, 0]) == 15
 
-    def test_max_passes_exhaustion_warns(self):
-        options = CompilerOptions(max_passes=1)
-        compiler = Compiler(options)
+    def test_max_passes_exhaustion_warns(self, monkeypatch):
+        monkeypatch.setattr(meta, "MAX_PASSES", 1)
+        compiler = Compiler()
         compiler.compile_source("(defun g (x) (+ x 0 0))")
         assert any("max_passes=1" in m.message
                    for m in compiler.last_diagnostics.warnings)

@@ -125,8 +125,7 @@ def test_cse_preserves_semantics(form, a, b, c):
     reference = run_with_inputs(tree, [a, b, c])
 
     tree2 = build_lambda(form)
-    options = CompilerOptions(enable_cse=True)
-    rewritten = eliminate_common_subexpressions(tree2, options)
+    rewritten = eliminate_common_subexpressions(tree2)
     outcome = run_with_inputs(rewritten, [a, b, c])
 
     assert results_agree(reference, outcome), (

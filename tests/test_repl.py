@@ -2,7 +2,7 @@
 
 import io
 
-
+from repro import Diagnostics
 from repro.__main__ import Repl
 
 
@@ -172,10 +172,14 @@ class TestMetaCommands:
 
 class TestDiagnosticsLog:
     def test_every_compilation_logged(self):
+        # The log keeps each compile's Diagnostics object; nothing prints
+        # its transcript until --diagnostics-json writes it.
         _, _, repl = session("(defun f (x) x)", "(+ 1 2)")
-        assert len(repl.diagnostics_log) == 2
-        for record in repl.diagnostics_log:
-            assert record["diagnostics"]["phases"]
+        assert [entry for entry, _ in repl.diagnostics_log] == [
+            "(defun f (x) x)", "(+ 1 2)"]
+        for _, diagnostics in repl.diagnostics_log:
+            assert isinstance(diagnostics, Diagnostics)
+            assert diagnostics.phases
 
     def test_dump_diagnostics_writes_json(self, tmp_path):
         import json

@@ -1,4 +1,4 @@
-"""Tests for the repro.trace observability layer (PR 4):
+"""Tests for the repro.trace observability layer:
 
 * Chrome trace-event JSON schema -- phase spans nest inside the enclosing
   compile span, per-track timestamps are zero-based and monotonic, rewrite
@@ -13,11 +13,10 @@
 * Prometheus text metrics,
 * the REPL's ``:trace`` / ``:profile`` commands and ``--trace`` dumps,
 
-plus the PR 9 telemetry exporters:
+plus the telemetry exporters:
 
-* machine execution tracks appended to Chrome traces (run spans, GC
-  pauses, heap-occupancy counter series) and the standalone machine
-  trace,
+* machine execution tracks in Chrome traces (run spans, GC pauses,
+  heap-occupancy counter series), beside compile tracks or alone,
 * ``repro_machine_*`` Prometheus families validated line-by-line with
   the strict text parser (``parse_prometheus_text``) -- no bare greps,
 * the strict parser's own rejection rules (undeclared samples, bad
@@ -26,7 +25,8 @@ plus the PR 9 telemetry exporters:
 * single-request Perfetto traces (``build_request_trace``): client /
   queue-wait / execute / compile-phase / execution spans, every event
   tagged with the request's ``trace_id``,
-* the REPL's ``:hot`` command and machine-trace / metrics dumps.
+* the REPL's ``:hot`` command and its one ``--trace`` document, which
+  holds compile and execution events.
 """
 
 import io
@@ -38,14 +38,12 @@ from repro import (
     Compiler,
     CompilerOptions,
     build_chrome_trace,
-    build_machine_trace,
     build_request_trace,
     compile_batch,
     parse_prometheus_text,
     prometheus_metrics,
     write_chrome_trace,
     write_flamegraph,
-    write_machine_trace,
 )
 from repro.datum import sym
 from repro.machine import Machine
@@ -136,23 +134,15 @@ class TestChromeTraceSchema:
         # processes) must both start at ts 0.
         _, d1 = _compile_diagnostics()
         _, d2 = _compile_diagnostics()
-        shifted = d2.to_json()
-        for record in shifted["phases"]:
-            if record.get("started_s") is not None:
-                record["started_s"] += 1e6    # a different process clock
+        for record in d2.phases:
+            if record.started_s is not None:
+                record.started_s += 1e6    # a different process clock
         trace = build_chrome_trace([(d1, 1, 0, "worker-1"),
-                                    (shifted, 2, 0, "worker-2")])
+                                    (d2, 2, 0, "worker-2")])
         for pid in (1, 2):
             track = [e["ts"] for e in trace["traceEvents"]
                      if e["pid"] == pid and e.get("ph") != "M"]
             assert min(track) == 0
-
-    def test_accepts_json_dicts(self):
-        # The batch driver ships to_json() dicts across process
-        # boundaries; the exporter must accept them as-is.
-        _, diagnostics = _compile_diagnostics()
-        trace = build_chrome_trace([(diagnostics.to_json(), 0, 0, "x")])
-        assert any(e.get("cat") == "compile" for e in trace["traceEvents"])
 
     def test_write_chrome_trace(self, tmp_path):
         _, diagnostics = _compile_diagnostics()
@@ -333,6 +323,24 @@ class TestReplObservability:
         assert any(e.get("cat") == "compile"
                    for e in document["traceEvents"])
 
+    def test_dump_trace_holds_compile_and_execution_events(self, tmp_path):
+        # One --trace document: the session's compile track and the
+        # session machine's execution track.
+        repl, _ = self._repl()
+        repl.handle("(defun e-fn (x) (* x x))")
+        repl.handle("(e-fn 7)")
+        path = tmp_path / "repl-trace.json"
+        repl.dump_trace(str(path))
+        events = json.loads(path.read_text())["traceEvents"]
+        categories = {e.get("cat") for e in events}
+        assert {"compile", "phase", "execution"} <= categories
+        runs = [e for e in events if e.get("cat") == "execution"]
+        assert [e["name"] for e in runs] == ["run *entry-1*"]
+        compiles = [e["name"] for e in events if e.get("cat") == "compile"]
+        assert compiles == ["(defun e-fn (x) (* x x))", "(e-fn 7)"]
+        tracks = {e["args"]["name"] for e in events if e.get("ph") == "M"}
+        assert tracks == {"(defun e-fn (x) (* x x))", "execution"}
+
     def test_hot_command(self):
         repl, out = self._repl()
         repl.handle("(defun h-fn (x) (+ x 1))")
@@ -347,23 +355,23 @@ class TestReplObservability:
         repl.handle(":hot")
         assert "(nothing run yet)" in out.getvalue()
 
-    def test_dump_machine_trace(self, tmp_path):
+    def test_dump_trace_carries_execution_track(self, tmp_path):
         repl, _ = self._repl()
         repl.handle("(defun m-fn (x) (* x x))")
         repl.handle("(m-fn 7)")
-        path = tmp_path / "machine-trace.json"
-        repl.dump_machine_trace(str(path))
+        path = tmp_path / "trace.json"
+        repl.dump_trace(str(path))
         document = json.loads(path.read_text())
         assert any(e.get("cat") == "execution"
                    for e in document["traceEvents"])
 
-    def test_dump_machine_trace_without_runs(self, tmp_path):
+    def test_dump_trace_without_runs(self, tmp_path):
         # Still a valid (empty) Perfetto document, never a crash.
         repl, _ = self._repl()
-        path = tmp_path / "machine-trace.json"
-        repl.dump_machine_trace(str(path))
+        path = tmp_path / "trace.json"
+        repl.dump_trace(str(path))
         document = json.loads(path.read_text())
-        assert document["displayTimeUnit"] == "ms"
+        assert document == {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def test_dump_metrics_includes_telemetry(self, tmp_path):
         repl, _ = self._repl()
@@ -404,6 +412,9 @@ def _telemetry_run(tier="native", gc_threshold=96):
 
 
 class TestMachineTraceExport:
+    """The execution track: beside compile tracks, or alone as
+    ``build_chrome_trace((), telemetry)``."""
+
     def test_execution_track_appended_to_compile_trace(self):
         _, diagnostics = _compile_diagnostics()
         machine = _telemetry_run()
@@ -425,7 +436,7 @@ class TestMachineTraceExport:
     def test_gc_and_heap_events(self):
         machine = _telemetry_run()
         assert machine.heap.gc_runs >= 1
-        trace = build_machine_trace(machine.telemetry)
+        trace = build_chrome_trace((), machine.telemetry)
         events = trace["traceEvents"]
         pauses = [e for e in events if e.get("cat") == "gc"]
         assert len(pauses) == machine.heap.gc_runs
@@ -440,8 +451,8 @@ class TestMachineTraceExport:
 
     def test_timestamps_zero_based(self):
         machine = _telemetry_run()
-        events = [e for e in build_machine_trace(
-            machine.telemetry)["traceEvents"] if e.get("ph") != "M"]
+        events = [e for e in build_chrome_trace(
+            (), machine.telemetry)["traceEvents"] if e.get("ph") != "M"]
         timestamps = [e["ts"] for e in events]
         assert min(timestamps) == 0
         assert timestamps == sorted(timestamps)
@@ -450,16 +461,19 @@ class TestMachineTraceExport:
         # The daemon ships telemetry_data() dicts over the wire; the
         # exporter must accept them exactly like live objects.
         machine = _telemetry_run()
-        from_live = build_machine_trace(machine.telemetry)
-        from_dump = build_machine_trace(machine.telemetry_data())
+        from_live = build_chrome_trace((), machine.telemetry)
+        from_dump = build_chrome_trace((), machine.telemetry_data())
         assert from_live == from_dump
 
-    def test_write_machine_trace(self, tmp_path):
+    def test_write_execution_only_trace(self, tmp_path):
         machine = _telemetry_run()
         path = tmp_path / "machine.json"
-        count = write_machine_trace(str(path), machine.telemetry)
+        count = write_chrome_trace(str(path), (), machine.telemetry)
         document = json.loads(path.read_text())
         assert len(document["traceEvents"]) == count > 0
+        tracks = {e["args"]["name"] for e in document["traceEvents"]
+                  if e.get("ph") == "M"}
+        assert tracks == {"execution"}
 
     def test_trace_id_tagging(self):
         machine = _telemetry_run()
@@ -605,7 +619,8 @@ class TestRequestTrace:
     def test_span_structure(self):
         _, diagnostics = _compile_diagnostics()
         machine = _telemetry_run()
-        trace = build_request_trace(self._record(), diagnostics,
+        # The response's diagnostics arrive as the wire's JSON.
+        trace = build_request_trace(self._record(), diagnostics.to_json(),
                                     machine.telemetry)
         events = [e for e in trace["traceEvents"] if e.get("ph") != "M"]
         names = [e["name"] for e in events]
