@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .api import CompilerService
@@ -172,10 +173,19 @@ class Repl:
                 self.machine.define_global(
                     name, self.compiler.global_values[name])
 
-    def _log_diagnostics(self, entry: str) -> None:
-        diagnostics = self.compiler.last_diagnostics
-        if diagnostics is not None:
-            self.diagnostics_log.append((entry, diagnostics))
+    @contextmanager
+    def _logging(self, entry: str):
+        """Log the record of the compile made inside the block under
+        *entry*, also when that compile raises (its record holds the
+        error and its location); log nothing when the block compiled
+        nothing (a repeated ``:prelude``)."""
+        previous = self.compiler.last_diagnostics
+        try:
+            yield
+        finally:
+            diagnostics = self.compiler.last_diagnostics
+            if diagnostics is not None and diagnostics is not previous:
+                self.diagnostics_log.append((entry, diagnostics))
 
     def _say(self, text: str) -> None:
         print(text, file=self.out)
@@ -199,16 +209,16 @@ class Repl:
             if isinstance(form, Cons) and form.car in (sym("defun"),
                                                        sym("defvar"),
                                                        sym("defparameter")):
-                name = self.compiler.compile_form(form)
-                self._log_diagnostics(text)
+                with self._logging(text):
+                    name = self.compiler.compile_form(form)
                 self._define_on_session_machine([name])
                 self._say(str(name))
                 continue
             self._counter += 1
             entry = f"*entry-{self._counter}*"
-            self.compiler.compile_expression(write_to_string(form),
-                                             name=entry)
-            self._log_diagnostics(text)
+            with self._logging(text):
+                self.compiler.compile_expression(write_to_string(form),
+                                                 name=entry)
             machine = self._session_machine()
             value = machine.run(sym(entry), [])
             self._say(write_to_string(value))
@@ -219,8 +229,8 @@ class Repl:
         if command in (":quit", ":q", ":exit"):
             return False
         if command == ":prelude":
-            names = self.compiler.load_prelude()
-            self._log_diagnostics(":prelude")
+            with self._logging(":prelude"):
+                names = self.compiler.load_prelude()
             self._define_on_session_machine(names)
             self._say(f"loaded {len(names)} prelude functions")
             return True

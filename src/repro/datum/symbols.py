@@ -36,13 +36,8 @@ class Symbol:
     def __str__(self) -> str:
         return repr(self)
 
-    # Identity semantics: default object __eq__/__hash__ are what we want,
-    # but we make hashing explicit for clarity.
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
+    # No __eq__ or __hash__ here: object's identity semantics are the
+    # ones a symbol needs, and they run in C on every symbol-keyed lookup.
 
     def __reduce__(self):
         # Pickling must preserve identity semantics: an interned symbol

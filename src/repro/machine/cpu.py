@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..datum import NIL, T
+from ..datum.numbers import lisp_eql
 from ..datum.symbols import Symbol, sym
 from ..errors import (
     LispError,
@@ -33,7 +34,7 @@ from ..errors import (
 )
 from ..interp.environment import DeepBindingStack
 from ..options import TIERS
-from ..primitives import Primitive, _need_list, lookup_primitive
+from ..primitives import PRIMITIVES, Primitive, _need_list, lookup_primitive
 from ..telemetry import MachineTelemetry
 from .heap import Heap
 from .isa import CYCLES, CodeObject, Instruction, Program, RAW_BINARY_OPS, RAW_UNARY_OPS
@@ -64,6 +65,9 @@ class _Unbound:
 
 
 UNBOUND = _Unbound()
+
+#: GENERIC throw is no primitive: the machine unwinds to its catch.
+_THROW = sym("throw")
 
 
 @dataclass
@@ -397,8 +401,11 @@ class Machine:
         if kind == "temp":
             return self.stack[self.tp + value]
         if kind == "frame":
-            record = self._current_record()
-            return self.stack[self.fp - record.nargs + value]
+            stack = self.stack
+            record = stack[self.fp]
+            if type(record) is not FrameRecord:  # pragma: no cover
+                raise MachineError("corrupt frame")
+            return stack[self.fp - record.nargs + value]
         if kind == "imm":
             return value
         if kind == "env":
@@ -414,8 +421,11 @@ class Machine:
         elif kind == "temp":
             self.stack[self.tp + value] = word
         elif kind == "frame":
-            record = self._current_record()
-            self.stack[self.fp - record.nargs + value] = word
+            stack = self.stack
+            record = stack[self.fp]
+            if type(record) is not FrameRecord:  # pragma: no cover
+                raise MachineError("corrupt frame")
+            stack[self.fp - record.nargs + value] = word
         else:
             raise MachineError(f"cannot write operand {operand!r}")
 
@@ -424,39 +434,75 @@ class Machine:
     def _execute(self) -> None:
         if self.tier == "native":
             self._execute_native()
-            return
-        while not self._halted:
-            self.step_instruction()
-
-    def step_instruction(self) -> None:
-        """Execute exactly one instruction (the multiprocessor scheduler
-        interleaves processors at this granularity)."""
-        index = self.pc
-        if index >= len(self.code.instructions):
-            raise MachineError(
-                f"fell off the end of {self.code.name} at pc={index}")
-        instruction = self.code.instructions[index]
-        self.pc = index + 1
-        self.instructions += 1
-        if self.instructions > self.instruction_limit:
-            raise MachineError("instruction budget exhausted")
-        self.opcode_counts[instruction.opcode] += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.observe_instruction(self, index, instruction)
-        elif self._pipeline is None:
-            # _issue() inlined: the unobserved single-cycle hot path.
-            self.cycles += self.cycle_costs.get(instruction.opcode, 1)
-            handler = _DISPATCH.get(instruction.opcode)
-            if handler is None:
-                raise MachineError(f"bad opcode {instruction.opcode}")
-            handler(self, instruction)
         else:
-            self._issue(instruction)
-        if len(self.stack) > self.max_stack:
-            self.max_stack = len(self.stack)
-        if self.gc_threshold is not None:
-            self._maybe_auto_collect()
+            self._simulate()
+
+    def _simulate(self, quantum: Optional[int] = None) -> None:
+        """The simulate tier's one stepping loop: execute instructions
+        until the machine halts or, given a *quantum*, until that many
+        have run (the multiprocessor scheduler interleaves processors at
+        this granularity).  run(), step() and the native tier's
+        out-of-fuel stepping (_native_trap) all come here.
+
+        What no handler rebinds is read into locals once per call.  Per
+        instruction the loop fetches, checks fuel exactly, counts the
+        opcode, charges and dispatches (the observer's
+        observe_instruction, or _issue under the pipelined model, does
+        those two), samples the stack high-water mark and runs the
+        allocation-watermark GC check.  The instruction count, the
+        unobserved single-cycle model's table charges and the high-water
+        mark live in locals and reach the machine when the loop ends,
+        also when a handler raises: no handler reads them."""
+        telemetry = self.telemetry
+        pipeline = self._pipeline
+        plain = telemetry is None and pipeline is None
+        costs = self.cycle_costs
+        counts = self.opcode_counts
+        stack = self.stack
+        heap = self.heap
+        limit = self.instruction_limit
+        threshold = self.gc_threshold
+        dispatch = _DISPATCH
+        executed = self.instructions
+        stop = -1 if quantum is None else executed + max(quantum, 0)
+        max_stack = self.max_stack
+        charged = 0
+        try:
+            while executed != stop and not self._halted:
+                code = self.code
+                index = self.pc
+                try:
+                    instruction = code.instructions[index]
+                except IndexError:
+                    raise MachineError(f"fell off the end of {code.name}"
+                                       f" at pc={index}") from None
+                self.pc = index + 1
+                executed += 1
+                if executed > limit:
+                    raise MachineError("instruction budget exhausted")
+                opcode = instruction.opcode
+                counts[opcode] += 1
+                if plain:
+                    charged += costs.get(opcode, 1)
+                    handler = dispatch.get(opcode)
+                    if handler is None:
+                        raise MachineError(f"bad opcode {opcode}")
+                    handler(self, instruction)
+                elif telemetry is not None:
+                    telemetry.observe_instruction(self, index, instruction)
+                else:
+                    self._issue(instruction)
+                size = len(stack)
+                if size > max_stack:
+                    max_stack = size
+                if threshold is not None \
+                        and heap.alloc_counter != self._gc_alloc_mark:
+                    self._maybe_auto_collect()
+        finally:
+            self.instructions = executed
+            self.cycles += charged
+            if max_stack > self.max_stack:
+                self.max_stack = max_stack
 
     def _issue(self, instruction: Instruction) -> None:
         """Charge and execute the fetched *instruction* (pc is already
@@ -619,8 +665,9 @@ class Machine:
     def _native_trap(self, block, error: BaseException) -> None:
         """Leave every count as the simulator leaves it when translated
         *block* raised *error* (the caller re-raises it).  Out of fuel,
-        nothing in the block ran: step it from its leader on
-        step_instruction until that instruction's fuel check raises.
+        nothing in the block ran: step it from its leader on the
+        simulate tier's stepping loop (_simulate) until that loop's fuel
+        check raises.
         Otherwise the block takes back what its prologue charged for the
         instructions after the one that raised (NativeBlock.take_back);
         an error raised outside the block (*block* None, or a collection
@@ -633,8 +680,7 @@ class Machine:
 
         if type(error) is OutOfFuel:
             try:
-                while True:
-                    self.step_instruction()
+                self._simulate()
             except BaseException as fault:
                 raise fault from None
         block.take_back(self, error.__traceback__)
@@ -692,10 +738,7 @@ class Machine:
                 while not self._halted and self.instructions < target:
                     self.step_block()
             else:
-                for _ in range(quantum):
-                    if self._halted:
-                        break
-                    self.step_instruction()
+                self._simulate(quantum)
         except BaseException:
             self._leave()
             raise
@@ -778,8 +821,6 @@ class Machine:
             self.pc = self.code.resolve_label(label[1])
 
     def _op_eqlbr(self, instruction: Instruction) -> None:
-        from ..datum.numbers import lisp_eql
-
         a_src, b_src, label = instruction.operands
         a = pointer_to_lisp(self.read(a_src))
         b = pointer_to_lisp(self.read(b_src))
@@ -867,7 +908,7 @@ class Machine:
         if kind == "global" and instruction.operands[0][1] not in \
                 self.program.functions:
             name = instruction.operands[0][1]
-            if name is sym("throw") and nargs == 2:
+            if name is _THROW and nargs == 2:
                 value = self.machine_to_lisp(self.stack.pop())
                 tag = self.machine_to_lisp(self.stack.pop())
                 self._do_throw(tag, value)
@@ -1005,26 +1046,38 @@ class Machine:
     # -- generic (pointer-world) operations -------------------------------------------
 
     def _op_generic(self, instruction: Instruction) -> None:
-        name_op, dst = instruction.operands[0], instruction.operands[1]
-        srcs = instruction.operands[2:]
-        name = name_op[1]
-        if name is sym("throw"):
-            words = [self._certify(self.read(src)) for src in srcs]
-            args = [self.machine_to_lisp(w) for w in words]
+        operands = instruction.operands
+        name = operands[0][1]
+        if name is _THROW:
+            primitive = None
+        else:
+            primitive = PRIMITIVES.get(name)
+            if primitive is None:
+                raise MachineError(f"GENERIC: unknown primitive {name}")
+            self.cycles += primitive.cycles
+        # Each argument in one pass: read it, certify it if the operation
+        # is unsafe (throw's value escapes, so throw certifies too), and
+        # unwrap the Lisp datum (pointer_to_lisp, inlined).
+        certify = primitive is None or not primitive.safe
+        read = self.read
+        args = []
+        for src in operands[2:]:
+            word = read(src)
+            if certify:
+                word = self._certify(word)
+            kind = type(word)
+            if kind is HeapNumber:
+                word = word.value
+            elif kind is PdlNumber:
+                word = word.deref()
+            args.append(word)
+        if primitive is None:
             self._do_throw(args[0], args[1])
             return
-        primitive = lookup_primitive(name)
-        if primitive is None:
-            raise MachineError(f"GENERIC: unknown primitive {name}")
-        self.cycles += primitive.cycles
-        words = [self.read(src) for src in srcs]
-        if not primitive.safe:
-            words = [self._certify(w) for w in words]
-        args = [self.machine_to_lisp(w) for w in words]
         result = primitive.apply(args)
         if primitive.allocates:
             self.heap.adopt(result)
-        self.write(dst, self.lisp_to_pointer(result))
+        self.write(operands[1], self.lisp_to_pointer(result))
 
     def _op_gfunc(self, instruction: Instruction) -> None:
         dst, name_op = instruction.operands
@@ -1139,8 +1192,6 @@ class Machine:
         self.catch_stack.pop()
 
     def _do_throw(self, tag: Any, value: Any) -> None:
-        from ..datum.numbers import lisp_eql
-
         while self.catch_stack:
             record = self.catch_stack.pop()
             if lisp_eql(record.tag, tag):
@@ -1439,3 +1490,14 @@ for _opcode in RAW_BINARY_OPS:
     _DISPATCH[_opcode] = Machine._op_raw_binary
 for _opcode in RAW_UNARY_OPS:
     _DISPATCH[_opcode] = Machine._op_raw_unary
+
+# CPython 3.11 specializes a function's bytecode only from its eighth call
+# on, and a run spends its whole loop inside one _simulate call, so a
+# process's first seven runs would step unspecialized (about 20% slower a
+# run).  Eight calls on a halted machine run no instruction and leave the
+# loop specialized for the first real run.
+_idle = Machine(Program())
+_idle._halted = True
+for _ in range(8):
+    _idle._simulate()
+del _idle

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import UndefinedFunctionError
+from ..errors import MachineError, UndefinedFunctionError
 
 Operand = Tuple[str, Any]
 
@@ -207,9 +207,11 @@ class CodeObject:
         }
 
     def resolve_label(self, name: str) -> int:
-        if name not in self.labels:
-            raise KeyError(f"undefined label {name} in {self.name}")
-        return self.labels[name]
+        try:
+            return self.labels[name]
+        except KeyError:
+            raise MachineError(
+                f"undefined label {name} in {self.name}") from None
 
     def listing(self) -> str:
         """Render in the paper's parenthesized-assembly style, using the

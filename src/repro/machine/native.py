@@ -30,9 +30,10 @@ cycle cost, and opcode counts are materialized per executed block.
 Every count (``instructions``, ``cycles``, stalls, ``opcode_counts``)
 agrees exactly with the simulator, for runs that complete and for runs
 that trap alike: a block that would cross the fuel limit runs on the
-simulator's ``step_instruction`` instead (:class:`OutOfFuel`), and a
-block that raises takes back what its prologue charged for the
-instructions after the one that raised (:meth:`NativeBlock.take_back`).
+simulator's one stepping loop (``Machine._simulate``) instead
+(:class:`OutOfFuel`), and a block that raises takes back what its
+prologue charged for the instructions after the one that raised
+(:meth:`NativeBlock.take_back`).
 Only where GC triggers and the stack high-water mark is sampled stay
 block-granular.
 

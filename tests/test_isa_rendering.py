@@ -4,6 +4,7 @@ surface) and CodeObject mechanics."""
 import pytest
 
 from repro.datum import sym
+from repro.errors import MachineError
 from repro.machine import (
     CodeObject,
     Instruction,
@@ -74,7 +75,7 @@ class TestListing:
     def test_resolve_label(self):
         code = CodeObject("f", [Instruction("NOP")], labels={"x": 0})
         assert code.resolve_label("x") == 0
-        with pytest.raises(KeyError):
+        with pytest.raises(MachineError, match="undefined label missing in f"):
             code.resolve_label("missing")
 
 

@@ -25,6 +25,7 @@ from repro.machine import (
     reg,
     temp,
 )
+from repro.machine.timing import TIMINGS
 from repro.options import TIERS
 
 
@@ -786,3 +787,118 @@ class TestRawOpFaults:
         for tier in TIERS:
             with pytest.raises(LispError, match="FLT: result out of range"):
                 Machine(make_program(op=code), tier=tier).run(sym("op"), [])
+
+
+class TestUndefinedLabel:
+    """A branch to a label its CodeObject does not define is an internal
+    fault: a MachineError naming the label, on both tiers, and the
+    machine stays usable."""
+
+    @pytest.mark.parametrize("opcode, operands", [
+        ("JMP", (label_ref("nowhere"),)),
+        ("JUMPNIL", (imm(NIL), label_ref("nowhere"))),
+        ("JUMPNNIL", (imm(T), label_ref("nowhere"))),
+        ("CMPBR", (imm("lt"), imm(1), imm(2), label_ref("nowhere"))),
+        ("EQLBR", (imm(1), imm(1), label_ref("nowhere"))),
+        ("CATCHPUSH", (label_ref("nowhere"), imm(sym("tag")))),
+    ])
+    def test_branch_to_missing_label_is_machine_error(self, opcode,
+                                                      operands):
+        code = CodeObject("f", [ins(opcode, *operands), ins("RET", imm(1))])
+        ok = CodeObject("ok", [ins("RET", imm(2))])
+        for tier in TIERS:
+            machine = Machine(make_program(f=code, ok=ok), tier=tier)
+            with pytest.raises(MachineError,
+                               match="^undefined label nowhere in f$"):
+                machine.run(sym("f"), [])
+            assert machine.poisoned and machine.stack == []
+            assert machine.run(sym("ok"), []) == 2
+
+
+def _bench_program(name):
+    """The source of the benchmark's ``bench/programs/NAME.lisp``."""
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "programs", f"{name}.lisp"),
+              encoding="utf-8") as handle:
+        return handle.read()
+
+
+class TestSteppingGranularity:
+    """run() and start() + step(q) drive the simulate tier's one stepping
+    loop, so every granularity gives the same value or error and the same
+    counts, GC points included, under both timings with the observer off
+    and on."""
+
+    LOOP = "(defun f (n) (do ((i 0 (+ i 1)) (acc 0 (+ acc i))) ((> i n) acc)))"
+    DEEP = ("(defun deep (n) (if (zerop n) (car n) (list (deep (- n 1)))))"
+            "(defun f (n) (cons 1 (deep n)))")
+    #: name -> (bench program or source, prelude, function, args,
+    #: gc_threshold, fuel, the error class the run ends in or None)
+    PROGRAMS = {
+        "sort-drive/gc5": ("sort-drive", True, "sort-drive", [1, 32, 7], 5,
+                           None, None),
+        "sort-drive/gc200": ("sort-drive", True, "sort-drive", [3, 64, 7],
+                             200, None, None),
+        "testfn-drive": ("testfn", False, "drive", [30, 1.3], None, None,
+                         None),
+        "trap": (DEEP, False, "f", [12], None, None, WrongTypeError),
+        "fuel": (LOOP, False, "f", [10 ** 6], None, 1000, MachineError),
+    }
+
+    @staticmethod
+    def _outcome(machine, function, args, quantum):
+        from repro.errors import ReproError
+        from repro.reader.printer import write_to_string
+
+        try:
+            if quantum is None:
+                value = machine.run(sym(function), args)
+            else:
+                machine.start(sym(function), args)
+                while not machine.step(quantum):
+                    pass
+                value = machine.machine_to_lisp(machine.result)
+            result = ("value", write_to_string(value))
+        except ReproError as error:
+            result = (type(error), str(error))
+        outcome = (result, machine.instructions, machine.cycles,
+                   machine.stall_cycles(), dict(machine.opcode_counts),
+                   machine.call_count, machine.max_stack,
+                   machine.heap.gc_runs, machine.heap.gc_collected)
+        if machine.telemetry is not None:
+            assert machine.telemetry.attributed_cycles() == machine.cycles
+            outcome += (machine.telemetry.instruction_ledger(),)
+        return outcome
+
+    @pytest.mark.parametrize("observed", (False, True),
+                             ids=("observer-off", "observer-on"))
+    @pytest.mark.parametrize("timing", TIMINGS)
+    @pytest.mark.parametrize("program", PROGRAMS)
+    def test_every_granularity_agrees(self, program, timing, observed):
+        from repro import Compiler
+
+        source, prelude, function, args, threshold, fuel, error = \
+            self.PROGRAMS[program]
+        compiler = Compiler()
+        if prelude:
+            compiler.load_prelude()
+        compiler.compile_source(
+            source if source.startswith("(") else _bench_program(source))
+        outcomes = []
+        for quantum in (None, 1, 7, 10 ** 6):
+            machine = compiler.machine(fuel=fuel or 50_000_000)
+            assert machine.tier == "simulate"
+            machine.gc_threshold = threshold
+            machine.set_timing(timing)
+            if observed:
+                machine.enable_telemetry()
+            outcomes.append(self._outcome(machine, function, args, quantum))
+        (kind, _), instructions = outcomes[0][0], outcomes[0][1]
+        assert kind == (error or "value")
+        assert instructions > 0
+        if threshold is not None:
+            assert outcomes[0][7] > 0  # the collector ran
+        for quantum, outcome in zip((1, 7, 10 ** 6), outcomes[1:]):
+            assert outcome == outcomes[0], quantum

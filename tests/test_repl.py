@@ -181,6 +181,32 @@ class TestDiagnosticsLog:
             assert isinstance(diagnostics, Diagnostics)
             assert diagnostics.phases
 
+    def test_compile_that_raised_is_logged(self, tmp_path):
+        # The record of a compile that raised holds the error and its
+        # source location: --diagnostics-json, --trace and --metrics
+        # read it from the log.
+        import json
+
+        output, _, repl = session("(defun ok (x) x)",
+                                  "(defun bad (x) (go nowhere))", "(car 5)")
+        assert "error: <input>:1:16: go:" in output
+        assert [entry for entry, _ in repl.diagnostics_log] == [
+            "(defun ok (x) x)", "(defun bad (x) (go nowhere))", "(car 5)"]
+        path = tmp_path / "diag.json"
+        repl.dump_diagnostics(str(path))
+        session_json = json.loads(path.read_text())["session"]
+        assert len(session_json) == 3
+        (message,) = session_json[1]["diagnostics"]["messages"]
+        assert message["severity"] == "error"
+        assert message["location"] == {"file": "<input>", "line": 1,
+                                       "column": 16}
+
+    def test_entry_that_compiles_nothing_logs_nothing(self):
+        # A repeated :prelude compiles nothing: the log must not hold the
+        # first load's record twice.
+        _, _, repl = session(":prelude", ":prelude")
+        assert [entry for entry, _ in repl.diagnostics_log] == [":prelude"]
+
     def test_dump_diagnostics_writes_json(self, tmp_path):
         import json
 
